@@ -464,7 +464,15 @@ let churn_intervals s ~n ~source =
 let compile ?oriented s ~csr ~source =
   let n = Gossip_scale.Csr.n csr in
   let intervals = churn_intervals s ~n ~source in
-  let has_churn = Array.exists (fun l -> l <> []) intervals in
+  (* The amnesia points as a schedule: one (round, node) entry per
+     finite rejoin, sorted, duplicates merged, so a round costs the
+     engine only the rejoins it holds. *)
+  let rejoins =
+    Array.to_list intervals
+    |> List.mapi (fun v l ->
+           List.filter_map (fun (_, r) -> if r = max_int then None else Some (r, v)) l)
+    |> List.concat |> List.sort_uniq compare |> Array.of_list
+  in
   let rules = Array.of_list s.rules in
   let seed = s.seed in
   let adv =
@@ -491,9 +499,6 @@ let compile ?oriented s ~csr ~source =
   let env_present_since ~node ~since ~round =
     List.for_all (fun (l, r) -> l > round || r <= since) intervals.(node)
   in
-  let env_rejoin ~node ~round =
-    List.exists (fun (_, r) -> r = round) intervals.(node)
-  in
   let env_latency ~u ~v ~latency ~round =
     let f = ref 1.0 in
     for i = 0 to Array.length rules - 1 do
@@ -515,8 +520,7 @@ let compile ?oriented s ~csr ~source =
       env_present_since;
       env_drop = (fun ~initiator:_ ~responder:_ ~round:_ -> false);
       env_latency;
-      env_rejoin;
-      env_has_churn = has_churn;
+      env_rejoins = rejoins;
     }
   in
   let lmax = Gossip_scale.Csr.max_latency csr in

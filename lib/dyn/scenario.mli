@@ -140,7 +140,9 @@ type compiled = {
 
 (** [compile ?oriented s ~csr ~source] resolves the plan against a
     concrete graph: samples random churn, checks explicit churn nodes
-    are in range, and builds the environment closures.  [oriented] is
+    are in range, builds the environment closures, and lists every
+    finite rejoin as the environment's [env_rejoins] schedule (sorted
+    by round, then node, without duplicates).  [oriented] is
     the spanner orientation the adversary targets — required when
     [s.adversary] is set.
     @raise Invalid_scenario when the plan churns [source] (the engine

@@ -40,9 +40,9 @@
       update order matters, and the {b order and count of those effects
       are part of the kernel's observable API}: per-node RNG streams
       are split in node order at engine creation, and trajectory parity
-      between the sequential and domain-sharded runtimes (and between
-      engine generations) holds only because every kernel draws from
-      [rngs.(u)] under exactly the same conditions in both.  The
+      across shard counts, with the reference engine, and between
+      engine generations holds only because every kernel draws from
+      [rngs.(u)] under exactly the same conditions in all of them.  The
       request payload is written by [req_pay ~u ~informed ~buf ~off],
       evaluated with [u]'s informed (completed) bit as of phase 2
       (after this round's deliveries); it must be a pure emission —
@@ -77,8 +77,8 @@
     invariant (the algebraic kernel's canonical-RREF basis).  Every
     cell a hook touches must belong to the node the engine passed it
     ([u]/[v]) — the same owner-only discipline that protects the
-    store's completed bytes — so the domain-sharded runtime stays
-    bit-identical to the sequential one.
+    store's completed bytes — so a run stays bit-identical whatever
+    its shard count.
 
     {2 State layout}
 

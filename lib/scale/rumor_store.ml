@@ -35,8 +35,8 @@ let completed t v = Bytes.get t.completed v <> '\000'
 
 let count t = t.count
 
-(* The sharded engine maintains per-shard counts during the run and
-   installs the merged total once the domains have joined. *)
+(* The engine maintains per-shard counts during a round and installs
+   the merged total at the round boundary. *)
 let set_count t c = t.count <- c
 
 let mark t v =
@@ -47,11 +47,4 @@ let mark t v =
 
 let seed t v = if t.on_seed v then mark t v
 
-let forget_state t v = t.on_forget v
-
-let forget t v =
-  t.on_forget v;
-  if Bytes.get t.completed v <> '\000' then begin
-    Bytes.set t.completed v '\000';
-    t.count <- t.count - 1
-  end
+let forget t v = t.on_forget v

@@ -38,8 +38,10 @@ val bytes : t -> Bytes.t
 val completed : t -> int -> bool
 
 (** [count t] is the number of completed nodes — maintained
-    incrementally by {!mark}/{!seed}/{!forget} on the sequential path;
-    the sharded engine installs the merged total via {!set_count}. *)
+    incrementally by {!mark}/{!seed} while the store is built and
+    seeded.  During a run each shard counts its own nodes, and the
+    engine installs the merged total via {!set_count} at every round
+    boundary. *)
 val count : t -> int
 
 val set_count : t -> int -> unit
@@ -51,11 +53,8 @@ val mark : t -> int -> unit
     [v] iff the hook reports completion. *)
 val seed : t -> int -> unit
 
-(** [forget t v] is churn amnesia: runs [on_forget], then clears [v]'s
-    completed byte (idempotent). *)
+(** [forget t v] is churn amnesia of [v]'s rumor state: runs
+    [on_forget].  The engine clears [v]'s completed byte and its
+    shard's count itself, since only the owning shard may touch them
+    mid-round. *)
 val forget : t -> int -> unit
-
-(** [forget_state t v] runs only the [on_forget] hook — the sharded
-    engine's half of {!forget}, which manages the completed byte and
-    per-shard count itself. *)
-val forget_state : t -> int -> unit

@@ -25,7 +25,12 @@ module Buf = struct
      negative request nor ask Bigarray for a bogus size. *)
   let max_capacity = min Sys.max_array_length I32.max_value
 
-  let create () = { data = I32.make 64 0; len = 0 }
+  (* A buffer allocates on its first reservation: a run builds k * k
+     mailbox columns, and the diagonal ones — all of them at k = 1 —
+     never carry a record. *)
+  let empty = I32.make 0 0
+
+  let create () = { data = empty; len = 0 }
 
   let length b = b.len
 
@@ -42,7 +47,7 @@ module Buf = struct
     if need < 0 || need > max_capacity then
       raise (Buf_overflow { need; limit = max_capacity });
     if need > I32.length b.data then begin
-      let cap = ref (I32.length b.data) in
+      let cap = ref (max 64 (I32.length b.data)) in
       while !cap < need do
         (* cap <= max_capacity < 2^62, so the doubling cannot wrap. *)
         cap := min (2 * !cap) max_capacity
@@ -63,12 +68,9 @@ module Buf = struct
     let i = reserve b 1 in
     I32.unsafe_set b.data i v
 
-  (* Unchecked accessors for the engine's drain/fill loops, whose
-     indices come from [reserve]/[length] and are in bounds by
-     construction. *)
+  (* Unchecked read for the engine's drain loops, whose indices come
+     from [length] and are in bounds by construction. *)
   let unsafe_get b i = I32.unsafe_get b.data i
-
-  let unsafe_set b i v = I32.unsafe_set b.data i v
 end
 
 module Barrier = struct

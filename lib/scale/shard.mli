@@ -49,6 +49,8 @@ module Buf : sig
       [min Sys.max_array_length I32.max_value]. *)
   val max_capacity : int
 
+  (** [create ()] is an empty buffer; storage is allocated by the
+      first {!reserve}. *)
   val create : unit -> t
 
   (** Number of cells currently stored. *)
@@ -72,11 +74,9 @@ module Buf : sig
       @raise Buf_overflow as {!reserve}. *)
   val push : t -> int -> unit
 
-  (** Unchecked variants for drain/fill loops whose indices are in
-      bounds by construction. *)
+  (** Unchecked read for drain loops whose indices are in bounds by
+      construction. *)
   val unsafe_get : t -> int -> int
-
-  val unsafe_set : t -> int -> int -> unit
 end
 
 (** Cyclic sense-reversing barrier over [Mutex]/[Condition]. *)

@@ -33,17 +33,17 @@ type metrics = Engine.metrics
    [env_present_since] asks whether a node has been continuously
    present over an exchange's lifetime (an exchange binds to both
    endpoints' incarnations — a node that departed and came back must
-   not receive stale traffic from its previous life), and [env_rejoin]
-   marks the amnesia point where a returning node forgets the rumor.
-   [env_has_churn] gates the per-round rejoin scan so churn-free
-   environments pay nothing for it. *)
+   not receive stale traffic from its previous life), and
+   [env_rejoins] schedules the amnesia points where a returning node
+   forgets the rumor.  The schedule is compiled ahead of the run, so a
+   round pays only for the rejoins it holds and churn-free
+   environments pay nothing. *)
 type env = {
   env_alive : node:int -> round:int -> bool;
   env_present_since : node:int -> since:int -> round:int -> bool;
   env_drop : initiator:int -> responder:int -> round:int -> bool;
   env_latency : u:int -> v:int -> latency:int -> round:int -> int;
-  env_rejoin : node:int -> round:int -> bool;
-  env_has_churn : bool;
+  env_rejoins : (int * int) array;
 }
 
 (* A static fault plan is the trivial environment: presence over an
@@ -58,8 +58,7 @@ let env_of_faults (f : faults) =
     env_drop =
       (fun ~initiator ~responder ~round -> f.Engine.drop ~initiator ~responder ~round);
     env_latency = (fun ~u:_ ~v:_ ~latency ~round -> f.Engine.jitter ~latency ~round);
-    env_rejoin = (fun ~node:_ ~round:_ -> false);
-    env_has_churn = false;
+    env_rejoins = [||];
   }
 
 (* ?faults and ?env compose: the static plan filters first (its jitter
@@ -81,12 +80,8 @@ let compose_env (f : faults) (e : env) =
       env_latency =
         (fun ~u ~v ~latency ~round ->
           e.env_latency ~u ~v ~latency:(f.Engine.jitter ~latency ~round) ~round);
-      env_rejoin = e.env_rejoin;
-      env_has_churn = e.env_has_churn;
+      env_rejoins = e.env_rejoins;
     }
-
-let resolve_env ?env faults =
-  match env with None -> env_of_faults faults | Some e -> compose_env faults e
 
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
@@ -146,44 +141,8 @@ type tel = {
   c_kernel_words : Gossip_obs.Registry.counter;
 }
 
-(* In-flight exchanges are pooled in parallel int32 columns (a
-   structure of arrays — 4 bytes per field instead of a boxed word)
-   and threaded into singly-linked lists by [ex_next]: one arrival
-   list and one response list per wheel slot, plus a free list.  An
-   exchange id is an index into the pool; [-1] terminates a list.
-   Everything a column stores — node ids, payload bits, absolute
-   rounds, row slots, pool indices — fits int32 by the CSR range
-   contract plus the per-round due-date guard in [step]. *)
-type t = {
-  csr : Csr.t;
-  kernel : Kernel.t;  (* protocol hooks + directed contact rows *)
-  env : env;
-  wheel : int;  (* slot count = wheel latency bound + 1 *)
-  store : Rumor_store.t;  (* the kernel's completion state (one byte per node) *)
-  mw : int;  (* kernel msg_words: payload words per message *)
-  rngs : Rng.t array;  (* per-node streams; empty for rng-free kernels *)
-  arrival_head : int array;  (* wheel slot -> exchange list *)
-  response_head : int array;
-  mutable ex_initiator : I32.t;
-  mutable ex_responder : I32.t;
-  mutable ex_req_pay : I32.t;  (* mw request words per exchange, at ex * mw *)
-  mutable ex_resp_pay : I32.t;  (* mw response words per exchange, at ex * mw *)
-  mutable ex_due : I32.t;  (* absolute response-due round *)
-  mutable ex_init : I32.t;  (* initiation round, for presence-interval checks *)
-  mutable ex_slot : I32.t;  (* contact-row slot [on_initiate] picked *)
-  mutable ex_next : I32.t;
-  mutable free_head : int;
-  mutable pool_used : int;  (* high-water mark of allocated slots *)
-  mutable in_flight : int;  (* live exchanges = wheel-slot occupancy *)
-  pool_limit : int;  (* hard growth ceiling of the exchange pool *)
-  metrics : metrics;
-  tel : tel option;
-  mutable now : int;
-}
-
-(* Validation and derived state shared by the sequential [create] and
-   the sharded broadcast path, so both size the wheel, bound the pool,
-   and split per-node RNG streams identically. *)
+(* Run validation: the wheel must hold every latency the run can see,
+   the graph's ℓ_max plus the fault plan's declared jitter. *)
 let wheel_bound ?wheel_latency ~max_jitter csr =
   if max_jitter < 0 then invalid_arg "Wheel_engine.create: max_jitter must be >= 0";
   match wheel_latency with
@@ -200,7 +159,7 @@ let wheel_bound ?wheel_latency ~max_jitter csr =
              (Csr.max_latency csr + max_jitter));
       b
 
-(* Pool indices live in int32 cells ([ex_next], the free list), so the
+(* Pool indices live in int32 cells ([s_next], the free list), so the
    growth ceiling is clamped to the int32 range — the pool raises the
    typed [Pool_exhausted] there instead of wrapping an index. *)
 let pool_limit_of = function
@@ -210,7 +169,7 @@ let pool_limit_of = function
       min c I32.max_value
 
 (* Per-node RNG streams are split in node order — the one and only
-   split sequence, shared by every kernel and both runtimes, so a
+   split sequence, shared by every kernel and every shard count, so a
    fixed caller seed reproduces a trajectory across all of them.
    Rng-free kernels (flood, rr-spanner, dtg) get no streams at all,
    keeping their runs byte-identical to the pre-kernel engine. *)
@@ -263,12 +222,11 @@ let check_contact ~bound ~max_jitter kernel csr =
          (Csr.oriented_max_latency contact)
          (bound - max_jitter) (Csr.max_latency csr) max_jitter)
 
-(* Kernel-side validation shared by both runtimes: the store must
-   cover the graph, and the declared payload budget must be positive
-   and fit a mailbox reservation (the int32-safe ceiling — a kernel
-   whose per-message word count could not even be reserved in a
-   cross-shard column raises the same typed overflow the reservation
-   itself would). *)
+(* Kernel-side validation: the store must cover the graph, and the
+   declared payload budget must be positive and fit a mailbox
+   reservation (the int32-safe ceiling — a kernel whose per-message
+   word count could not even be reserved in a cross-shard column
+   raises the same typed overflow the reservation itself would). *)
 let check_kernel_shape ~n kernel =
   if Rumor_store.capacity kernel.Kernel.store <> n then
     invalid_arg "Wheel_engine.create: kernel store capacity differs from the node count";
@@ -277,6 +235,18 @@ let check_kernel_shape ~n kernel =
   if mw > Shard.Buf.max_capacity then
     raise (Shard.Buf_overflow { need = mw; limit = Shard.Buf.max_capacity });
   mw
+
+(* Each shard walks the rejoin schedule with its own forward cursor,
+   so the schedule must be strictly ascending in (round, node): an
+   entry out of order would be skipped, a duplicate would run amnesia
+   twice. *)
+let check_rejoins ~n rejoins =
+  Array.iteri
+    (fun i ((_, v) as e) ->
+      if v < 0 || v >= n then invalid_arg "Wheel_engine.create: rejoin node out of range";
+      if i > 0 && compare rejoins.(i - 1) e >= 0 then
+        invalid_arg "Wheel_engine.create: env_rejoins not strictly ascending")
+    rejoins
 
 (* Seed the kernel's store: an optional initial informed set (EID
    chains phases by handing one kernel's result bytes to the next —
@@ -294,287 +264,6 @@ let seed_store ?informed ~n ~source store =
         if Bytes.get src v <> '\000' then Rumor_store.seed store v
       done);
   Rumor_store.seed store source
-
-let create_kernel ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?telemetry
-    ?pool_capacity ?informed rng csr ~kernel ~source =
-  let n = Csr.n csr in
-  if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
-  let bound = wheel_bound ?wheel_latency ~max_jitter csr in
-  check_contact ~bound ~max_jitter kernel csr;
-  let mw = check_kernel_shape ~n kernel in
-  let pool_limit = pool_limit_of pool_capacity in
-  let store = kernel.Kernel.store in
-  seed_store ?informed ~n ~source store;
-  let rngs = make_rngs ~uses_rng:kernel.Kernel.uses_rng rng n in
-  let cap = min (max 1024 n) pool_limit in
-  {
-    csr;
-    kernel;
-    env = resolve_env ?env faults;
-    wheel = bound + 1;
-    store;
-    mw;
-    rngs;
-    arrival_head = Array.make (bound + 1) (-1);
-    response_head = Array.make (bound + 1) (-1);
-    ex_initiator = I32.make cap 0;
-    ex_responder = I32.make cap 0;
-    ex_req_pay = I32.make (cap * mw) 0;
-    ex_resp_pay = I32.make (cap * mw) 0;
-    ex_due = I32.make cap 0;
-    ex_init = I32.make cap 0;
-    ex_slot = I32.make cap 0;
-    ex_next = I32.make cap (-1);
-    free_head = -1;
-    pool_used = 0;
-    in_flight = 0;
-    pool_limit;
-    metrics =
-      { rounds = 0; initiations = 0; deliveries = 0; payload_words = 0; rejected = 0; dropped = 0 };
-    tel = resolve_tel ~kernel_name:kernel.Kernel.name ~msg_words:mw telemetry;
-    now = 0;
-  }
-
-let create ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng
-    csr ~protocol ~source =
-  create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-    rng csr
-    ~kernel:(Kernel.of_protocol csr protocol)
-    ~source
-
-let graph t = t.csr
-
-let current_round t = t.now
-
-let metrics t = t.metrics
-
-(* "Informed" in the engine's vocabulary now means "completed the
-   kernel's dissemination goal" — the store's byte, which for classic
-   kernels is exactly the old informed bit. *)
-let informed t u = Rumor_store.completed t.store u
-
-let informed_count t = Rumor_store.count t.store
-
-let mark t v = Rumor_store.mark t.store v
-
-(* A rejoining node comes back with amnesia: the kernel's forget hook
-   resets its rumor state and its completed bit (if any) is cleared,
-   so it must reach the goal again in its new incarnation. *)
-let unmark t v = Rumor_store.forget t.store v
-
-let grow t =
-  let old = I32.length t.ex_next in
-  let cap = min (2 * old) t.pool_limit in
-  (* Hitting the ceiling is a failed run, not a harness crash: the
-     typed exception (with a registered printer) lets [Sweep.run_ft]
-     checkpoint the job as [Failed] with a useful message. *)
-  if cap = old then raise (Pool_exhausted { used = t.pool_used; round = t.now });
-  let extend w a =
-    let b = I32.make (cap * w) 0 in
-    I32.blit ~src:a ~dst:b (old * w);
-    b
-  in
-  t.ex_initiator <- extend 1 t.ex_initiator;
-  t.ex_responder <- extend 1 t.ex_responder;
-  t.ex_req_pay <- extend t.mw t.ex_req_pay;
-  t.ex_resp_pay <- extend t.mw t.ex_resp_pay;
-  t.ex_due <- extend 1 t.ex_due;
-  t.ex_init <- extend 1 t.ex_init;
-  t.ex_slot <- extend 1 t.ex_slot;
-  t.ex_next <- extend 1 t.ex_next
-
-let alloc t =
-  t.in_flight <- t.in_flight + 1;
-  if t.free_head >= 0 then begin
-    let e = t.free_head in
-    t.free_head <- I32.get t.ex_next e;
-    e
-  end
-  else begin
-    if t.pool_used >= I32.length t.ex_next then grow t;
-    let e = t.pool_used in
-    t.pool_used <- t.pool_used + 1;
-    e
-  end
-
-let free t e =
-  t.in_flight <- t.in_flight - 1;
-  I32.set t.ex_next e t.free_head;
-  t.free_head <- e
-
-(* The round loop is allocation-free: environment and kernel hooks are
-   called directly (no per-round [alive]/[present] closures), loop
-   cursors are non-escaping refs (unboxed by the compiler), and every
-   pool access goes through the int32 columns, whose reads compile
-   without boxing.  [minor_words_budget] is the enforced witness. *)
-let step t =
-  let round = t.now in
-  (* Due dates [round + latency <= round + wheel - 1] must fit the
-     pool's int32 cells; reject the run that could wrap rather than
-     store a wrapped due round.  One compare per round. *)
-  if round > I32.max_value - t.wheel then
-    raise (I32.Overflow { what = "exchange due round"; value = round + t.wheel });
-  let d0 = t.metrics.Engine.deliveries
-  and i0 = t.metrics.Engine.initiations
-  and x0 = t.metrics.Engine.dropped
-  and p0 = t.metrics.Engine.payload_words in
-  let slot = round mod t.wheel in
-  (* Phase 0: churned nodes scheduled to rejoin this round come back
-     with amnesia — the kernel's forget hook resets their rumor state
-     and the completed bit is cleared before any of this round's
-     deliveries, so stale in-flight traffic (already doomed by the
-     presence-interval checks below) cannot re-complete them and the
-     informed count stays an honest census of current incarnations. *)
-  if t.env.env_has_churn then begin
-    let n = Csr.n t.csr in
-    for v = 0 to n - 1 do
-      if t.env.env_rejoin ~node:v ~round then unmark t v
-    done
-  end;
-  (* Phase 1a: every response due to be generated this round reads the
-     informed set as of the start of the round — before any of this
-     round's push merges — matching Engine.step's sub-phase ordering.
-     Requests whose responder is crashed are lost here, answer and
-     all.  An exchange is delivered only while both endpoints remain
-     in the incarnation that initiated it; for a static environment
-     that is plain liveness at [round]. *)
-  let e = ref t.arrival_head.(slot) in
-  while !e >= 0 do
-    let ex = !e in
-    let responder = I32.get t.ex_responder ex in
-    if t.env.env_present_since ~node:responder ~since:(I32.get t.ex_init ex) ~round then
-      t.kernel.Kernel.on_deliver ~v:responder ~informed:(informed t responder)
-        ~buf:t.ex_resp_pay ~off:(ex * t.mw);
-    e := I32.get t.ex_next ex
-  done;
-  (* Phase 1b: merge the pushed rumor bits and park each surviving
-     exchange on the response list of its due slot (for latency-1
-     edges that is this very slot, delivered below in 1c). *)
-  let e = ref t.arrival_head.(slot) in
-  t.arrival_head.(slot) <- -1;
-  while !e >= 0 do
-    let ex = !e in
-    let next = I32.get t.ex_next ex in
-    let responder = I32.get t.ex_responder ex in
-    if t.env.env_present_since ~node:responder ~since:(I32.get t.ex_init ex) ~round then begin
-      t.metrics.Engine.deliveries <- t.metrics.Engine.deliveries + 1;
-      t.metrics.Engine.payload_words <- t.metrics.Engine.payload_words + t.mw;
-      if t.kernel.Kernel.on_push ~v:responder ~buf:t.ex_req_pay ~off:(ex * t.mw) then
-        mark t responder;
-      let due_slot = I32.get t.ex_due ex mod t.wheel in
-      I32.set t.ex_next ex t.response_head.(due_slot);
-      t.response_head.(due_slot) <- ex
-    end
-    else begin
-      t.metrics.Engine.dropped <- t.metrics.Engine.dropped + 1;
-      free t ex
-    end;
-    e := next
-  done;
-  (* Phase 1c: deliver responses due this round; a crashed initiator
-     cannot receive. *)
-  let e = ref t.response_head.(slot) in
-  t.response_head.(slot) <- -1;
-  while !e >= 0 do
-    let ex = !e in
-    let next = I32.get t.ex_next ex in
-    let initiator = I32.get t.ex_initiator ex in
-    if t.env.env_present_since ~node:initiator ~since:(I32.get t.ex_init ex) ~round then begin
-      t.metrics.Engine.deliveries <- t.metrics.Engine.deliveries + 1;
-      t.metrics.Engine.payload_words <- t.metrics.Engine.payload_words + t.mw;
-      if
-        t.kernel.Kernel.on_response ~u:initiator ~slot:(I32.get t.ex_slot ex)
-          ~rtt:(I32.get t.ex_due ex - I32.get t.ex_init ex)
-          ~buf:t.ex_resp_pay ~off:(ex * t.mw)
-      then mark t initiator
-    end
-    else t.metrics.Engine.dropped <- t.metrics.Engine.dropped + 1;
-    free t ex;
-    e := next
-  done;
-  (* Phase 2: initiations in ascending node order over the kernel's
-     directed contact rows.  [on_initiate] is the only point where a
-     kernel may consume randomness or advance a cursor, so the RNG
-     discipline the handler-based protocols established is preserved
-     verbatim: push-pull draws one uniform neighbor index per node per
-     round (whether informed or not), flooding advances a
-     deterministic cursor, random-contact draws only when informed. *)
-  let contact = t.kernel.Kernel.contact in
-  let row_ptr = contact.Csr.o_row_ptr
-  and col = contact.Csr.o_col
-  and lat = contact.Csr.o_lat in
-  let n = Csr.n t.csr in
-  for u = 0 to n - 1 do
-    if t.env.env_alive ~node:u ~round then begin
-      let base = I32.get row_ptr u in
-      let deg = I32.get row_ptr (u + 1) - base in
-      let informed_u = informed t u in
-      let idx =
-        t.kernel.Kernel.on_initiate ~rngs:t.rngs ~round ~u ~deg ~informed:informed_u
-      in
-      if idx >= 0 then begin
-        let peer = I32.get col (base + idx) in
-        t.metrics.Engine.initiations <- t.metrics.Engine.initiations + 1;
-        if t.env.env_drop ~initiator:u ~responder:peer ~round then
-          t.metrics.Engine.dropped <- t.metrics.Engine.dropped + 1
-        else begin
-          let latency =
-            max 1 (t.env.env_latency ~u ~v:peer ~latency:(I32.get lat (base + idx)) ~round)
-          in
-          if latency >= t.wheel then
-            (* An undeclared jitter overrunning the wheel is a failed
-               run, not a harness crash: the typed exception lets a
-               sweep record this job as [Failed] and keep going. *)
-            raise (Jitter_overflow { latency; bound = t.wheel - 1; round });
-          let ex = alloc t in
-          I32.set t.ex_initiator ex u;
-          I32.set t.ex_responder ex peer;
-          (* Payload words are zeroed before the emission hook runs —
-             the hook-contract's "words arrive zeroed" — covering pool
-             reuse after a free. *)
-          let pb = ex * t.mw in
-          for w = 0 to t.mw - 1 do
-            I32.set t.ex_req_pay (pb + w) 0;
-            I32.set t.ex_resp_pay (pb + w) 0
-          done;
-          t.kernel.Kernel.req_pay ~u ~informed:informed_u ~buf:t.ex_req_pay ~off:pb;
-          I32.set t.ex_due ex (round + latency);
-          I32.set t.ex_init ex round;
-          I32.set t.ex_slot ex idx;
-          let arrival_slot = (round + ((latency + 1) / 2)) mod t.wheel in
-          I32.set t.ex_next ex t.arrival_head.(arrival_slot);
-          t.arrival_head.(arrival_slot) <- ex
-        end
-      end
-    end
-  done;
-  t.now <- round + 1;
-  t.metrics.Engine.rounds <- t.metrics.Engine.rounds + 1;
-  match t.tel with
-  | None -> ()
-  | Some tel ->
-      Gossip_obs.Registry.observe tel.h_deliveries (t.metrics.Engine.deliveries - d0);
-      Gossip_obs.Registry.observe tel.h_initiations (t.metrics.Engine.initiations - i0);
-      Gossip_obs.Registry.add tel.c_kernel_deliveries (t.metrics.Engine.deliveries - d0);
-      Gossip_obs.Registry.add tel.c_kernel_initiations (t.metrics.Engine.initiations - i0);
-      Gossip_obs.Registry.add tel.c_kernel_words (t.metrics.Engine.payload_words - p0);
-      Gossip_obs.Registry.observe tel.h_inflight t.in_flight;
-      Gossip_obs.Registry.record_max tel.g_inflight t.in_flight;
-      (match tel.tel_ring with
-      | None -> ()
-      | Some ring ->
-          Gossip_obs.Ring.record ring ~round ~kind:Gossip_obs.Ring.kind_informed
-            ~node:(-1) ~value:(Rumor_store.count t.store);
-          Gossip_obs.Ring.record ring ~round ~kind:Gossip_obs.Ring.kind_deliveries
-            ~node:(-1)
-            ~value:(t.metrics.Engine.deliveries - d0);
-          Gossip_obs.Ring.record ring ~round ~kind:Gossip_obs.Ring.kind_initiations
-            ~node:(-1)
-            ~value:(t.metrics.Engine.initiations - i0);
-          Gossip_obs.Ring.record ring ~round ~kind:Gossip_obs.Ring.kind_drops ~node:(-1)
-            ~value:(t.metrics.Engine.dropped - x0);
-          Gossip_obs.Ring.record ring ~round ~kind:Gossip_obs.Ring.kind_queue ~node:(-1)
-            ~value:t.in_flight)
 
 type result = {
   rounds : int option;
@@ -612,89 +301,32 @@ let hist_push h round count =
   h.h_count.(h.h_len) <- count;
   h.h_len <- h.h_len + 1
 
-let hist_last_count h = h.h_count.(h.h_len - 1)
-
 let hist_to_list h = List.init h.h_len (fun i -> (h.h_round.(i), h.h_count.(i)))
 
-let broadcast_seq ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
-  let t =
-    create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-      rng csr ~kernel ~source
-  in
-  let n = Csr.n csr in
-  let started = match deadline with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-  let minor0 = match t.tel with None -> 0.0 | Some _ -> Gc.minor_words () in
-  let history = hist_create 0 (informed_count t) in
-  let rec go () =
-    if informed_count t = n then Some t.now
-    else if t.now >= max_rounds then None
-    else begin
-      (* The wall-clock budget is cooperative and checked only between
-         rounds: it can abort a run but never alters RNG draws or
-         delivery order, so trajectory parity is untouched. *)
-      (match deadline with
-      | Some d ->
-          let now = Unix.gettimeofday () in
-          if now > d then
-            raise (Deadline_exceeded { round = t.now; elapsed_s = now -. started })
-      | None -> ());
-      step t;
-      (* Like the deadline, the observer runs strictly between rounds:
-         it reads counts the engine already committed and can abort the
-         run by raising, but can never perturb the trajectory. *)
-      (match on_round with
-      | Some f -> f ~round:t.now ~informed:(informed_count t)
-      | None -> ());
-      if informed_count t <> hist_last_count history then
-        hist_push history t.now (informed_count t);
-      go ()
-    end
-  in
-  let rounds = go () in
-  (* Per-round minor-allocation gauge (ROADMAP item 3: the watchdog for
-     an allocation-free round loop).  Measured across the whole round
-     loop — including history bookkeeping — on the static path. *)
-  (match t.tel with
-  | Some tel when t.metrics.Engine.rounds > 0 ->
-      Gossip_obs.Registry.set tel.g_minor_words
-        (gauge_of_minor_words
-           ~total:(Gc.minor_words () -. minor0)
-           ~rounds:t.metrics.Engine.rounds)
-  | _ -> ());
-  {
-    rounds;
-    metrics = t.metrics;
-    history = hist_to_list history;
-    informed = Rumor_store.bytes t.store;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Domain-sharded broadcast.                                          *)
+(* The round, on [k] contiguous shards (Shard.bounds).  Each shard    *)
+(* owns its exchange pool, arrival/response wheels, informed-byte     *)
+(* slice, and RNG streams; a round is two stages and two barriers:    *)
 (*                                                                    *)
-(* Nodes are partitioned into [k] contiguous shards (Shard.bounds);   *)
-(* each shard owns its own exchange pool, arrival/response wheels,    *)
-(* informed-byte slice, and RNG streams, so a round splits into two   *)
-(* parallel stages separated by barriers:                             *)
-(*                                                                    *)
-(*   stage 1 (responder side): drain initiation mailboxes addressed   *)
-(*     to this shard in ascending source-shard order, then phases     *)
-(*     1a/1b of the sequential engine.  Responses whose initiator     *)
-(*     lives elsewhere go to a response mailbox.                      *)
+(*   stage 1 (responder side): churn rejoins, the initiation mail     *)
+(*     addressed to this shard in ascending source-shard order, then  *)
+(*     phases 1a/1b; responses for a foreign initiator are mailed.    *)
 (*   -- barrier --                                                    *)
-(*   stage 2 (initiator side): drain response mailboxes in ascending  *)
-(*     source-shard order, then phase 1c and phase 2.  Initiations    *)
-(*     toward a foreign responder go to an initiation mailbox,        *)
-(*     drained at the next round's stage 1.                           *)
+(*   stage 2 (initiator side): the response mail, phase 1c, then      *)
+(*     phase 2; initiations toward a foreign responder are mailed,    *)
+(*     to be drained at the next round's stage 1.                     *)
 (*   -- barrier + serial merge --                                     *)
 (*                                                                    *)
-(* Determinism: every within-phase effect is order-independent        *)
-(* (informed marks are idempotent, counters are commutative sums,     *)
-(* response payloads are fixed in 1a from round-start state), every   *)
-(* informed-byte access is own-shard-only, and each node's RNG        *)
-(* stream is private to its owner — so for a pure fault plan the      *)
-(* trajectory, metrics, and RNG consumption are bit-identical to the  *)
-(* sequential wheel for any k and any domain schedule.                *)
+(* [k = 1] is one shard whose exchanges are all local, whose mail     *)
+(* stays empty, and whose one-party barriers run the merge inline.    *)
+(* Every within-phase effect is order-independent (idempotent marks,  *)
+(* commutative counters, responses fixed in 1a from round-start       *)
+(* state) and touches only the owner's nodes and RNG streams, so for  *)
+(* a pure fault plan every [k] gives the same trajectory.             *)
+(*                                                                    *)
+(* In-flight exchanges are pooled in parallel int32 columns, threaded *)
+(* into singly-linked lists by [s_next]: one arrival and one response *)
+(* list per wheel slot, plus a free list; [-1] ends a list.           *)
 (* ------------------------------------------------------------------ *)
 
 type shard = {
@@ -716,19 +348,19 @@ type shard = {
   mutable s_pool_used : int;
   mutable s_in_flight : int;
   mutable s_count : int;  (* informed nodes owned by this shard *)
+  mutable s_rejoin : int;  (* cursor into the environment's rejoin schedule *)
   (* run-cumulative counters, summed by the merge *)
   mutable s_deliveries : int;
   mutable s_initiations : int;
   mutable s_dropped : int;
   mutable s_payload : int;
   (* first failure this round: (stage rank, node, exn); the merge
-     picks the lexicographic minimum so the surfaced exception matches
-     the sequential engine's first-in-phase-order failure *)
+     picks the lexicographic minimum so the surfaced exception is the
+     first failure in phase order, whatever the shard count *)
   mutable s_fail : (int * int * exn) option;
   mutable s_at : int;  (* node the shard is currently processing *)
-  s_reg : Gossip_obs.Registry.t;  (* per-shard registry, merged at the end *)
-  s_c_remote_inits : Gossip_obs.Registry.counter;
-  s_c_remote_resps : Gossip_obs.Registry.counter;
+  mutable s_remote_inits : int;  (* cross-shard traffic, summed into telemetry *)
+  mutable s_remote_resps : int;
 }
 
 (* Cross-shard mailboxes are structure-of-arrays: one int32 column
@@ -760,7 +392,10 @@ type shared = {
 let make_shard ctx id lo hi =
   let n_own = hi - lo in
   let cap = min (max 1024 n_own) ctx.sh_pool_limit in
-  let reg = Gossip_obs.Registry.create () in
+  let count = ref 0 in
+  for v = lo to hi - 1 do
+    if Bytes.get ctx.sh_informed v <> '\000' then incr count
+  done;
   {
     s_id = id;
     s_lo = lo;
@@ -779,21 +414,24 @@ let make_shard ctx id lo hi =
     s_free = -1;
     s_pool_used = 0;
     s_in_flight = 0;
-    s_count = 0;
+    s_count = !count;
+    s_rejoin = 0;
     s_deliveries = 0;
     s_initiations = 0;
     s_dropped = 0;
     s_payload = 0;
     s_fail = None;
     s_at = lo;
-    s_reg = reg;
-    s_c_remote_inits = Gossip_obs.Registry.counter reg "wheel.shard.remote.initiations";
-    s_c_remote_resps = Gossip_obs.Registry.counter reg "wheel.shard.remote.responses";
+    s_remote_inits = 0;
+    s_remote_resps = 0;
   }
 
 let s_grow ctx sh round =
   let old = I32.length sh.s_next in
   let cap = min (2 * old) ctx.sh_pool_limit in
+  (* Hitting the ceiling is a failed run, not a harness crash: the
+     typed exception (with a registered printer) lets [Sweep.run_ft]
+     checkpoint the job as [Failed] with a useful message. *)
   if cap = old then raise (Pool_exhausted { used = sh.s_pool_used; round });
   let extend w a =
     let b = I32.make (cap * w) 0 in
@@ -828,35 +466,48 @@ let s_free_ex sh e =
   I32.set sh.s_next e sh.s_free;
   sh.s_free <- e
 
+(* "Informed" in the engine's vocabulary means "completed the kernel's
+   dissemination goal": the store's byte, which for classic kernels
+   is the informed bit. *)
 let s_mark ctx sh v =
   if Bytes.get ctx.sh_informed v = '\000' then begin
     Bytes.set ctx.sh_informed v '\001';
     sh.s_count <- sh.s_count + 1
   end
 
-(* Stage 1: mailbox drain + phases 1a/1b on the responder's shard. *)
+(* Stage 1: rejoins, mailbox drain + phases 1a/1b on the responder's
+   shard.  The round loop is allocation-free: environment and kernel
+   hooks are called directly (no per-round [alive]/[present]
+   closures), loop cursors are non-escaping refs (unboxed by the
+   compiler), and every pool access goes through the int32 columns,
+   whose reads compile without boxing.  [minor_words_budget] is the
+   enforced witness. *)
 let stage1 ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
   let slot = round mod ctx.sh_wheel in
-  (* Phase 0 (churn): rejoin-with-amnesia over this shard's own nodes,
-     mirroring the sequential engine's pre-delivery scan.  The
-     kernel's forget hook runs for every rejoiner — a multi-rumor node
-     can hold partial state without being completed — and store bytes
-     are own-shard-only, so this is race-free and the merge's count
+  (* Phase 0 (churn): nodes scheduled to rejoin this round come back
+     with amnesia — the kernel's forget hook resets their rumor state
+     and the completed bit is cleared before any of this round's
+     deliveries, so stale in-flight traffic (already doomed by the
+     presence-interval checks below) cannot re-complete them and the
+     informed count stays an honest census of current incarnations.
+     The forget hook runs for every rejoiner — a multi-rumor node can
+     hold partial state without being completed — and each shard acts
+     only on its own nodes, so this is race-free and the merge's count
      sum stays exact. *)
-  if ctx.sh_env.env_has_churn then begin
-    let st = ctx.sh_kernel.Kernel.store in
-    for v = sh.s_lo to sh.s_hi - 1 do
-      if ctx.sh_env.env_rejoin ~node:v ~round then begin
-        Rumor_store.forget_state st v;
-        if Bytes.get ctx.sh_informed v <> '\000' then begin
-          Bytes.set ctx.sh_informed v '\000';
-          sh.s_count <- sh.s_count - 1
-        end
+  let rejoins = ctx.sh_env.env_rejoins in
+  while sh.s_rejoin < Array.length rejoins && fst rejoins.(sh.s_rejoin) <= round do
+    let r, v = rejoins.(sh.s_rejoin) in
+    if r = round && v >= sh.s_lo && v < sh.s_hi then begin
+      Rumor_store.forget ctx.sh_kernel.Kernel.store v;
+      if Bytes.get ctx.sh_informed v <> '\000' then begin
+        Bytes.set ctx.sh_informed v '\000';
+        sh.s_count <- sh.s_count - 1
       end
-    done
-  end;
+    end;
+    sh.s_rejoin <- sh.s_rejoin + 1
+  done;
   for src = 0 to k - 1 do
     let m = ctx.sh_init_mail.((src * k) + sh.s_id) in
     let c_initiator = m.(0)
@@ -888,8 +539,13 @@ let stage1 ctx sh round =
       Shard.Buf.clear m.(c)
     done
   done;
-  (* 1a: responses read the informed set as of the start of the round,
-     before any of this round's push merges. *)
+  (* 1a: every response due to be generated this round reads the
+     informed set as of the start of the round — before any of this
+     round's push merges, matching Engine.step's sub-phase ordering.
+     An exchange is delivered only while both endpoints remain in the
+     incarnation that initiated it; for a static environment that is
+     plain liveness at [round], so requests whose responder is crashed
+     are lost here, answer and all. *)
   let e = ref sh.s_arrival.(slot) in
   while !e >= 0 do
     let ex = !e in
@@ -901,8 +557,10 @@ let stage1 ctx sh round =
         ~buf:sh.s_resp_pay ~off:(ex * ctx.sh_mw);
     e := I32.get sh.s_next ex
   done;
-  (* 1b: merge pushed bits; park the response at its due slot, or ship
-     it to the initiator's shard. *)
+  (* 1b: merge pushed bits; park the response at its due slot (for
+     latency-1 edges that is this very slot, delivered in 1c), or ship
+     it to the initiator's shard.  The owner division runs only on the
+     remote branch: a shard's own range decides locality. *)
   let e = ref sh.s_arrival.(slot) in
   sh.s_arrival.(slot) <- -1;
   while !e >= 0 do
@@ -917,13 +575,13 @@ let stage1 ctx sh round =
       if ctx.sh_kernel.Kernel.on_push ~v:responder ~buf:sh.s_req_pay ~off:(ex * mw) then
         s_mark ctx sh responder;
       let initiator = I32.get sh.s_initiator ex in
-      let due_slot = I32.get sh.s_due ex mod ctx.sh_wheel in
-      let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k initiator in
-      if dst = sh.s_id then begin
+      if initiator >= sh.s_lo && initiator < sh.s_hi then begin
+        let due_slot = I32.get sh.s_due ex mod ctx.sh_wheel in
         I32.set sh.s_next ex sh.s_response.(due_slot);
         sh.s_response.(due_slot) <- ex
       end
       else begin
+        let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k initiator in
         let m = ctx.sh_resp_mail.((sh.s_id * k) + dst) in
         Shard.Buf.push m.(0) initiator;
         let b = Shard.Buf.reserve m.(1) mw in
@@ -934,7 +592,7 @@ let stage1 ctx sh round =
         Shard.Buf.push m.(3) (I32.get sh.s_init ex);
         Shard.Buf.push m.(4) (I32.get sh.s_slot ex);
         s_free_ex sh ex;
-        Gossip_obs.Registry.incr sh.s_c_remote_resps
+        sh.s_remote_resps <- sh.s_remote_resps + 1
       end
     end
     else begin
@@ -945,7 +603,7 @@ let stage1 ctx sh round =
   done
 
 (* Stage 2, first half: response-mailbox drain + phase 1c on the
-   initiator's shard. *)
+   initiator's shard; an absent initiator cannot receive. *)
 let stage2_deliver ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
@@ -1000,11 +658,18 @@ let stage2_deliver ctx sh round =
   done
 
 (* Stage 2, second half: phase 2 initiations over the shard's own
-   nodes, in ascending node order. *)
+   nodes, in ascending node order, over the kernel's directed contact
+   rows.  [on_initiate] is the only point where a kernel may consume
+   randomness or advance a cursor, so the RNG discipline the
+   handler-based protocols established is preserved verbatim:
+   push-pull draws one uniform neighbor index per node per round
+   (whether informed or not), flooding advances a deterministic
+   cursor, random-contact draws only when informed. *)
 let stage2_initiate ctx sh round =
   let k = ctx.sh_k in
-  let n = Csr.n ctx.sh_csr in
-  (* Same int32 due-date guard as the sequential [step]. *)
+  (* Due dates [round + latency <= round + wheel - 1] must fit the
+     pool's int32 cells; reject the run that could wrap rather than
+     store a wrapped due round.  One compare per round. *)
   if round > I32.max_value - ctx.sh_wheel then
     raise (I32.Overflow { what = "exchange due round"; value = round + ctx.sh_wheel });
   let contact = ctx.sh_kernel.Kernel.contact in
@@ -1032,15 +697,20 @@ let stage2_initiate ctx sh round =
               (ctx.sh_env.env_latency ~u ~v:peer ~latency:(I32.get lat (base + idx)) ~round)
           in
           if latency >= ctx.sh_wheel then
+            (* An undeclared jitter overrunning the wheel is a failed
+               run, not a harness crash: the typed exception lets a
+               sweep record this job as [Failed] and keep going. *)
             raise (Jitter_overflow { latency; bound = ctx.sh_wheel - 1; round });
           let mw = ctx.sh_mw in
           let due = round + latency in
           let arr_slot = (round + ((latency + 1) / 2)) mod ctx.sh_wheel in
-          let dst = Shard.owner ~n ~k peer in
-          if dst = sh.s_id then begin
+          if peer >= sh.s_lo && peer < sh.s_hi then begin
             let ex = s_alloc ctx sh round in
             I32.set sh.s_initiator ex u;
             I32.set sh.s_responder ex peer;
+            (* Payload words are zeroed before the emission hook runs —
+               the hook-contract's "words arrive zeroed" — covering pool
+               reuse after a free. *)
             let pb = ex * mw in
             for w = 0 to mw - 1 do
               I32.set sh.s_req_pay (pb + w) 0;
@@ -1061,6 +731,7 @@ let stage2_initiate ctx sh round =
               I32.set sh.s_scratch w 0
             done;
             ctx.sh_kernel.Kernel.req_pay ~u ~informed:informed_u ~buf:sh.s_scratch ~off:0;
+            let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k peer in
             let m = ctx.sh_init_mail.((sh.s_id * k) + dst) in
             Shard.Buf.push m.(0) u;
             Shard.Buf.push m.(1) peer;
@@ -1072,7 +743,7 @@ let stage2_initiate ctx sh round =
             Shard.Buf.push m.(4) arr_slot;
             Shard.Buf.push m.(5) round;
             Shard.Buf.push m.(6) idx;
-            Gossip_obs.Registry.incr sh.s_c_remote_inits
+            sh.s_remote_inits <- sh.s_remote_inits + 1
           end
         end
       end
@@ -1092,29 +763,38 @@ type control = {
   mutable c_rounds : int option;
   mutable c_fail : exn option;
   c_hist : hist;
-  (* merge scratch, written only inside the serial merge — mutable
-     fields instead of local refs so the merge allocates nothing *)
-  mutable c_worst : (int * int * exn) option;
-  mutable c_deliveries : int;
-  mutable c_initiations : int;
-  mutable c_dropped : int;
-  mutable c_payload : int;
-  mutable c_sum : int;
-  mutable c_in_flight : int;
-  mutable c_prev_d : int;
-  mutable c_prev_i : int;
-  mutable c_prev_x : int;
-  mutable c_prev_p : int;
+  mutable c_worst : (int * int * exn) option;  (* merge scratch *)
 }
 
-let broadcast_sharded ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0)
-    ?deadline ?on_round ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source
-    ~max_rounds =
+(* A run: the shared context, its shards, and the serial merge's
+   control block and round-boundary hooks.  [create_kernel] builds one
+   shard for round-at-a-time stepping; [broadcast_kernel] builds
+   [min domains n] shards and runs them to the end. *)
+type t = {
+  ctx : shared;
+  shards : shard array;
+  ctl : control;
+  metrics : metrics;
+  tel : tel option;
+  telemetry : Gossip_obs.Registry.t option;
+  max_rounds : int;
+  deadline : float option;
+  on_round : (round:int -> informed:int -> unit) option;
+  started : float;
+  bar1 : Shard.Barrier.t;
+  bar2 : Shard.Barrier.t;
+}
+
+let prepare ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?deadline
+    ?on_round ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
   let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
   let bound = wheel_bound ?wheel_latency ~max_jitter csr in
   check_contact ~bound ~max_jitter kernel csr;
   let mw = check_kernel_shape ~n kernel in
+  let pool_limit = pool_limit_of pool_capacity in
+  let env = match env with None -> env_of_faults faults | Some e -> compose_env faults e in
+  check_rejoins ~n env.env_rejoins;
   let store = kernel.Kernel.store in
   seed_store ?informed ~n ~source store;
   let informed = Rumor_store.bytes store in
@@ -1123,13 +803,13 @@ let broadcast_sharded ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter 
     {
       sh_csr = csr;
       sh_kernel = kernel;
-      sh_env = resolve_env ?env faults;
+      sh_env = env;
       sh_wheel = bound + 1;
       sh_mw = mw;
       sh_informed = informed;
       sh_rngs = make_rngs ~uses_rng:kernel.Kernel.uses_rng rng n;
       sh_k = k;
-      sh_pool_limit = pool_limit_of pool_capacity;
+      sh_pool_limit = pool_limit;
       sh_init_mail =
         Array.init (k * k) (fun _ -> Array.init init_cols (fun _ -> Shard.Buf.create ()));
       sh_resp_mail =
@@ -1138,200 +818,229 @@ let broadcast_sharded ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter 
   in
   let bounds = Shard.bounds ~n ~k in
   let shards = Array.init k (fun i -> make_shard ctx i bounds.(i) bounds.(i + 1)) in
-  Array.iter
-    (fun sh ->
-      let c = ref 0 in
-      for v = sh.s_lo to sh.s_hi - 1 do
-        if Bytes.get informed v <> '\000' then incr c
-      done;
-      sh.s_count <- !c)
-    shards;
-  let metrics =
-    { Engine.rounds = 0; initiations = 0; deliveries = 0; payload_words = 0; rejected = 0;
-      dropped = 0 }
-  in
   let tel = resolve_tel ~kernel_name:kernel.Kernel.name ~msg_words:mw telemetry in
   (match telemetry with
-  | Some reg -> Gossip_obs.Registry.set (Gossip_obs.Registry.gauge reg "wheel.shards") k
-  | None -> ());
-  let started = match deadline with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-  let ctl =
-    { c_round = 0; c_count = count0; c_stop = false; c_rounds = None; c_fail = None;
-      c_hist = hist_create 0 count0; c_worst = None; c_deliveries = 0; c_initiations = 0;
-      c_dropped = 0; c_payload = 0; c_sum = 0; c_in_flight = 0; c_prev_d = 0; c_prev_i = 0;
-      c_prev_x = 0; c_prev_p = 0 }
-  in
-  (* Pre-loop checks, in the sequential engine's precedence order. *)
-  if ctl.c_count = n then ctl.c_rounds <- Some 0
-  else if max_rounds <= 0 then ctl.c_rounds <- None
-  else begin
-    (match deadline with
+  | Some reg when k > 1 ->
+      Gossip_obs.Registry.set (Gossip_obs.Registry.gauge reg "wheel.shards") k
+  | _ -> ());
+  {
+    ctx;
+    shards;
+    ctl =
+      { c_round = 0; c_count = count0; c_stop = false; c_rounds = None; c_fail = None;
+        c_hist = hist_create 0 count0; c_worst = None };
+    metrics =
+      { Engine.rounds = 0; initiations = 0; deliveries = 0; payload_words = 0; rejected = 0;
+        dropped = 0 };
+    tel;
+    telemetry;
+    max_rounds;
+    deadline;
+    on_round;
+    started = (match deadline with None -> 0.0 | Some _ -> Unix.gettimeofday ());
+    bar1 = Shard.Barrier.create k;
+    bar2 = Shard.Barrier.create k;
+  }
+
+(* The serial merge, run by the last domain to reach the round's
+   second barrier while every other domain is parked. *)
+let merge t =
+  let ctl = t.ctl and k = t.ctx.sh_k and metrics = t.metrics in
+  let r = ctl.c_round in
+  (* First failure in stage order.  [c_worst] reuses the shards' own
+     [Some] blocks, so the scan allocates only when a round actually
+     failed. *)
+  ctl.c_worst <- None;
+  for i = 0 to k - 1 do
+    let sh = t.shards.(i) in
+    match (sh.s_fail, ctl.c_worst) with
+    | None, _ -> ()
+    | Some _, None -> ctl.c_worst <- sh.s_fail
+    | Some f, Some w -> if f < w then ctl.c_worst <- sh.s_fail
+  done;
+  match ctl.c_worst with
+  | Some (_, _, e) ->
+      ctl.c_fail <- Some e;
+      ctl.c_stop <- true
+  | None ->
+      (* Sums of the shards' run-cumulative counters; the refs never
+         escape, so they compile to registers and the merge allocates
+         nothing. *)
+      let d0 = metrics.Engine.deliveries
+      and i0 = metrics.Engine.initiations
+      and x0 = metrics.Engine.dropped
+      and p0 = metrics.Engine.payload_words in
+      let d = ref 0 and i = ref 0 and x = ref 0 and p = ref 0 in
+      let count = ref 0 and in_flight = ref 0 in
+      for s = 0 to k - 1 do
+        let sh = t.shards.(s) in
+        d := !d + sh.s_deliveries;
+        i := !i + sh.s_initiations;
+        x := !x + sh.s_dropped;
+        p := !p + sh.s_payload;
+        count := !count + sh.s_count;
+        in_flight := !in_flight + sh.s_in_flight
+      done;
+      (* Cross-shard initiations parked in mailboxes are live exchanges
+         a one-shard run would have allocated in phase 2 — count them
+         so the in-flight telemetry matches. *)
+      for m = 0 to (k * k) - 1 do
+        in_flight := !in_flight + Shard.Buf.length t.ctx.sh_init_mail.(m).(0)
+      done;
+      metrics.Engine.deliveries <- !d;
+      metrics.Engine.initiations <- !i;
+      metrics.Engine.dropped <- !x;
+      metrics.Engine.payload_words <- !p;
+      metrics.Engine.rounds <- r + 1;
+      ctl.c_round <- r + 1;
+      if !count <> ctl.c_count then hist_push ctl.c_hist (r + 1) !count;
+      ctl.c_count <- !count;
+      (* During the round the shards count their own nodes; the store
+         gets the merged total, so Kernel.completed_count agrees with
+         the engine at every round boundary. *)
+      Rumor_store.set_count t.ctx.sh_kernel.Kernel.store ctl.c_count;
+      (match t.tel with
+      | None -> ()
+      | Some tel ->
+          Gossip_obs.Registry.observe tel.h_deliveries (!d - d0);
+          Gossip_obs.Registry.observe tel.h_initiations (!i - i0);
+          Gossip_obs.Registry.add tel.c_kernel_deliveries (!d - d0);
+          Gossip_obs.Registry.add tel.c_kernel_initiations (!i - i0);
+          Gossip_obs.Registry.add tel.c_kernel_words (!p - p0);
+          Gossip_obs.Registry.observe tel.h_inflight !in_flight;
+          Gossip_obs.Registry.record_max tel.g_inflight !in_flight;
+          (match tel.tel_ring with
+          | None -> ()
+          | Some ring ->
+              Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_informed
+                ~node:(-1) ~value:ctl.c_count;
+              Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_deliveries
+                ~node:(-1) ~value:(!d - d0);
+              Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_initiations
+                ~node:(-1) ~value:(!i - i0);
+              Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_drops ~node:(-1)
+                ~value:(!x - x0);
+              Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_queue ~node:(-1)
+                ~value:!in_flight));
+      (* The observer runs inside the serial merge — one domain at a
+         time, strictly between rounds, counts already committed — so
+         it can never perturb RNG draws, delivery order, or trajectory
+         parity.  A raising observer aborts the run the way an expired
+         deadline does. *)
+      (match t.on_round with
+      | Some f -> (
+          try f ~round:(r + 1) ~informed:ctl.c_count
+          with e ->
+            ctl.c_fail <- Some e;
+            ctl.c_stop <- true)
+      | None -> ());
+      if ctl.c_stop then ()
+      else if ctl.c_count = Csr.n t.ctx.sh_csr then begin
+        ctl.c_rounds <- Some (r + 1);
+        ctl.c_stop <- true
+      end
+      else if r + 1 >= t.max_rounds then begin
+        ctl.c_rounds <- None;
+        ctl.c_stop <- true
+      end
+      else
+        (* The wall-clock budget is cooperative and checked only
+           between rounds: it can abort a run but never alters RNG
+           draws or delivery order. *)
+        match t.deadline with
+        | Some d ->
+            let now = Unix.gettimeofday () in
+            if now > d then begin
+              ctl.c_fail <-
+                Some (Deadline_exceeded { round = r + 1; elapsed_s = now -. t.started });
+              ctl.c_stop <- true
+            end
+        | None -> ()
+
+(* One round as seen by one shard.  A one-shard run meets no other
+   party at either barrier, so its merge runs inline. *)
+let play_round t merge sh =
+  let r = t.ctl.c_round in
+  guard sh 0 stage1 t.ctx r;
+  Shard.Barrier.await t.bar1;
+  guard sh 1 stage2_deliver t.ctx r;
+  guard sh 2 stage2_initiate t.ctx r;
+  Shard.Barrier.await_serial t.bar2 merge
+
+let run t =
+  let ctl = t.ctl and k = t.ctx.sh_k in
+  if ctl.c_count = Csr.n t.ctx.sh_csr then ctl.c_rounds <- Some 0
+  else if t.max_rounds > 0 then begin
+    (match t.deadline with
     | Some d ->
         let now = Unix.gettimeofday () in
-        if now > d then raise (Deadline_exceeded { round = 0; elapsed_s = now -. started })
+        if now > d then raise (Deadline_exceeded { round = 0; elapsed_s = now -. t.started })
     | None -> ());
-    let bar1 = Shard.Barrier.create k and bar2 = Shard.Barrier.create k in
-    let merge () =
-      let r = ctl.c_round in
-      (* First failure in stage order.  [c_worst] reuses the shards'
-         own [Some] blocks, so the scan allocates only when a round
-         actually failed. *)
-      ctl.c_worst <- None;
-      for i = 0 to k - 1 do
-        let sh = shards.(i) in
-        match (sh.s_fail, ctl.c_worst) with
-        | None, _ -> ()
-        | Some _, None -> ctl.c_worst <- sh.s_fail
-        | Some f, Some w -> if f < w then ctl.c_worst <- sh.s_fail
-      done;
-      match ctl.c_worst with
-      | Some (_, _, e) ->
-          ctl.c_fail <- Some e;
-          ctl.c_stop <- true
-      | None ->
-          ctl.c_deliveries <- 0;
-          ctl.c_initiations <- 0;
-          ctl.c_dropped <- 0;
-          ctl.c_payload <- 0;
-          ctl.c_sum <- 0;
-          ctl.c_in_flight <- 0;
-          for i = 0 to k - 1 do
-            let sh = shards.(i) in
-            ctl.c_deliveries <- ctl.c_deliveries + sh.s_deliveries;
-            ctl.c_initiations <- ctl.c_initiations + sh.s_initiations;
-            ctl.c_dropped <- ctl.c_dropped + sh.s_dropped;
-            ctl.c_payload <- ctl.c_payload + sh.s_payload;
-            ctl.c_sum <- ctl.c_sum + sh.s_count;
-            ctl.c_in_flight <- ctl.c_in_flight + sh.s_in_flight
-          done;
-          (* Cross-shard initiations parked in mailboxes are live
-             exchanges the sequential engine would have allocated in
-             phase 2 — count them so the in-flight telemetry matches. *)
-          for i = 0 to (k * k) - 1 do
-            ctl.c_in_flight <-
-              ctl.c_in_flight + Shard.Buf.length ctx.sh_init_mail.(i).(0)
-          done;
-          metrics.Engine.deliveries <- ctl.c_deliveries;
-          metrics.Engine.initiations <- ctl.c_initiations;
-          metrics.Engine.dropped <- ctl.c_dropped;
-          metrics.Engine.payload_words <- ctl.c_payload;
-          metrics.Engine.rounds <- r + 1;
-          ctl.c_round <- r + 1;
-          if ctl.c_sum <> ctl.c_count then hist_push ctl.c_hist (r + 1) ctl.c_sum;
-          ctl.c_count <- ctl.c_sum;
-          (match tel with
-          | None -> ()
-          | Some tel ->
-              Gossip_obs.Registry.observe tel.h_deliveries (ctl.c_deliveries - ctl.c_prev_d);
-              Gossip_obs.Registry.observe tel.h_initiations
-                (ctl.c_initiations - ctl.c_prev_i);
-              Gossip_obs.Registry.add tel.c_kernel_deliveries
-                (ctl.c_deliveries - ctl.c_prev_d);
-              Gossip_obs.Registry.add tel.c_kernel_initiations
-                (ctl.c_initiations - ctl.c_prev_i);
-              Gossip_obs.Registry.add tel.c_kernel_words (ctl.c_payload - ctl.c_prev_p);
-              Gossip_obs.Registry.observe tel.h_inflight ctl.c_in_flight;
-              Gossip_obs.Registry.record_max tel.g_inflight ctl.c_in_flight;
-              (match tel.tel_ring with
-              | None -> ()
-              | Some ring ->
-                  Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_informed
-                    ~node:(-1) ~value:ctl.c_count;
-                  Gossip_obs.Ring.record ring ~round:r
-                    ~kind:Gossip_obs.Ring.kind_deliveries ~node:(-1)
-                    ~value:(ctl.c_deliveries - ctl.c_prev_d);
-                  Gossip_obs.Ring.record ring ~round:r
-                    ~kind:Gossip_obs.Ring.kind_initiations ~node:(-1)
-                    ~value:(ctl.c_initiations - ctl.c_prev_i);
-                  Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_drops
-                    ~node:(-1)
-                    ~value:(ctl.c_dropped - ctl.c_prev_x);
-                  Gossip_obs.Ring.record ring ~round:r ~kind:Gossip_obs.Ring.kind_queue
-                    ~node:(-1) ~value:ctl.c_in_flight));
-          ctl.c_prev_d <- ctl.c_deliveries;
-          ctl.c_prev_i <- ctl.c_initiations;
-          ctl.c_prev_x <- ctl.c_dropped;
-          ctl.c_prev_p <- ctl.c_payload;
-          (* The observer runs inside the serial merge — one domain at
-             a time, strictly between rounds, counts already committed
-             — so it is exactly as trajectory-neutral as in the
-             sequential engine.  A raising observer aborts the run the
-             way an expired deadline does. *)
-          (match on_round with
-          | Some f -> (
-              try f ~round:(r + 1) ~informed:ctl.c_count
-              with e ->
-                ctl.c_fail <- Some e;
-                ctl.c_stop <- true)
-          | None -> ());
-          if ctl.c_stop then ()
-          else if ctl.c_count = n then begin
-            ctl.c_rounds <- Some (r + 1);
-            ctl.c_stop <- true
-          end
-          else if r + 1 >= max_rounds then begin
-            ctl.c_rounds <- None;
-            ctl.c_stop <- true
-          end
-          else
-            match deadline with
-            | Some d ->
-                let now = Unix.gettimeofday () in
-                if now > d then begin
-                  ctl.c_fail <-
-                    Some (Deadline_exceeded { round = r + 1; elapsed_s = now -. started });
-                  ctl.c_stop <- true
-                end
-            | None -> ()
-    in
+    let merge () = merge t in
     let worker sh =
       while not ctl.c_stop do
-        let r = ctl.c_round in
-        guard sh 0 stage1 ctx r;
-        Shard.Barrier.await bar1;
-        guard sh 1 stage2_deliver ctx r;
-        guard sh 2 stage2_initiate ctx r;
-        Shard.Barrier.await_serial bar2 merge
+        play_round t merge sh
       done
     in
-    let minor0 = match tel with None -> 0.0 | Some _ -> Gc.minor_words () in
+    let minor0 = match t.tel with None -> 0.0 | Some _ -> Gc.minor_words () in
     let domains =
-      Array.init (k - 1) (fun i -> Domain.spawn (fun () -> worker shards.(i + 1)))
+      Array.init (k - 1) (fun i -> Domain.spawn (fun () -> worker t.shards.(i + 1)))
     in
-    worker shards.(0);
+    worker t.shards.(0);
     Array.iter Domain.join domains;
-    (* Same gauge as the sequential path, measured from the
-       orchestrating domain's minor heap (shard 0 + serial merges). *)
-    (match tel with
-    | Some tel when metrics.Engine.rounds > 0 ->
+    (* Per-round minor-allocation gauge: the watchdog for an
+       allocation-free round loop, measured from the orchestrating
+       domain's minor heap (shard 0 plus the serial merges). *)
+    (match t.tel with
+    | Some tel when t.metrics.Engine.rounds > 0 ->
         Gossip_obs.Registry.set tel.g_minor_words
           (gauge_of_minor_words
              ~total:(Gc.minor_words () -. minor0)
-             ~rounds:metrics.Engine.rounds)
+             ~rounds:t.metrics.Engine.rounds)
     | _ -> ());
-    (* Merge per-shard registries (cross-shard traffic counters) into
-       the caller's registry once the run is over. *)
-    (match telemetry with
-    | Some reg -> Array.iter (fun sh -> Gossip_obs.Registry.merge ~into:reg sh.s_reg) shards
-    | None -> ())
+    (* Cross-shard traffic totals reach the caller's registry once a
+       sharded run is over. *)
+    match t.telemetry with
+    | Some reg when k > 1 ->
+        let add name f =
+          let c = Gossip_obs.Registry.counter reg name in
+          Array.iter (fun sh -> Gossip_obs.Registry.add c (f sh)) t.shards
+        in
+        add "wheel.shard.remote.initiations" (fun sh -> sh.s_remote_inits);
+        add "wheel.shard.remote.responses" (fun sh -> sh.s_remote_resps)
+    | _ -> ()
   end;
-  (* During the run the store's count was shard-local (s_count); the
-     merged total becomes the store's count once the domains joined,
-     so Kernel.completed_count agrees with the result. *)
-  Rumor_store.set_count store ctl.c_count;
   (match ctl.c_fail with Some e -> raise e | None -> ());
-  { rounds = ctl.c_rounds; metrics; history = hist_to_list ctl.c_hist; informed }
+  {
+    rounds = ctl.c_rounds;
+    metrics = t.metrics;
+    history = hist_to_list ctl.c_hist;
+    informed = t.ctx.sh_informed;
+  }
+
+let create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
+    rng csr ~kernel ~source =
+  prepare ~k:1 ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng
+    csr ~kernel ~source ~max_rounds:max_int
+
+let step t =
+  play_round t (fun () -> merge t) t.shards.(0);
+  match t.ctl.c_fail with Some e -> raise e | None -> ()
+
+let metrics t = t.metrics
+
+let informed t u = Bytes.get t.ctx.sh_informed u <> '\000'
+
+let informed_count t = t.ctl.c_count
 
 let broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
     ?pool_capacity ?informed ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
   if domains < 1 then invalid_arg "Wheel_engine.broadcast: domains must be >= 1";
-  let k = min domains (Csr.n csr) in
-  if k <= 1 then
-    broadcast_seq ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-      ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds
-  else
-    broadcast_sharded ~k ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-      ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds
+  run
+    (prepare
+       ~k:(min domains (Csr.n csr))
+       ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?pool_capacity
+       ?informed rng csr ~kernel ~source ~max_rounds)
 
 let broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
     ?pool_capacity ?informed ?domains rng csr ~protocol ~source ~max_rounds =

@@ -4,15 +4,15 @@
     through per-node handler closures and a binary heap of boxed
     events — the right tool for the paper's gadgets, but at 10^6 nodes
     the allocation and pointer traffic dominate.  [Wheel_engine]
-    specializes the three hot single-rumor broadcast protocols and
-    keeps {e all} state flat:
+    specializes the hot broadcast protocols and keeps {e all} state
+    flat:
 
     - the informed set is a byte array;
     - in-flight exchanges live in a pooled structure of parallel
       {b int32} columns ({!I32.t} Bigarrays — 4 bytes per field, off
       the OCaml heap), threaded into singly-linked lists; node ids and
       latencies fit by the {!Csr} range contract, and due rounds are
-      guarded per round ({!step} raises {!I32.Overflow} rather than
+      guarded per round (a run raises {!I32.Overflow} rather than
       wrapping a due date);
     - the round loop is {e allocation-free}: no per-round closures,
       boxed ints, or escaping refs — enforced by asserting the
@@ -34,6 +34,14 @@
     node may initiate, in ascending node order.  A latency-[ℓ] exchange
     initiated at round [r] arrives at [r + ⌈ℓ/2⌉] and its response
     returns at [r + ℓ].
+
+    There is one implementation of that round.  Nodes are split into
+    [k] contiguous shards ({!Shard.bounds}), each with its own exchange
+    pool and wheels; cross-shard traffic moves through mailboxes
+    drained at two barriers per round, the second of which runs a
+    serial merge.  A run on one domain is the one-shard case: every
+    exchange is local, the mailboxes stay empty, and the merge runs
+    inline.
 
     The protocol itself is a {!Kernel.t}: a directed contact structure
     plus the [on_initiate] / [on_deliver] / [on_response] hooks the
@@ -132,39 +140,42 @@ val no_faults : faults
       edge [(u, v)] (static latency [latency]) for an exchange
       initiated at [round].  Clamped to [>= 1] by the engine; must stay
       within the wheel bound or {!Jitter_overflow} is raised.
-    - [env_rejoin ~node ~round]: [node] rejoins (with amnesia) at the
+    - [env_rejoins]: the churn schedule, [(round, node)] pairs in
+      strictly ascending order: [node] rejoins (with amnesia) at the
       start of [round] — the engine clears its informed bit before any
       deliveries, so completion still means "everyone currently
-      informed".  Scanned only when [env_has_churn] is set, so static
-      environments pay nothing.
+      informed".  Each round visits only its own entries, so static
+      environments ([[||]]) pay nothing.  A schedule out of order or
+      naming a node outside the graph is refused with
+      [Invalid_argument] before the run starts.
 
     All closures must be pure (deterministic functions of their
     arguments): under [?domains > 1] the engine may evaluate them from
-    any domain, and bit-identical parity with the sequential engine
-    relies on it. *)
+    any domain, and bit-identical parity across shard counts relies on
+    it. *)
 type env = {
   env_alive : node:int -> round:int -> bool;
   env_present_since : node:int -> since:int -> round:int -> bool;
   env_drop : initiator:int -> responder:int -> round:int -> bool;
   env_latency : u:int -> v:int -> latency:int -> round:int -> int;
-  env_rejoin : node:int -> round:int -> bool;
-  env_has_churn : bool;
+  env_rejoins : (int * int) array;
 }
 
 (** [env_of_faults f] embeds a static fault plan as the trivial
-    environment ([env_present_since] ignores [since]; no churn) —
+    environment ([env_present_since] ignores [since]; no rejoins) —
     running it is bit-identical to running [f] directly.  When both
-    [?faults] and [?env] are given to {!create} / {!broadcast}, they
-    compose: alive conjoins, drop disjoins, and the fault plan's jitter
-    feeds the environment's [env_latency]. *)
+    [?faults] and [?env] are given to {!create_kernel} /
+    {!broadcast}, they compose: alive conjoins, drop disjoins, the
+    fault plan's jitter feeds the environment's [env_latency], and the
+    rejoin schedule is the environment's. *)
 val env_of_faults : faults -> env
 
 (** Counters are the reference engine's record, so downstream
     aggregation code needs no conversion. *)
 type metrics = Gossip_sim.Engine.metrics
 
-(** Raised by {!step} when a fault plan jitters a latency past the
-    wheel bound mid-run.  A typed exception (with a registered
+(** Raised by {!step} and {!broadcast} when a fault plan jitters a
+    latency past the wheel bound mid-run.  A typed exception (with a registered
     printer) rather than [Invalid_argument] so a sweep runtime can
     record the run as a failed outcome instead of crashing. *)
 exception Jitter_overflow of { latency : int; bound : int; round : int }
@@ -195,11 +206,18 @@ val minor_words_budget : int
     rounding behavior itself is testable. *)
 val gauge_of_minor_words : total:float -> rounds:int -> int
 
+(** A run stepped one round at a time on one shard: the same stages
+    and merge {!broadcast_kernel} runs, for callers that must stop at
+    an exact round (past completion, say) rather than at completion or
+    a round budget. *)
 type t
 
-(** [create ?faults ?wheel_latency ?max_jitter ?telemetry rng csr
-    ~protocol ~source] builds a simulator with the source already
-    informed.  [wheel_latency] sizes the timing wheel (default:
+(** [create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry
+    ?pool_capacity ?informed rng csr ~kernel ~source] builds a run of
+    [kernel] with the source already informed.  The kernel's contact
+    structure must span exactly [Csr.n csr] nodes and its latencies
+    must fit the wheel even under [max_jitter]; both are validated
+    here.  [wheel_latency] sizes the timing wheel (default:
     [Csr.max_latency csr + max_jitter]); it must be an upper bound on
     every jittered latency the run will see.
 
@@ -207,7 +225,7 @@ type t
     additive jitter.  Declaring it sizes the wheel to
     [ℓ_max + max_jitter] automatically and makes an undersized
     explicit [wheel_latency] fail fast here, with a clear message,
-    instead of deep inside {!step} thousands of rounds later.
+    instead of deep inside the run thousands of rounds later.
 
     [pool_capacity] bounds the exchange pool: it is both the initial
     size hint and a hard growth ceiling, so a run that would hold more
@@ -252,30 +270,8 @@ type t
     shared.
     @raise Invalid_argument on a bad source, a negative [max_jitter],
     a wheel too small for [ℓ_max + max_jitter], an [informed] vector
-    of the wrong length, or (for {!create}) the [Rr_spanner _]
-    descriptor, which needs a precomputed spanner. *)
-val create :
-  ?faults:faults ->
-  ?env:env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?pool_capacity:int ->
-  ?informed:Bytes.t ->
-  Gossip_util.Rng.t ->
-  Csr.t ->
-  protocol:protocol ->
-  source:int ->
-  t
-
-(** [create_kernel rng csr ~kernel ~source] is {!create} for an
-    explicit kernel — the only way to run protocols whose contact
-    structure the engine cannot derive from [csr] alone (RR Broadcast
-    over a precomputed spanner).  The kernel's contact structure must
-    span exactly [Csr.n csr] nodes and its latencies must fit the
-    wheel even under [max_jitter]; both are validated here.
-    @raise Invalid_argument as {!create}, plus on a kernel contact
-    mismatch. *)
+    of the wrong length, a [pool_capacity] below 1, a malformed rejoin
+    schedule, or a kernel contact mismatch. *)
 val create_kernel :
   ?faults:faults ->
   ?env:env ->
@@ -290,20 +286,17 @@ val create_kernel :
   source:int ->
   t
 
-val graph : t -> Csr.t
-
-(** [current_round t] is the index of the next round to execute. *)
-val current_round : t -> int
-
 val metrics : t -> metrics
 
 val informed : t -> int -> bool
 
 val informed_count : t -> int
 
-(** [step t] executes one round (deliveries, then initiations).
+(** [step t] executes one round (deliveries, then initiations), also
+    after every node is informed.
     @raise Jitter_overflow when a jittered latency exceeds the wheel
-    bound. *)
+    bound.
+    @raise Pool_exhausted when the pool hits [pool_capacity]. *)
 val step : t -> unit
 
 (** Result of a full broadcast run, shaped like
@@ -342,11 +335,12 @@ type result = {
     plan's closures are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
-    ["wheel.shards"] gauge and per-shard
+    ["wheel.shards"] gauge and the
     ["wheel.shard.remote.initiations"] /
-    ["wheel.shard.remote.responses"] counters merged in at the end of
-    the run.  [domains] is clamped to the node count; 1 runs the plain
-    sequential engine.
+    ["wheel.shard.remote.responses"] counters (cross-shard mailbox
+    traffic, summed over the shards at the end of the run).
+    [domains] is clamped to the node count; 1 runs the same round as a
+    single shard on the calling domain.
 
     [on_round] is a per-round observer with the deadline's guarantees:
     it fires strictly {e between} rounds (after round [round]'s
@@ -379,9 +373,10 @@ val broadcast :
   result
 
 (** [broadcast_kernel rng csr ~kernel ~source ~max_rounds] is
-    {!broadcast} for an explicit kernel (see {!create_kernel}); the
-    sequential/sharded dispatch, determinism guarantees, and
-    exceptions are identical.  This is the entry point for RR
+    {!broadcast} for an explicit kernel (see {!create_kernel}) — the
+    only way to run protocols whose contact structure the engine
+    cannot derive from [csr] alone; sharding, determinism guarantees,
+    and exceptions are identical.  This is the entry point for RR
     Broadcast over a precomputed spanner and for EID's phase-chained
     runs ([?informed] carries the previous phase's informed set). *)
 val broadcast_kernel :

@@ -48,7 +48,7 @@ let incomplete_count t =
 
 let depth t = locked t (fun () -> incomplete_count t)
 
-type submitted = { id : string; position : int; trials : int }
+type submitted = { id : string; position : int; trials : int; depth : int }
 
 (* A restored id like "job-17" must advance the generator so fresh ids
    never collide with journal-replayed ones. *)
@@ -64,7 +64,8 @@ let absorb t id = locked t (fun () -> absorb_id t id)
 
 let submit t ?id spec =
   locked t (fun () ->
-      if incomplete_count t >= t.cap then Error `Full
+      let depth = incomplete_count t in
+      if depth >= t.cap then Error `Full
       else begin
         let id =
           match id with
@@ -93,7 +94,7 @@ let submit t ?id spec =
         let position = Queue.length t.queue in
         Queue.push id t.queue;
         Condition.signal t.nonempty;
-        Ok { id; position; trials }
+        Ok { id; position; trials; depth = depth + 1 }
       end)
 
 let find t id = Hashtbl.find_opt t.entries id

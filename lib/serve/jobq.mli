@@ -22,7 +22,10 @@ val capacity : t -> int
 (** Incomplete entries right now: queued + running. *)
 val depth : t -> int
 
-type submitted = { id : string; position : int; trials : int }
+(** [depth] is the number of incomplete entries right after the
+    submit, the new job included — read under the same lock, so a
+    worker that claims and finishes the job at once cannot hide it. *)
+type submitted = { id : string; position : int; trials : int; depth : int }
 
 (** [submit t ?id spec] appends a job, generating a fresh id
     ([job-1], [job-2], …) unless [id] restores one from a journal;

@@ -303,8 +303,8 @@ let request_verb = function
 
 let count st name = Registry.incr (Registry.counter st.registry name)
 
-let note_depth st =
-  Registry.record_max (Registry.gauge st.registry "serve.queue_depth") (Jobq.depth st.q)
+let note_depth st depth =
+  Registry.record_max (Registry.gauge st.registry "serve.queue_depth") depth
 
 let unknown_job job =
   Protocol.Error { code = Protocol.Unknown_job; message = Printf.sprintf "unknown job %S" job }
@@ -333,9 +333,9 @@ let handle_request st c req =
                        message =
                          Printf.sprintf "queue full (capacity %d)" (Jobq.capacity st.q);
                      })
-            | Ok { Jobq.id; position; trials } ->
+            | Ok { Jobq.id; position; trials; depth } ->
                 journal_submit st id spec;
-                note_depth st;
+                note_depth st depth;
                 send c (Protocol.Submitted { job = id; position; trials })))
   | Protocol.Status job -> (
       match Jobq.status st.q job with
@@ -467,7 +467,7 @@ let select_loop st lfd =
       (fun c -> if c.alive && List.mem c.fd readable then read_conn st c)
       st.conns;
     drain_events st;
-    note_depth st;
+    note_depth st (Jobq.depth st.q);
     List.iter
       (fun c -> if c.alive && List.mem c.fd writable then flush_conn st c)
       st.conns;

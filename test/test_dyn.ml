@@ -144,7 +144,7 @@ let test_static_is_trivial () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:5 in
   let c = Scenario.compile Scenario.static ~csr ~source:0 in
   let e = c.Scenario.env in
-  checkb "no churn flag" false e.Wheel.env_has_churn;
+  checki "no rejoins scheduled" 0 (Array.length e.Wheel.env_rejoins);
   checki "identity latency" 5 (e.Wheel.env_latency ~u:0 ~v:4 ~latency:5 ~round:9);
   checkb "everyone alive" true (e.Wheel.env_alive ~node:7 ~round:50);
   checkb "everyone present" true (e.Wheel.env_present_since ~node:7 ~since:0 ~round:50);
@@ -183,14 +183,14 @@ let test_churn_intervals () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:3 in
   let c = Scenario.compile s ~csr ~source:0 in
   let e = c.Scenario.env in
-  checkb "has churn" true e.Wheel.env_has_churn;
+  checkb "has churn" true (Array.length e.Wheel.env_rejoins > 0);
   checkb "alive before" true (e.Wheel.env_alive ~node:2 ~round:2);
   checkb "absent at leave" false (e.Wheel.env_alive ~node:2 ~round:3);
   checkb "absent just before rejoin" false (e.Wheel.env_alive ~node:2 ~round:6);
   checkb "back at rejoin" true (e.Wheel.env_alive ~node:2 ~round:7);
-  checkb "rejoin flagged once" true (e.Wheel.env_rejoin ~node:2 ~round:7);
-  checkb "not flagged before" false (e.Wheel.env_rejoin ~node:2 ~round:6);
-  checkb "not flagged after" false (e.Wheel.env_rejoin ~node:2 ~round:8);
+  checkb "rejoin flagged once" true (e.Wheel.env_rejoins = [| (7, 2) |]);
+  checkb "not flagged before" false (Array.mem (6, 2) e.Wheel.env_rejoins);
+  checkb "not flagged after" false (Array.mem (8, 2) e.Wheel.env_rejoins);
   (* Presence over an interval: an exchange initiated before the leave
      cannot deliver to the node after it returns. *)
   checkb "present over [0,2]" true (e.Wheel.env_present_since ~node:2 ~since:0 ~round:2);
@@ -198,6 +198,56 @@ let test_churn_intervals () =
   checkb "present over [7,20]" true (e.Wheel.env_present_since ~node:2 ~since:7 ~round:20);
   (* Other nodes are untouched. *)
   checkb "others alive" true (e.Wheel.env_alive ~node:5 ~round:4)
+
+(* The compiled rejoin schedule: one (round, node) entry per finite
+   rejoin, ascending, duplicates merged, forever-leaves absent — and,
+   for seeded random churn, exactly the rounds at which a node comes
+   back (absent the round before, alive at the round). *)
+let test_rejoin_schedule () =
+  let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:3 in
+  let s =
+    Scenario.of_string
+      {|{"churn": [{"node": 2, "leave": 3, "rejoin": 7}, {"node": 2, "leave": 5, "rejoin": 7},
+                   {"node": 1, "leave": 8, "rejoin": 9}, {"node": 3, "leave": 4}]}|}
+  in
+  let e = (Scenario.compile s ~csr ~source:0).Scenario.env in
+  checkb "sorted, merged, finite only" true (e.Wheel.env_rejoins = [| (7, 2); (9, 1) |]);
+  let s =
+    Scenario.of_string
+      {|{"seed": 3, "churn": [{"kind": "random", "fraction": 0.5, "leave": 1, "down": 4, "period": 3}]}|}
+  in
+  let e = (Scenario.compile s ~csr ~source:0).Scenario.env in
+  let comebacks = ref [] in
+  for round = 40 downto 1 do
+    for node = 15 downto 0 do
+      if e.Wheel.env_alive ~node ~round && not (e.Wheel.env_alive ~node ~round:(round - 1))
+      then comebacks := (round, node) :: !comebacks
+    done
+  done;
+  checkb "random churn rejoins" true (!comebacks <> []);
+  checkb "schedule = comebacks" true (Array.to_list e.Wheel.env_rejoins = !comebacks)
+
+(* The engine walks the schedule with forward cursors, so a schedule
+   out of order or naming a node outside the graph is refused before
+   the run starts rather than silently skipped. *)
+let test_rejoin_schedule_validated () =
+  let csr = Csr.ring_of_cliques ~cliques:3 ~size:4 ~bridge_latency:3 in
+  let run rejoins =
+    Wheel.broadcast
+      ~env:{ (Wheel.env_of_faults Wheel.no_faults) with Wheel.env_rejoins = rejoins }
+      (Rng.of_int 1) csr ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:100
+  in
+  List.iter
+    (fun (label, rejoins) ->
+      match run rejoins with
+      | _ -> Alcotest.failf "%s schedule accepted" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("descending", [| (5, 1); (3, 1) |]);
+      ("duplicate", [| (3, 1); (3, 1) |]);
+      ("out-of-range node", [| (3, 12) |]);
+    ];
+  checkb "ascending schedule runs" true ((run [| (3, 1); (3, 2); (5, 1) |]).Wheel.rounds <> None)
 
 let test_random_churn_spares_source () =
   let s =
@@ -451,6 +501,8 @@ let () =
           Alcotest.test_case "linear drift" `Quick test_linear_drift_semantics;
           Alcotest.test_case "diurnal bounds" `Quick test_diurnal_bounds;
           Alcotest.test_case "churn intervals" `Quick test_churn_intervals;
+          Alcotest.test_case "rejoin schedule" `Quick test_rejoin_schedule;
+          Alcotest.test_case "rejoin schedule validated" `Quick test_rejoin_schedule_validated;
           Alcotest.test_case "random churn spares source" `Quick test_random_churn_spares_source;
           Alcotest.test_case "random churn rounds" `Quick test_random_churn_rounds_to_nearest;
           Alcotest.test_case "zero-count churn rejected" `Quick

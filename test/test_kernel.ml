@@ -582,7 +582,7 @@ let prop_algebraic_twin =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-vs-sequential parity for the new kernels *)
+(* Sharded-vs-one-domain parity for the new kernels *)
 
 (* Same CI matrix convention as test_scale: GOSSIP_PARITY_DOMAINS
    selects the shard counts to sweep. *)

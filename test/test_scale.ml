@@ -154,6 +154,9 @@ let test_wheel_drop_everything () =
     r.Wheel.metrics.Engine.dropped;
   checki "nothing delivered" 0 r.Wheel.metrics.Engine.deliveries
 
+let count_informed informed =
+  Bytes.fold_left (fun acc b -> if b <> '\000' then acc + 1 else acc) 0 informed
+
 let test_wheel_crash_isolates () =
   (* Path 0-1-2: node 1 crashed from the start, so the rumor can never
      cross and node 2 stays uninformed. *)
@@ -161,14 +164,14 @@ let test_wheel_crash_isolates () =
   let faults =
     { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
   in
-  let t = Wheel.create ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
-  for _ = 1 to 60 do
-    Wheel.step t
-  done;
-  checkb "source informed" true (Wheel.informed t 0);
-  checkb "crashed node dark" false (Wheel.informed t 1);
-  checkb "far side dark" false (Wheel.informed t 2);
-  checkb "losses counted" true ((Wheel.metrics t).Engine.dropped > 0)
+  let r =
+    Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:60
+  in
+  let informed v = Bytes.get r.Wheel.informed v <> '\000' in
+  checkb "source informed" true (informed 0);
+  checkb "crashed node dark" false (informed 1);
+  checkb "far side dark" false (informed 2);
+  checkb "losses counted" true (r.Wheel.metrics.Engine.dropped > 0)
 
 let test_wheel_jitter_bound () =
   let c = Csr.of_graph (Gen.path 2) in
@@ -177,16 +180,17 @@ let test_wheel_jitter_bound () =
   in
   (* An undeclared jitter overrunning the wheel is a typed exception
      (a failed run for the sweep runtime), not Invalid_argument. *)
-  let t = Wheel.create ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 in
   Alcotest.check_raises "oversized jitter rejected"
-    (Wheel.Jitter_overflow { latency = 51; bound = 1; round = 0 }) (fun () -> Wheel.step t);
+    (Wheel.Jitter_overflow { latency = 51; bound = 1; round = 0 }) (fun () ->
+      ignore
+        (Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+           ~max_rounds:200));
   (* A wheel sized for the jitter accepts it. *)
-  let t =
-    Wheel.create ~faults ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+  let r =
+    Wheel.broadcast ~faults ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull
+      ~source:0 ~max_rounds:200
   in
-  let rec go n = if Wheel.informed_count t < 2 && n > 0 then (Wheel.step t; go (n - 1)) in
-  go 200;
-  checki "spread despite jitter" 2 (Wheel.informed_count t)
+  checki "spread despite jitter" 2 (count_informed r.Wheel.informed)
 
 let test_wheel_max_jitter_declared () =
   let c = Csr.of_graph (Gen.path 2) in
@@ -195,17 +199,16 @@ let test_wheel_max_jitter_declared () =
   in
   (* Declaring the plan's maximum jitter sizes the wheel automatically:
      the same plan that overflowed above now runs to completion. *)
-  let t =
-    Wheel.create ~faults ~max_jitter:50 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+  let r =
+    Wheel.broadcast ~faults ~max_jitter:50 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+      ~max_rounds:400
   in
-  let rec go n = if Wheel.informed_count t < 2 && n > 0 then (Wheel.step t; go (n - 1)) in
-  go 400;
-  checki "spread with declared jitter" 2 (Wheel.informed_count t);
+  checki "spread with declared jitter" 2 (count_informed r.Wheel.informed);
   (* An explicit wheel_latency too small for the declared jitter fails
      fast at create, not thousands of rounds into a sweep job. *)
   (match
-     Wheel.create ~faults ~wheel_latency:10 ~max_jitter:50 (Rng.of_int 4) c
-       ~protocol:Wheel.Push_pull ~source:0
+     Wheel.broadcast ~faults ~wheel_latency:10 ~max_jitter:50 (Rng.of_int 4) c
+       ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:400
    with
   | _ -> Alcotest.fail "undersized wheel accepted"
   | exception Invalid_argument msg ->
@@ -213,7 +216,8 @@ let test_wheel_max_jitter_declared () =
         (String.length msg > 0
         && String.sub msg 0 (String.length "Wheel_engine.create") = "Wheel_engine.create"));
   match
-    Wheel.create ~max_jitter:(-1) (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+    Wheel.broadcast ~max_jitter:(-1) (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+      ~max_rounds:400
   with
   | _ -> Alcotest.fail "negative max_jitter accepted"
   | exception Invalid_argument _ -> ()
@@ -382,15 +386,19 @@ let test_wheel_pool_exhausted () =
   in
   Alcotest.check trajectory_testable "capacity never steers the run" bare.Wheel.history
     capped.Wheel.history;
-  match Wheel.create ~pool_capacity:0 (Rng.of_int 1) c ~protocol:Wheel.Push_pull ~source:0 with
+  match
+    Wheel.broadcast ~pool_capacity:0 (Rng.of_int 1) c ~protocol:Wheel.Push_pull ~source:0
+      ~max_rounds:10
+  with
   | _ -> Alcotest.fail "pool_capacity 0 accepted"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-vs-sequential engine parity *)
+(* Sharded-vs-one-domain engine parity *)
 
 (* CI matrixes the property over shard counts by setting
-   GOSSIP_PARITY_DOMAINS (comma-separated); the default sweeps 1-4. *)
+   GOSSIP_PARITY_DOMAINS (comma-separated); the default sweeps 1-4,
+   each compared with the one-domain (one-shard) run. *)
 let parity_domains =
   match Sys.getenv_opt "GOSSIP_PARITY_DOMAINS" with
   | None -> [ 1; 2; 3; 4 ]
@@ -444,8 +452,9 @@ let test_sharded_parity_fixed () =
 
 (* The tentpole acceptance property: for every protocol and every pure
    fault plan, the domain-sharded engine is bit-identical to the
-   sequential wheel — rounds, trajectory, counters, and the final
-   informed set. *)
+   one-domain run — rounds, trajectory, counters, and the final
+   informed set.  (The one-domain run is itself pinned to the
+   reference engine by the push-pull and flood parity properties.) *)
 let prop_sharded_parity =
   QCheck.Test.make ~name:"sharded wheel = sequential wheel (protocols x faults x domains)"
     ~count:40
@@ -524,8 +533,9 @@ let test_sharded_domains_validation () =
   check_sharded_parity "clamped to n" base clamped
 
 let test_sharded_telemetry () =
-  (* The sharded engine feeds the same round histograms as the
-     sequential one, plus the shard gauge and remote-traffic counters. *)
+  (* A sharded run feeds the same round histograms as the one-shard
+     run, plus the shard gauge and remote-traffic counters — which a
+     one-domain run never registers. *)
   let c = Csr.ring_of_cliques ~cliques:5 ~size:8 ~bridge_latency:4 in
   let run d =
     let reg = Registry.create () in
@@ -542,18 +552,24 @@ let test_sharded_telemetry () =
     (fun name ->
       let h1 = Registry.histogram reg1 name and h4 = Registry.histogram reg4 name in
       checki (name ^ " count") (Registry.hist_count h1) (Registry.hist_count h4);
-      checki (name ^ " sum") (Registry.hist_sum h1) (Registry.hist_sum h4))
+      checki (name ^ " sum") (Registry.hist_sum h1) (Registry.hist_sum h4);
+      checkb (name ^ " buckets") true (Registry.hist_buckets h1 = Registry.hist_buckets h4))
     [ "wheel.round.deliveries"; "wheel.round.initiations"; "wheel.inflight" ];
+  List.iter
+    (fun name ->
+      checkb ("one domain registers no " ^ name) false
+        (List.mem_assoc name (Registry.names reg1)))
+    [ "wheel.shards"; "wheel.shard.remote.initiations"; "wheel.shard.remote.responses" ];
   checki "wheel.shards gauge" 4 (Registry.gauge_value (Registry.gauge reg4 "wheel.shards"));
   let remote name = Registry.counter_value (Registry.counter reg4 name) in
   checkb "cross-shard initiations observed" true (remote "wheel.shard.remote.initiations" > 0);
   checkb "cross-shard responses observed" true (remote "wheel.shard.remote.responses" > 0)
 
 (* The round loop is allocation-free by construction; the
-   wheel.minor_words_per_round gauge is the enforced witness.  Both
-   runtimes must come in under the exported budget — a regression that
-   reintroduces a per-round closure or boxed int shows up here as a
-   gauge in the hundreds. *)
+   wheel.minor_words_per_round gauge is the enforced witness.  One
+   domain and three must both come in under the exported budget — a
+   regression that reintroduces a per-round closure or boxed int shows
+   up here as a gauge in the hundreds. *)
 let test_minor_words_gauge () =
   (* Long enough (ring diameter ⇒ 100+ rounds) to amortize the
      fixed-cost allocations inside the measured window (history
@@ -568,9 +584,9 @@ let test_minor_words_gauge () =
     checkb "completes" true (r.Wheel.rounds <> None);
     Registry.gauge_value (Registry.gauge reg "wheel.minor_words_per_round")
   in
-  let seq = words 1 and sharded = words 3 in
-  if seq > Wheel.minor_words_budget then
-    Alcotest.failf "sequential gauge %d over budget %d" seq Wheel.minor_words_budget;
+  let one = words 1 and sharded = words 3 in
+  if one > Wheel.minor_words_budget then
+    Alcotest.failf "one-domain gauge %d over budget %d" one Wheel.minor_words_budget;
   if sharded > Wheel.minor_words_budget then
     Alcotest.failf "sharded gauge %d over budget %d" sharded Wheel.minor_words_budget
 
@@ -695,7 +711,7 @@ let test_spanner_rejects_overflow () =
 
 (* Dynamic scenarios ride the same parity contract as static fault
    plans: for drifting latencies and churn compiled by lib/dyn, the
-   domain-sharded engine is bit-identical to the sequential wheel. *)
+   domain-sharded engine is bit-identical to the one-domain run. *)
 let prop_sharded_parity_scenario =
   let module Scenario = Gossip_dyn.Scenario in
   QCheck.Test.make

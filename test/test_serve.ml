@@ -284,6 +284,7 @@ let test_jobq_lifecycle () =
   Alcotest.(check string) "first id" "job-1" sub.Jobq.id;
   Alcotest.(check int) "position" 0 sub.Jobq.position;
   Alcotest.(check int) "trials expanded" 2 sub.Jobq.trials;
+  Alcotest.(check int) "depth counts the job just queued" 1 sub.Jobq.depth;
   let st = Option.get (Jobq.status q "job-1") in
   Alcotest.(check bool) "queued" true (st.P.s_state = P.Queued);
   Alcotest.(check (option int)) "queue position" (Some 0) st.P.s_position;
@@ -302,7 +303,8 @@ let test_jobq_lifecycle () =
 let test_jobq_backpressure () =
   let q = Jobq.create ~capacity:2 () in
   ignore (Result.get_ok (Jobq.submit q (small_spec ())));
-  ignore (Result.get_ok (Jobq.submit q (small_spec ())));
+  Alcotest.(check int) "depth at capacity" 2
+    (Result.get_ok (Jobq.submit q (small_spec ()))).Jobq.depth;
   (match Jobq.submit q (small_spec ()) with
   | Error `Full -> ()
   | Ok _ -> Alcotest.fail "third submit must be rejected");
@@ -311,9 +313,9 @@ let test_jobq_backpressure () =
   Jobq.mark_trial q ~id ~trial:0 ~ok:true ();
   Jobq.mark_trial q ~id ~trial:1 ~ok:true ();
   ignore (Jobq.finish q id);
-  (match Jobq.submit q (small_spec ()) with
-  | Ok _ -> ()
-  | Error `Full -> Alcotest.fail "slot must be free after finish")
+  match Jobq.submit q (small_spec ()) with
+  | Ok sub -> Alcotest.(check int) "terminal entries leave the depth" 2 sub.Jobq.depth
+  | Error `Full -> Alcotest.fail "slot must be free after finish"
 
 let test_jobq_cancel_and_ids () =
   let q = Jobq.create () in
