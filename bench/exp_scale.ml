@@ -18,11 +18,20 @@ module Weighted = Gossip_conductance.Weighted
 module Push_pull = Gossip_core.Push_pull
 module Csr = Gossip_scale.Csr
 module Wheel = Gossip_scale.Wheel_engine
+module Runner = Gossip_sweep.Runner
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
+
+(* An rr-spanner run through Runner.run, timed without its spanner
+   set-up: (outcome, spanner record, engine seconds). *)
+let time_rr_spanner run =
+  let o, s = time run in
+  match o.Runner.route with
+  | Runner.Spanner_run sp -> (o, sp, s -. sp.Runner.build_s)
+  | _ -> invalid_arg "time_rr_spanner: not an rr-spanner run"
 
 let e12 () =
   section "E12  scale runtime: timing wheel vs reference engine"
@@ -369,8 +378,6 @@ let e14 () =
    OCaml domains, which is trajectory-identical (bench e14) and so
    changes only the wall-clock column. *)
 let e15 () =
-  let module Kernel = Gossip_scale.Kernel in
-  let module Spanner = Gossip_core.Spanner in
   let sizes =
     match Sys.getenv_opt "E15_N" with
     | Some s -> String.split_on_char ',' s |> List.map String.trim |> List.map int_of_string
@@ -381,10 +388,6 @@ let e15 () =
   in
   let clique = 16 and bridge = 8 in
   let max_rounds = 200_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E15  Theorem 14 at scale: RR-on-spanner vs push-pull"
     (Printf.sprintf
        "One-to-all broadcast on ring-of-cliques (cliques of %d, latency-%d\n\
@@ -415,28 +418,14 @@ let e15 () =
       let csr = Csr.ring_of_cliques ~cliques ~size:clique ~bridge_latency:bridge in
       let n = Csr.n csr in
       let pp, pp_s =
-        time (fun () ->
-            Wheel.broadcast ~domains (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
-              ~source:0 ~max_rounds)
+        time (fun () -> Runner.run ~domains csr Wheel.Push_pull ~seed ~source:0 ~max_rounds)
       in
-      let k_sp = ceil_log2 n in
-      let sp, build_s =
-        time (fun () -> Spanner.build (Rng.of_int (seed + 29)) (Csr.to_graph csr) ~k:k_sp ())
+      let rr, sp, rr_s =
+        time_rr_spanner (fun () ->
+            Runner.run ~domains csr (Wheel.Rr_spanner { stretch_k = 0 }) ~seed ~source:0
+              ~max_rounds)
       in
-      let bound =
-        int_of_float
-          (ceil
-             (8.0
-             *. (float_of_int n ** (1.0 /. float_of_int k_sp))
-             *. log (float_of_int n)))
-      in
-      let oriented = Csr.of_oriented_spanner ~out_degree_bound:bound sp.Spanner.out_edges in
-      let rr, rr_s =
-        time (fun () ->
-            Wheel.broadcast_kernel ~domains (Rng.of_int (seed + 17)) csr
-              ~kernel:(Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented)
-              ~source:0 ~max_rounds)
-      in
+      let pp = pp.Runner.result and rr = rr.Runner.result in
       let fmt_rounds = function Some r -> fmt_i r | None -> "capped" in
       let json_rounds = function
         | Some r -> Gossip_util.Json.Int r
@@ -458,11 +447,11 @@ let e15 () =
            ("domains", Json.Int domains);
            ("pp_rounds", json_rounds pp.Wheel.rounds);
            ("pp_s", Json.Float pp_s);
-           ("spanner_k", Json.Int k_sp);
-           ("spanner_edges", Json.Int (Csr.oriented_edge_count oriented));
-           ("spanner_max_out_degree", Json.Int (Csr.oriented_max_out_degree oriented));
-           ("spanner_out_degree_bound", Json.Int bound);
-           ("spanner_build_s", Json.Float build_s);
+           ("spanner_k", Json.Int sp.Runner.k);
+           ("spanner_edges", Json.Int sp.Runner.edges);
+           ("spanner_max_out_degree", Json.Int sp.Runner.max_out_degree);
+           ("spanner_out_degree_bound", Json.Int sp.Runner.out_degree_bound);
+           ("spanner_build_s", Json.Float sp.Runner.build_s);
            ("rr_rounds", json_rounds rr.Wheel.rounds);
            ("rr_s", Json.Float rr_s);
            ( "round_ratio",
@@ -474,9 +463,9 @@ let e15 () =
           fmt_i n;
           fmt_rounds pp.Wheel.rounds;
           fmt_f ~d:2 pp_s;
-          fmt_i (Csr.oriented_edge_count oriented);
-          fmt_i (Csr.oriented_max_out_degree oriented);
-          fmt_f ~d:2 build_s;
+          fmt_i sp.Runner.edges;
+          fmt_i sp.Runner.max_out_degree;
+          fmt_f ~d:2 sp.Runner.build_s;
           fmt_rounds rr.Wheel.rounds;
           fmt_f ~d:2 rr_s;
           (match ratio with Some x -> fmt_f ~d:2 x | None -> "-");
@@ -516,8 +505,6 @@ let e15 () =
    for a beefy host).  Rounds, seconds, and the per-epoch gauge
    series land in BENCH_e16.json. *)
 let e16 () =
-  let module Kernel = Gossip_scale.Kernel in
-  let module Spanner = Gossip_core.Spanner in
   let module Scenario = Gossip_dyn.Scenario in
   let module Registry = Gossip_obs.Registry in
   let module Json = Gossip_util.Json in
@@ -529,10 +516,6 @@ let e16 () =
   let clique = 16 and bridges = 4 and bridge = 8 in
   let caps = [ 1; 2; 4; 8 ] in
   let max_rounds = 1_000_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E16  dynamic networks: broadcast under live latency drift"
     (Printf.sprintf
        "One-to-all broadcast on a braided ring (cliques of %d, %d bridges per\n\
@@ -564,26 +547,15 @@ let e16 () =
       let cliques = max 3 (n_req / clique) in
       let csr = Csr.braided_ring ~cliques ~size:clique ~bridges ~bridge_latency:bridge in
       let n = Csr.n csr in
-      let k_sp = ceil_log2 n in
-      let sp, _ = time (fun () -> Spanner.build (Rng.of_int (seed + 29)) (Csr.to_graph csr) ~k:k_sp ()) in
-      let out_bound =
-        int_of_float
-          (ceil (8.0 *. (float_of_int n ** (1.0 /. float_of_int k_sp)) *. log (float_of_int n)))
-      in
-      let oriented = Csr.of_oriented_spanner ~out_degree_bound:out_bound sp.Spanner.out_edges in
-      (* Both kernels carry round-robin cursors, so build a fresh one
-         per run or the second cap inherits the first's state. *)
-      let rr_kernel () = Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented in
-      let base_kernel () = Kernel.dtg_local ~ell:(bridge - 1) csr in
       let pp_static = ref 0 and base_static = ref 0 in
       List.iter
         (fun cap ->
           (* cap 1 is the static control: no env at all, so the run is
              bit-identical to the pre-lib/dyn engine. *)
-          let compiled =
+          let scenario =
             if cap <= 1 then None
             else
-              let scen =
+              Some
                 {
                   Scenario.static with
                   Scenario.name = Printf.sprintf "braid-drift-x%d" cap;
@@ -598,33 +570,19 @@ let e16 () =
                   epoch = 1024;
                   track_phi = true;
                 }
-              in
-              Some (Scenario.compile scen ~csr ~source:0)
           in
-          let env = Option.map (fun c -> c.Scenario.env) compiled in
-          let wheel_latency = Option.map (fun c -> c.Scenario.wheel_latency) compiled in
+          (* Push-pull carries the telemetry registry, so the scenario
+             observer records its per-epoch gauges there. *)
           let reg = Registry.create () in
-          let on_round =
-            Option.map (fun c -> Scenario.observer c ~csr ~telemetry:reg) compiled
+          let run ?telemetry p =
+            Runner.run ?scenario ?telemetry csr p ~seed ~source:0 ~max_rounds
           in
-          let pp, pp_s =
-            time (fun () ->
-                Wheel.broadcast ?env ?wheel_latency ?on_round (Rng.of_int (seed + 17)) csr
-                  ~protocol:Wheel.Push_pull ~source:0 ~max_rounds)
-          in
-          let rr, rr_s =
-            time (fun () ->
-                Wheel.broadcast_kernel ?env ?wheel_latency (Rng.of_int (seed + 17)) csr
-                  ~kernel:(rr_kernel ()) ~source:0 ~max_rounds)
-          in
-          let base, base_s =
-            time (fun () ->
-                Wheel.broadcast_kernel ?env ?wheel_latency (Rng.of_int (seed + 17)) csr
-                  ~kernel:(base_kernel ()) ~source:0 ~max_rounds)
-          in
-          let pp_r = rounds_exn pp.Wheel.rounds in
-          let rr_r = rounds_exn rr.Wheel.rounds in
-          let base_r = rounds_exn base.Wheel.rounds in
+          let pp, pp_s = time (fun () -> run ~telemetry:reg Wheel.Push_pull) in
+          let rr, _, rr_s = time_rr_spanner (fun () -> run (Wheel.Rr_spanner { stretch_k = 0 })) in
+          let base, base_s = time (fun () -> run (Wheel.Dtg_local { ell = bridge - 1 })) in
+          let pp_r = rounds_exn pp.Runner.result.Wheel.rounds in
+          let rr_r = rounds_exn rr.Runner.result.Wheel.rounds in
+          let base_r = rounds_exn base.Runner.result.Wheel.rounds in
           (* Per-epoch gauge series: dyn.epoch.<k>.{ell_star,phi_ell_ppm,bound}. *)
           let epochs =
             let tbl = Hashtbl.create 8 in
@@ -759,10 +717,6 @@ let e17 () =
   let seed = 1013 in
   let deg = 8 and lmax = 4 in
   let max_rounds = 1_000_000 in
-  let ceil_log2 x =
-    let rec go k p = if p >= x then k else go (k + 1) (p * 2) in
-    go 0 1
-  in
   section "E17  Theorem 20 at scale: unified unknown-latency vs push-pull"
     (Printf.sprintf
        "One-to-all dissemination on a Watts-Strogatz graph (degree %d, uniform\n\
@@ -782,7 +736,7 @@ let e17 () =
   (* Budget: D <= 2 * ecc(source) (one Dijkstra, not all-pairs). *)
   let ecc = Paths.eccentricity g source in
   let delta = Graph.max_degree g in
-  let lg = ceil_log2 (max 2 n) in
+  let lg = Gossip_core.Spanner.ceil_log2 n in
   let budget = 8 * ((2 * ecc) + delta) * lg * lg * lg in
   Printf.printf "n = %d, ecc(source) = %d, Delta = %d, budget = %d rounds\n\n" n ecc delta budget;
   let drift_compiled =

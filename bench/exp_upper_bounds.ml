@@ -108,10 +108,7 @@ let e5 () =
       let g =
         Gen.with_latencies rng (Gen.Uniform (1, 8)) (Gen.erdos_renyi_connected rng ~n ~p)
       in
-      let k =
-        let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
-        go 0 1
-      in
+      let k = Spanner.ceil_log2 n in
       let s = Spanner.build rng g ~k () in
       edge_pts := (float_of_int n, float_of_int (Spanner.edge_count s)) :: !edge_pts;
       Table.add_row t

@@ -120,14 +120,23 @@ let load_scenario path =
       Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
       exit 2
 
-(* --rumors / --budget override the rumor count k and the per-message
-   word budget of a rumor-state descriptor (k-rumor, rotation,
-   algebraic).  They are meaningless on the single-rumor protocols, so
-   using them there is a loud usage error, not a silent no-op. *)
-let apply_rumor_overrides ~rumors ~budget protocol =
+(* A --protocol name, with --rumors / --budget overriding the rumor
+   count k and the per-message word budget of a rumor-state descriptor
+   (k-rumor, rotation, algebraic).  The overrides are meaningless on
+   the single-rumor protocols, so using them there is a loud usage
+   error, not a silent no-op. *)
+let parse_protocol ~rumors ~budget pname =
   let module Wheel = Gossip_scale.Wheel_engine in
   let k0 k = Option.value rumors ~default:k in
   let b0 b = Option.value budget ~default:b in
+  let protocol =
+    match Wheel.protocol_of_string pname with
+    | Some p -> p
+    | None ->
+        failwith
+          (Printf.sprintf "unknown protocol %S (known: %s)" pname
+             (String.concat ", " Wheel.known_protocols))
+  in
   match protocol with
   | _ when rumors = None && budget = None -> protocol
   | Wheel.K_rumor { k; budget = b } -> Wheel.K_rumor { k = k0 k; budget = b0 b }
@@ -264,192 +273,103 @@ let build_csr a =
       | spec -> Scsr.with_latencies (Rng.of_int a.seed) spec csr)
   | None -> Scsr.of_graph (build_graph a)
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
-
-(* One wheel-engine run through a protocol kernel: parses the protocol
-   name, builds the contact structure (including the Baswana-Sen
-   spanner an rr-spanner kernel needs), runs, and optionally dumps the
+(* One wheel-engine run through Runner.run: builds the graph, runs the
+   descriptor, prints the route's record and optionally dumps the
    telemetry registry -- kernel-tagged counters included -- as JSONL. *)
-let run_wheel_protocol args ~pname ~rumors ~budget ~domains ~source ~max_rounds ~telemetry
-    ~scenario =
-  let module Wheel = Gossip_scale.Wheel_engine in
-  let module Scsr = Gossip_scale.Csr in
-  let module Kernel = Gossip_scale.Kernel in
-  let module Scenario = Gossip_dyn.Scenario in
+let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~scenario =
+  let module Runner = Gossip_sweep.Runner in
   let module Obs = Gossip_obs in
   let module Json = Gossip_util.Json in
-  let protocol =
-    match Wheel.protocol_of_string pname with
-    | Some p -> apply_rumor_overrides ~rumors ~budget p
-    | None ->
-        failwith
-          (Printf.sprintf "unknown protocol %S (known: %s)" pname
-             (String.concat ", " Wheel.known_protocols))
-  in
   (* Validate the scenario file before any graph is built — a typo in
      the JSON should fail in milliseconds, not after a 10^6-node
      construction. *)
   let scenario = Option.map load_scenario scenario in
   let csr = build_csr args in
-  let n = Scsr.n csr in
-  let rng = Rng.of_int (args.seed + 17) in
+  let n = Gossip_scale.Csr.n csr in
   let reg =
-    match telemetry with
-    | None -> None
-    | Some _ ->
-        let ring = Obs.Ring.create ~capacity:65536 () in
-        Some (Obs.Registry.create ~ring ())
-  in
-  let dump_telemetry label =
-    match (telemetry, reg) with
-    | Some path, Some reg ->
-        Obs.Sink.with_jsonl path (fun sink ->
-            Obs.Sink.event sink
-              ([
-                 ("ev", Json.String "meta");
-                 ("tool", Json.String "gossip-cli run");
-                 ("protocol", Json.String label);
-                 ("family", Json.String args.family);
-                 ("n", Json.Int n);
-                 ("domains", Json.Int domains);
-                 ("seed", Json.Int args.seed);
-               ]
-              @ (match scenario with
-                | None -> []
-                | Some s -> [ ("scenario", Json.String s.Scenario.name) ]));
-            Obs.Sink.registry sink reg;
-            match Obs.Registry.ring reg with
-            | None -> ()
-            | Some ring -> Obs.Sink.ring sink ring);
-        Printf.printf "telemetry written to %s\n" path
-    | _ -> ()
-  in
-  (* The two Theorem 20 chains are kernel-chain drivers, not single
-     kernels: they compile the scenario without a spanner orientation
-     (each attempt builds its own, from discovered latencies) and
-     budget their own phases. *)
-  let run_chain () =
-    let compiled =
-      match scenario with
-      | None -> None
-      | Some s -> (
-          match Scenario.compile s ~csr ~source with
-          | c -> Some c
-          | exception Scenario.Invalid_scenario msg ->
-              Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
-              exit 2)
-    in
-    let env = Option.map (fun c -> c.Scenario.env) compiled in
-    let wheel_latency = Option.map (fun c -> c.Scenario.wheel_latency) compiled in
-    let t0 = Unix.gettimeofday () in
-    let metrics, label =
-      match protocol with
-      | Wheel.Unknown_eid ->
-          let r =
-            Gossip_core.Eid.run_unknown_scale ?telemetry:reg ~domains ?env ?wheel_latency
-              rng csr ~source ()
-          in
-          let elapsed = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "wheel unknown-eid (domains=%d): %d rounds in %.2fs on %d nodes (%s, k_final=%d, \
-             %d attempt%s, unanimous=%b)\n"
-            domains r.Gossip_core.Eid.u_rounds elapsed n
-            (if r.Gossip_core.Eid.u_success then "success" else "FAILED")
-            r.Gossip_core.Eid.u_k_final
-            (List.length r.Gossip_core.Eid.u_attempts)
-            (if List.length r.Gossip_core.Eid.u_attempts = 1 then "" else "s")
-            r.Gossip_core.Eid.u_unanimous;
-          List.iter
-            (fun a ->
-              Printf.printf
-                "  k=%d: discovery %d + schedule %d + rr %d + check %d rounds, %d edges known\n"
-                a.Gossip_core.Eid.ua_k a.Gossip_core.Eid.ua_discovery_rounds
-                a.Gossip_core.Eid.ua_schedule_rounds a.Gossip_core.Eid.ua_rr_rounds
-                a.Gossip_core.Eid.ua_check_rounds a.Gossip_core.Eid.ua_edges_known)
-            r.Gossip_core.Eid.u_attempts;
-          (r.Gossip_core.Eid.u_metrics, "unknown-eid")
-      | Wheel.Unified ->
-          let r =
-            Gossip_core.Dissemination.broadcast_scale ?telemetry:reg ~domains ?env
-              ?wheel_latency rng csr ~source ~max_rounds ()
-          in
-          let elapsed = Unix.gettimeofday () -. t0 in
-          Printf.printf
-            "wheel unified (domains=%d): %d rounds in %.2fs on %d nodes (winner: %s, \
-             push-pull %s, spanner route %d)\n"
-            domains r.Gossip_core.Dissemination.b_rounds elapsed n
-            (match r.Gossip_core.Dissemination.b_winner with
-            | Gossip_core.Dissemination.Scale_push_pull_won -> "push-pull"
-            | Gossip_core.Dissemination.Scale_spanner_route_won -> "spanner route")
-            (match r.Gossip_core.Dissemination.b_pushpull_rounds with
-            | Some rr -> string_of_int rr
-            | None -> "capped")
-            r.Gossip_core.Dissemination.b_spanner_rounds;
-          (r.Gossip_core.Dissemination.b_metrics, "unified")
-      | _ -> assert false
-    in
-    Printf.printf "initiations: %d, deliveries: %d\n" metrics.Gossip_sim.Engine.initiations
-      metrics.Gossip_sim.Engine.deliveries;
-    dump_telemetry label
-  in
-  match protocol with
-  | Wheel.Unknown_eid | Wheel.Unified -> run_chain ()
-  | _ ->
-  let kernel, oriented =
-    match protocol with
-    | Wheel.Rr_spanner { stretch_k } ->
-        let k_sp = if stretch_k > 0 then stretch_k else ceil_log2 n in
-        let t0 = Unix.gettimeofday () in
-        let spanner =
-          Gossip_core.Spanner.build
-            (Rng.of_int (args.seed + 29))
-            (Scsr.to_graph csr) ~k:k_sp ~n_hat:n ()
-        in
-        let oriented = Scsr.of_oriented_spanner spanner.Gossip_core.Spanner.out_edges in
-        Printf.printf
-          "spanner (k = %d): %d directed edges, max out-degree %d, built in %.1fs\n%!" k_sp
-          (Scsr.oriented_edge_count oriented)
-          (Scsr.oriented_max_out_degree oriented)
-          (Unix.gettimeofday () -. t0);
-        (Kernel.rr_broadcast ~k:(Scsr.oriented_max_latency oriented) oriented, Some oriented)
-    | p -> (Kernel.of_protocol csr p, None)
-  in
-  let compiled =
-    match scenario with
-    | None -> None
-    | Some s -> (
-        match Scenario.compile ?oriented s ~csr ~source with
-        | c -> Some c
-        | exception Scenario.Invalid_scenario msg ->
-            Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
-            exit 2)
-  in
-  let env = Option.map (fun c -> c.Scenario.env) compiled in
-  let wheel_latency = Option.map (fun c -> c.Scenario.wheel_latency) compiled in
-  let on_round =
-    match (compiled, reg) with
-    | Some c, Some reg -> Some (Scenario.observer c ~csr ~telemetry:reg)
-    | _ -> None
+    Option.map
+      (fun _ -> Obs.Registry.create ~ring:(Obs.Ring.create ~capacity:65536 ()) ())
+      telemetry
   in
   let t0 = Unix.gettimeofday () in
-  let r =
-    Wheel.broadcast_kernel ?telemetry:reg ~domains ?env ?wheel_latency ?on_round rng csr
-      ~kernel ~source ~max_rounds
+  let o =
+    match
+      Runner.run ?scenario ~domains ?telemetry:reg csr protocol ~seed:args.seed ~source
+        ~max_rounds
+    with
+    | o -> o
+    | exception Gossip_dyn.Scenario.Invalid_scenario msg ->
+        Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
+        exit 2
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  (match r.Wheel.rounds with
-  | Some rounds ->
-      Printf.printf "wheel %s (domains=%d): %d rounds in %.2fs on %d nodes\n"
-        (Kernel.name kernel) domains rounds elapsed n
-  | None ->
-      Printf.printf "wheel %s (domains=%d): hit the %d-round cap (%.2fs, %d nodes)\n"
-        (Kernel.name kernel) domains max_rounds elapsed n);
+  let r = o.Runner.result in
+  (match o.Runner.route with
+  | Runner.Eid_chain r ->
+      let module Eid = Gossip_core.Eid in
+      Printf.printf
+        "wheel unknown-eid (domains=%d): %d rounds in %.2fs on %d nodes (%s, k_final=%d, %d \
+         attempt%s, unanimous=%b)\n"
+        domains r.Eid.u_rounds elapsed n
+        (if r.Eid.u_success then "success" else "FAILED")
+        r.Eid.u_k_final (List.length r.Eid.u_attempts)
+        (if List.length r.Eid.u_attempts = 1 then "" else "s")
+        r.Eid.u_unanimous;
+      List.iter
+        (fun a ->
+          Printf.printf
+            "  k=%d: discovery %d + schedule %d + rr %d + check %d rounds, %d edges known\n"
+            a.Eid.ua_k a.Eid.ua_discovery_rounds a.Eid.ua_schedule_rounds a.Eid.ua_rr_rounds
+            a.Eid.ua_check_rounds a.Eid.ua_edges_known)
+        r.Eid.u_attempts
+  | Runner.Unified_race r ->
+      let module D = Gossip_core.Dissemination in
+      Printf.printf
+        "wheel unified (domains=%d): %d rounds in %.2fs on %d nodes (winner: %s, push-pull \
+         %s, spanner route %d)\n"
+        domains r.D.b_rounds elapsed n
+        (match r.D.b_winner with
+        | D.Scale_push_pull_won -> "push-pull"
+        | D.Scale_spanner_route_won -> "spanner route")
+        (match r.D.b_pushpull_rounds with Some rr -> string_of_int rr | None -> "capped")
+        r.D.b_spanner_rounds
+  | (Runner.Kernel_run | Runner.Spanner_run _) as route -> (
+      (match route with
+      | Runner.Spanner_run sp ->
+          Printf.printf "spanner (k = %d): %d directed edges, max out-degree %d, built in %.1fs\n"
+            sp.Runner.k sp.Runner.edges sp.Runner.max_out_degree sp.Runner.build_s
+      | _ -> ());
+      match r.Gossip_scale.Wheel_engine.rounds with
+      | Some rounds ->
+          Printf.printf "wheel %s (domains=%d): %d rounds in %.2fs on %d nodes\n" o.Runner.name
+            domains rounds elapsed n
+      | None ->
+          Printf.printf "wheel %s (domains=%d): hit the %d-round cap (%.2fs, %d nodes)\n"
+            o.Runner.name domains max_rounds elapsed n));
   Printf.printf "initiations: %d, deliveries: %d\n"
-    r.Wheel.metrics.Gossip_sim.Engine.initiations
-    r.Wheel.metrics.Gossip_sim.Engine.deliveries;
-  dump_telemetry (Kernel.name kernel)
+    r.Gossip_scale.Wheel_engine.metrics.Gossip_sim.Engine.initiations
+    r.Gossip_scale.Wheel_engine.metrics.Gossip_sim.Engine.deliveries;
+  match (telemetry, reg) with
+  | Some path, Some reg ->
+      Obs.Sink.with_jsonl path (fun sink ->
+          Obs.Sink.event sink
+            ([
+               ("ev", Json.String "meta");
+               ("tool", Json.String "gossip-cli run");
+               ("protocol", Json.String o.Runner.name);
+               ("family", Json.String args.family);
+               ("n", Json.Int n);
+               ("domains", Json.Int domains);
+               ("seed", Json.Int args.seed);
+             ]
+            @
+            match scenario with
+            | None -> []
+            | Some s -> [ ("scenario", Json.String s.Gossip_dyn.Scenario.name) ]);
+          Obs.Sink.registry sink reg;
+          match Obs.Registry.ring reg with None -> () | Some ring -> Obs.Sink.ring sink ring);
+      Printf.printf "telemetry written to %s\n" path
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* analyze *)
@@ -576,8 +496,8 @@ let run_cmd =
     | _ -> ());
     match wheel_protocol with
     | Some pname ->
-        run_wheel_protocol args ~pname ~rumors ~budget ~domains ~source ~max_rounds
-          ~telemetry ~scenario
+        run_wheel_protocol args ~protocol:(parse_protocol ~rumors ~budget pname) ~domains
+          ~source ~max_rounds ~telemetry ~scenario
     | None ->
     let g = build_graph args in
     let rng = Rng.of_int (args.seed + 17) in
@@ -975,14 +895,7 @@ let sweep_cmd =
       | "watts-strogatz" -> Sweep.Watts_strogatz { k = ws_k; beta }
       | other -> failwith (Printf.sprintf "unknown sweep family %S" other)
     in
-    let protocol =
-      match Wheel.protocol_of_string protocol with
-      | Some p -> apply_rumor_overrides ~rumors ~budget p
-      | None ->
-          failwith
-            (Printf.sprintf "unknown protocol %S (known: %s)" protocol
-               (String.concat ", " Wheel.known_protocols))
-    in
+    let protocol = parse_protocol ~rumors ~budget protocol in
     let scenario = Option.map load_scenario scenario in
     let jobs_list =
       Sweep.make_jobs ~family ~n ~protocol ~trials ~base_seed:seed ~max_rounds ?latency
@@ -1240,14 +1153,7 @@ let client_cmd =
               | "watts-strogatz" -> Sweep.Watts_strogatz { k = ws_k; beta }
               | other -> failwith (Printf.sprintf "unknown sweep family %S" other)
             in
-            let protocol =
-              match Wheel.protocol_of_string protocol with
-              | Some p -> apply_rumor_overrides ~rumors ~budget p
-              | None ->
-                  failwith
-                    (Printf.sprintf "unknown protocol %S (known: %s)" protocol
-                       (String.concat ", " Wheel.known_protocols))
-            in
+            let protocol = parse_protocol ~rumors ~budget protocol in
             let scenario = Option.map load_scenario scenario in
             finish
               (C.rpc c

@@ -22,8 +22,12 @@ let weighted_conductance ?(backend = Auto) g =
   let backend = resolve backend g in
   let latencies = Graph.distinct_latencies g in
   let profile = List.map (fun l -> (l, phi_ell ~backend g l)) latencies in
+  (* A later (larger) ℓ wins only by more than a relative 1e-12, so
+     ratios that tie up to rounding keep the smaller ℓ — and scaling
+     every latency cannot move ℓ* by flipping a rounding error. *)
   let best (bl, bp) (l, p) =
-    if p /. float_of_int l > bp /. float_of_int bl then (l, p) else (bl, bp)
+    if p /. float_of_int l > bp /. float_of_int bl *. (1.0 +. 1e-12) then (l, p)
+    else (bl, bp)
   in
   match profile with
   | [] -> invalid_arg "Weighted.weighted_conductance: edgeless graph"

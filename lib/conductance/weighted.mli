@@ -28,7 +28,9 @@ type result = {
 val phi_ell : ?backend:backend -> Gossip_graph.Graph.t -> int -> float
 
 (** [weighted_conductance ?backend g] computes [φ*], [ℓ*] and the full
-    profile.  Requires a connected graph with [n >= 2]. *)
+    profile.  Ratios within a relative [1e-12] of each other tie, and a
+    tie goes to the smaller [ℓ].  Requires a connected graph with
+    [n >= 2]. *)
 val weighted_conductance : ?backend:backend -> Gossip_graph.Graph.t -> result
 
 (** [pushpull_round_bound g] is the Theorem 12 upper bound

@@ -106,8 +106,8 @@ let slot_of o u target =
   if !found < 0 then invalid_arg "Discovery.probe_scale: asymmetric CSR row";
   !found
 
-let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains rng csr
-    ~d_bound =
+let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?domains
+    rng csr ~d_bound =
   if d_bound < 1 then invalid_arg "Discovery.probe_scale: need d_bound >= 1";
   let n = Scale_csr.n csr in
   let disc = Scale_kernel.discovery ~d_bound csr in
@@ -116,8 +116,9 @@ let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?do
      source is ever informed), so the engine runs exactly [rounds]
      rounds: the cap is the schedule. *)
   let res =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
-      ?domains rng csr ~kernel:disc.Scale_kernel.disc_kernel ~source:0 ~max_rounds:rounds
+    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
+      ?telemetry ?domains rng csr ~kernel:disc.Scale_kernel.disc_kernel ~source:0
+      ~max_rounds:rounds
   in
   let o = Scale_csr.oriented_of_csr csr in
   let lat = disc.Scale_kernel.disc_lat in

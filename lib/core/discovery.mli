@@ -68,6 +68,7 @@ val probe_scale :
   ?wheel_latency:int ->
   ?max_jitter:int ->
   ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?domains:int ->
   Gossip_util.Rng.t ->

@@ -70,16 +70,24 @@ type scale_result = {
 }
 
 let broadcast_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-    ?deadline rng csr ~source ~max_rounds () =
+    ?deadline ?on_round rng csr ~source ~max_rounds () =
   let pp_rng = Rng.split rng in
   let eid_rng = Rng.split rng in
   let pp =
-    Scale_wheel.broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
-      ?domains pp_rng csr ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
+    Scale_wheel.broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
+      ?telemetry ?domains pp_rng csr ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
+  in
+  (* The chain's rounds follow on from push-pull's. *)
+  let on_round =
+    match on_round with
+    | None -> None
+    | Some f ->
+        let after = pp.Scale_wheel.metrics.Gossip_sim.Engine.rounds in
+        Some (fun ~round ~informed -> f ~round:(after + round) ~informed)
   in
   let eid =
     Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-      ?deadline eid_rng csr ~source ()
+      ?deadline ?on_round eid_rng csr ~source ()
   in
   let winner, rounds, informed, metrics =
     match pp.Scale_wheel.rounds with

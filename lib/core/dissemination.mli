@@ -61,7 +61,9 @@ type scale_result = {
 (** [broadcast_scale rng csr ~source ~max_rounds ()] races the two
     branches.  [max_rounds] caps the push-pull branch only (the EID
     chain self-budgets per phase); the other optional arguments pass
-    through to both branches. *)
+    through to both branches.  [on_round] sees push-pull's rounds,
+    then the chain's numbered on from push-pull's last, so the
+    rounds strictly increase over the whole race. *)
 val broadcast_scale :
   ?n_hat:int ->
   ?domains:int ->
@@ -71,6 +73,7 @@ val broadcast_scale :
   ?wheel_latency:int ->
   ?max_jitter:int ->
   ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   source:int ->

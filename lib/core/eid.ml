@@ -19,15 +19,11 @@ type result = {
   unanimous : bool;
 }
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
-
 (* One EID(k) pass: discovery, spanner, RR broadcast.  [sets] is
    updated in place; returns the attempt record (check_rounds = 0) and
    the spanner orientation for the caller's termination check. *)
 let eid_once rng g ~k ~n_hat ~sets =
-  let iterations = ceil_log2 n_hat in
+  let iterations = Spanner.ceil_log2 n_hat in
   let discovery_rounds = ref 0 in
   (* A DTG phase can only deadlock-guard on the cap; each phase is
      O(k log^2 n), so this cap is generous. *)
@@ -39,7 +35,7 @@ let eid_once rng g ~k ~n_hat ~sets =
     | None -> discovery_rounds := !discovery_rounds + phase_cap
   done;
   let gk = Graph.subgraph_le g k in
-  let k_spanner = ceil_log2 n_hat in
+  let k_spanner = Spanner.ceil_log2 n_hat in
   let spanner = Spanner.build rng gk ~k:k_spanner ~n_hat () in
   let k_rr = k * ((2 * k_spanner) - 1) in
   let rr =
@@ -100,7 +96,7 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
   if d < 1 then invalid_arg "Eid.run_known_diameter_scale: need d >= 1";
   let n = Scale_csr.n csr in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = ceil_log2 n_hat in
+  let lg = Spanner.ceil_log2 n_hat in
   (* Phase 1: k-DTG local broadcast over the latency-<= d subgraph,
      budgeted at the discovery phase's 2·d·⌈log n̂⌉² rounds (the
      single-rumor shadow of the O(log n) DTG repetitions). *)
@@ -118,11 +114,11 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
   let gd = Graph.subgraph_le (Scale_csr.to_graph csr) d in
   let k_spanner = lg in
   let spanner = Spanner.build rng gd ~k:k_spanner ~n_hat () in
-  let out_degree_bound =
-    let nf = float_of_int (max 2 n) in
-    int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k_spanner)) *. log nf))
+  let oriented =
+    Scale_csr.of_oriented_spanner
+      ~out_degree_bound:(Spanner.out_degree_bound ~n ~k:k_spanner)
+      spanner.Spanner.out_edges
   in
-  let oriented = Scale_csr.of_oriented_spanner ~out_degree_bound spanner.Spanner.out_edges in
   let k_rr = d * ((2 * k_spanner) - 1) in
   let rr_cap =
     match max_rounds with
@@ -201,10 +197,22 @@ let count_informed informed =
   !c
 
 let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-    ?deadline rng csr ~source () =
+    ?deadline ?on_round rng csr ~source () =
   let n = Scale_csr.n csr in
+  (* Every phase is its own engine run, restarting at round 1; the
+     hook sees rounds counted over the whole chain instead. *)
+  let on_round =
+    match on_round with
+    | None -> None
+    | Some f ->
+        let total = ref 0 in
+        Some
+          (fun ~round:_ ~informed ->
+            incr total;
+            f ~round:!total ~informed)
+  in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = ceil_log2 n_hat in
+  let lg = Spanner.ceil_log2 n_hat in
   let mj = match max_jitter with Some j -> j | None -> 0 in
   (* Harness guard on the doubling loop, from the TRUE latencies (the
      protocol never reads them): a guess beyond twice the latency sum
@@ -221,8 +229,8 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
   let u_metrics = Gossip_sim.Engine.empty_metrics () in
   let rec attempt_loop k informed acc_attempts acc_rounds unanimous =
     let disc =
-      Discovery.probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
-        ?domains rng csr ~d_bound:k
+      Discovery.probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
+        ?telemetry ?domains rng csr ~d_bound:k
     in
     let gk = disc.Discovery.s_discovered in
     (* Phases over the discovered graph: widen a pinned wheel to cover
@@ -235,26 +243,26 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
     in
     let sched =
       Path_discovery.run_schedule_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter
-        ?deadline ?telemetry ?domains ?informed rng gk ~k ~source
+        ?deadline ?on_round ?telemetry ?domains ?informed rng gk ~k ~source
     in
     let k_spanner = lg in
     let spanner = Spanner.build rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat () in
-    let out_degree_bound =
-      let nf = float_of_int (max 2 n) in
-      int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k_spanner)) *. log nf))
+    let oriented =
+      Scale_csr.of_oriented_spanner
+        ~out_degree_bound:(Spanner.out_degree_bound ~n ~k:k_spanner)
+        spanner.Spanner.out_edges
     in
-    let oriented = Scale_csr.of_oriented_spanner ~out_degree_bound spanner.Spanner.out_edges in
     let k_rr = k * ((2 * k_spanner) - 1) in
     let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
     let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
     let rr_res =
       Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
-        ?telemetry ?domains ~informed:sched.Path_discovery.ps_informed rng gk ~kernel:rr_kernel
-        ~source ~max_rounds:rr_cap
+        ?on_round ?telemetry ?domains ~informed:sched.Path_discovery.ps_informed rng gk
+        ~kernel:rr_kernel ~source ~max_rounds:rr_cap
     in
     let check =
       Termination_check.run_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
-        ?telemetry ?domains rng gk ~oriented ~k:k_rr
+        ?on_round ?telemetry ?domains rng gk ~oriented ~k:k_rr
         ~informed:rr_res.Scale_wheel.informed
     in
     let attempt =

@@ -130,7 +130,10 @@ type unknown_result = {
 (** [run_unknown_scale rng csr ~source ()] runs the chain above.
     Optional arguments pass through to every wheel-engine phase;
     [wheel_latency], when pinned, is widened per attempt to cover the
-    measured (possibly jittered) latencies of the discovered graph. *)
+    measured (possibly jittered) latencies of the discovered graph.
+    [on_round] fires after every engine round of every phase, with
+    the round counted over the whole chain (1, 2, …, [u_rounds]); an
+    exception it raises aborts the chain and propagates. *)
 val run_unknown_scale :
   ?n_hat:int ->
   ?domains:int ->
@@ -140,6 +143,7 @@ val run_unknown_scale :
   ?wheel_latency:int ->
   ?max_jitter:int ->
   ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   source:int ->

@@ -50,14 +50,10 @@ type schedule_scale_result = {
   ps_metrics : Gossip_sim.Engine.metrics;
 }
 
-let ceil_log2 x =
-  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
-  max 1 (go 0 1)
-
-let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains
-    ?informed rng csr ~k ~source =
+let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
+    ?domains ?informed rng csr ~k ~source =
   if k < 1 then invalid_arg "Path_discovery.run_schedule_scale: need k >= 1";
-  let lg = ceil_log2 (max 2 (Scale_csr.n csr)) in
+  let lg = Spanner.ceil_log2 (Scale_csr.n csr) in
   let lmax = Scale_csr.max_latency csr in
   let total = ref 0 in
   let acc_metrics = Gossip_sim.Engine.empty_metrics () in
@@ -71,7 +67,8 @@ let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?teleme
       let kernel = Scale_kernel.dtg_local ~ell:(min ell lmax) csr in
       let res =
         Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline
-          ?telemetry ?domains ?informed:!inf rng csr ~kernel ~source ~max_rounds:budget
+          ?on_round ?telemetry ?domains ?informed:!inf rng csr ~kernel ~source
+          ~max_rounds:budget
       in
       total := !total + res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
       Gossip_sim.Engine.add_metrics ~into:acc_metrics res.Scale_wheel.metrics;

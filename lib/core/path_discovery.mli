@@ -53,14 +53,17 @@ type schedule_scale_result = {
     [max 64 (2·ℓ·⌈log n⌉²)] budget, the informed set chaining from
     phase to phase (seeded from [?informed], copied).  Phases after
     the rumor has reached everyone cost no rounds.  Optional
-    arguments pass through to
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
+    arguments pass through to every phase's
+    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [on_round] so sees
+    each phase's rounds from 1 ({!Eid.run_unknown_scale} counts them
+    over the whole chain). *)
 val run_schedule_scale :
   ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
   ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?domains:int ->
   ?informed:Bytes.t ->

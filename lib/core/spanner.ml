@@ -130,6 +130,14 @@ let build rng g ~k ?n_hat () =
   in
   { base = g; spanner = Graph.of_edges ~n spanner_edges; out_edges; k }
 
+let ceil_log2 x =
+  let rec go acc p = if p >= x then acc else go (acc + 1) (2 * p) in
+  max 1 (go 0 1)
+
+let out_degree_bound ~n ~k =
+  let nf = float_of_int (max 2 n) in
+  int_of_float (ceil (8.0 *. (nf ** (1.0 /. float_of_int k)) *. log nf))
+
 let max_out_degree t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.out_edges
 
 let edge_count t = Graph.m t.spanner

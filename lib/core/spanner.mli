@@ -28,6 +28,18 @@ type t = {
 val build :
   Gossip_util.Rng.t -> Gossip_graph.Graph.t -> k:int -> ?n_hat:int -> unit -> t
 
+(** [ceil_log2 x] is [⌈log₂ x⌉], at least 1: the canonical spanner
+    parameter [k] for an [x]-node graph (out-degree [O(log n)]), and
+    the iteration count of the EID and T(k) phases. *)
+val ceil_log2 : int -> int
+
+(** [out_degree_bound ~n ~k] is [⌈8 · n^(1/k) · ln n⌉] (with [n] at
+    least 2): the out-degree a parameter-[k] orientation stays under
+    w.h.p. (Lemma 13), which Lemma 15's RR window [k·Δ_out + k] rests
+    on.  Pass it to {!Gossip_scale.Csr.of_oriented_spanner} to assert
+    it at packing. *)
+val out_degree_bound : n:int -> k:int -> int
+
 (** [max_out_degree t] is [Δ_out] over the orientation. *)
 val max_out_degree : t -> int
 

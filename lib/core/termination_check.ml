@@ -127,8 +127,8 @@ type scale_result = {
   sc_metrics : Gossip_sim.Engine.metrics;
 }
 
-let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains rng csr
-    ~oriented ~k ~informed =
+let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?domains
+    rng csr ~oriented ~k ~informed =
   let n = Scale_csr.n csr in
   if Bytes.length informed <> n then
     invalid_arg "Termination_check.run_scale: informed size mismatch";
@@ -142,8 +142,9 @@ let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?doma
      first round and skip the run — which is exactly the case the
      check must confirm by actually talking. *)
   let res1 =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
-      ?domains rng csr ~kernel:check.Scale_kernel.check_kernel ~source:0 ~max_rounds:window
+    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
+      ?telemetry ?domains rng csr ~kernel:check.Scale_kernel.check_kernel ~source:0
+      ~max_rounds:window
   in
   let failed = Bytes.make n '\000' in
   for u = 0 to n - 1 do
@@ -154,8 +155,8 @@ let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?doma
   done;
   let verdict = Scale_kernel.verdict_flood ~iterations ~failed usable in
   let res2 =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry
-      ?domains rng csr ~kernel:verdict ~source:0 ~max_rounds:window
+    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
+      ?telemetry ?domains rng csr ~kernel:verdict ~source:0 ~max_rounds:window
   in
   let first = Bytes.get failed 0 in
   let unanimous = ref true and any = ref false in

@@ -68,14 +68,16 @@ type scale_result = {
     [verdict_flood] kernels: gather over [oriented]'s latency-[<= k]
     out-edges for the Lemma 15 window, then flood the verdict for the
     same window.  [informed] is frozen at kernel construction (copied,
-    never written).  Optional arguments pass through to
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
+    never written).  Optional arguments pass through to both passes'
+    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [on_round] so sees
+    each pass's rounds from 1. *)
 val run_scale :
   ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
   ?max_jitter:int ->
   ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?domains:int ->
   Gossip_util.Rng.t ->

@@ -528,6 +528,14 @@ let compile ?oriented s ~csr ~source =
     List.fold_left (fun acc r -> acc *. rule_max_factor r) 1.0 s.rules
   in
   let budget = match s.adversary with None -> 0 | Some { budget } -> budget in
+  (* Sized in floating point first: an int_of_float past the int range
+     is undefined, and an overflowed bound would shrink the wheel. *)
+  let bound = (float_of_int lmax *. max_factor) +. float_of_int budget in
+  if not (bound <= float_of_int Gossip_scale.I32.max_value) then
+    fail
+      "scenario: latency bound %g (l_max %d x max factor %g + adversary budget %d) \
+       exceeds the int32 latency range (%d)"
+      bound lmax max_factor budget Gossip_scale.I32.max_value;
   let wheel_latency =
     max lmax (int_of_float (Float.ceil (float_of_int lmax *. max_factor))) + budget
   in

@@ -148,7 +148,9 @@ type compiled = {
     @raise Invalid_scenario when the plan churns [source] (the engine
     would otherwise never complete: a broadcast whose source leaves
     before informing anyone is undefined), when a churn node is out of
-    range, or when an adversary has no orientation to aim at. *)
+    range, when an adversary has no orientation to aim at, or when
+    the latency bound [ℓ_max · ∏ max-factors + budget] leaves the
+    int32 range the engine's latencies live in. *)
 val compile : ?oriented:Gossip_scale.Csr.oriented -> t -> csr:Gossip_scale.Csr.t -> source:int -> compiled
 
 (** {1 Live φ_ℓ / ℓ* tracking}

@@ -732,17 +732,13 @@ let of_protocol csr = function
       (algebraic ~k ~budget csr).alg_kernel
   | Rr_spanner _ ->
       invalid_arg
-        "Kernel.of_protocol: rr-spanner needs a precomputed oriented spanner — build one \
-         with Gossip_core.Spanner.build, pack it with Csr.of_oriented_spanner, and run \
-         Kernel.rr_broadcast through Wheel_engine.broadcast_kernel (Sweep.run_job and \
-         gossip-cli run --protocol rr-spanner do this)"
+        "Kernel.of_protocol: rr-spanner needs a precomputed oriented spanner — run it \
+         through Gossip_sweep.Runner.run, which builds one"
   | Unknown_eid ->
       invalid_arg
         "Kernel.of_protocol: unknown-eid is a kernel chain, not a single kernel — run it \
-         through Gossip_core.Eid.run_unknown_scale (Sweep.run_job and gossip-cli run \
-         --protocol unknown-eid do this)"
+         through Gossip_sweep.Runner.run"
   | Unified ->
       invalid_arg
         "Kernel.of_protocol: unified is a kernel chain, not a single kernel — run it \
-         through Gossip_core.Dissemination.broadcast_scale (Sweep.run_job and gossip-cli \
-         run --protocol unified do this)"
+         through Gossip_sweep.Runner.run"

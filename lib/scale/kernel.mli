@@ -301,9 +301,7 @@ val verdict_flood : iterations:int -> failed:Bytes.t -> Csr.oriented -> t
 
 (** [of_protocol csr p] builds the kernel a descriptor denotes, on
     [csr]'s contact rows.  Raises [Invalid_argument] for
-    [Rr_spanner _] (needs a precomputed oriented spanner the caller
-    must supply through {!rr_broadcast} +
-    {!Wheel_engine.broadcast_kernel}) and for [Unknown_eid] /
-    [Unified] (kernel chains driven by [Gossip_core.Eid.run_unknown_scale]
-    / [Gossip_core.Dissemination.broadcast_scale]). *)
+    [Rr_spanner _] (needs a precomputed oriented spanner) and for
+    [Unknown_eid] / [Unified] (kernel chains); [Gossip_sweep.Runner.run]
+    runs every descriptor. *)
 val of_protocol : Csr.t -> protocol -> t

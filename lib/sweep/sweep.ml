@@ -94,92 +94,16 @@ let run_job ?timeout_s ?domains ?pool_capacity ?on_round job =
   let n_actual = Csr.n csr in
   let source = job.seed mod n_actual in
   let source = if source < 0 then source + n_actual else source in
-  (* A dynamic scenario compiles against the realized graph into an
-     engine environment plus the wheel bound its schedules need; the
-     adversary (when present) aims at the spanner orientation, so it
-     only resolves on [Rr_spanner] jobs. *)
-  let compile_scenario ?oriented () =
-    Option.map
-      (fun s -> Gossip_dyn.Scenario.compile ?oriented s ~csr ~source)
-      job.scenario
-  in
-  let env c = Option.map (fun c -> c.Gossip_dyn.Scenario.env) c in
-  let wheel c = Option.map (fun c -> c.Gossip_dyn.Scenario.wheel_latency) c in
-  let result =
-    match job.protocol with
-    | Wheel_engine.Rr_spanner { stretch_k } ->
-        (* RR Broadcast needs a precomputed Baswana–Sen orientation.
-           The spanner draws from its own seed stream (seed + 29), so
-           the engine's RNG consumption is untouched by its
-           construction; stretch_k = 0 means the canonical ⌈log₂ n⌉. *)
-        let k_sp =
-          if stretch_k > 0 then stretch_k
-          else
-            let rec go acc p = if p >= n_actual then acc else go (acc + 1) (2 * p) in
-            max 1 (go 0 1)
-        in
-        let spanner =
-          Gossip_core.Spanner.build
-            (Rng.of_int (job.seed + 29))
-            (Csr.to_graph csr) ~k:k_sp ~n_hat:n_actual ()
-        in
-        let oriented = Csr.of_oriented_spanner spanner.Gossip_core.Spanner.out_edges in
-        let kernel =
-          Gossip_scale.Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented
-        in
-        let c = compile_scenario ~oriented () in
-        Wheel_engine.broadcast_kernel ?env:(env c) ?wheel_latency:(wheel c) ?deadline
-          ?domains ?pool_capacity ?on_round
-          (Rng.of_int (job.seed + 17))
-          csr ~kernel ~source ~max_rounds:job.max_rounds
-    | Wheel_engine.Unknown_eid ->
-        (* The unknown-latency chain is a kernel-chain driver, not a
-           single kernel; it budgets its own phases, so [max_rounds]
-           is unused.  Reported rounds are the chain total. *)
-        let c = compile_scenario () in
-        let r =
-          Gossip_core.Eid.run_unknown_scale ?env:(env c) ?wheel_latency:(wheel c) ?deadline
-            ?domains
-            (Rng.of_int (job.seed + 17))
-            csr ~source ()
-        in
-        {
-          Wheel_engine.rounds =
-            (if r.Gossip_core.Eid.u_success then Some r.Gossip_core.Eid.u_rounds else None);
-          metrics = r.Gossip_core.Eid.u_metrics;
-          history = [];
-          informed = r.Gossip_core.Eid.u_informed;
-        }
-    | Wheel_engine.Unified ->
-        let c = compile_scenario () in
-        let r =
-          Gossip_core.Dissemination.broadcast_scale ?env:(env c) ?wheel_latency:(wheel c)
-            ?deadline ?domains
-            (Rng.of_int (job.seed + 17))
-            csr ~source ~max_rounds:job.max_rounds ()
-        in
-        {
-          Wheel_engine.rounds =
-            (if r.Gossip_core.Dissemination.b_success then
-               Some r.Gossip_core.Dissemination.b_rounds
-             else None);
-          metrics = r.Gossip_core.Dissemination.b_metrics;
-          history = [];
-          informed = r.Gossip_core.Dissemination.b_informed;
-        }
-    | protocol ->
-        let c = compile_scenario () in
-        Wheel_engine.broadcast ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?domains
-          ?pool_capacity ?on_round
-          (Rng.of_int (job.seed + 17))
-          csr ~protocol ~source ~max_rounds:job.max_rounds
+  let o =
+    Runner.run ?scenario:job.scenario ?domains ?deadline ?on_round ?pool_capacity csr
+      job.protocol ~seed:job.seed ~source ~max_rounds:job.max_rounds
   in
   {
     job;
     n_actual;
     edges = Csr.m csr;
-    rounds = result.Wheel_engine.rounds;
-    metrics = result.Wheel_engine.metrics;
+    rounds = o.Runner.result.Wheel_engine.rounds;
+    metrics = o.Runner.result.Wheel_engine.metrics;
     elapsed_s = Unix.gettimeofday () -. started;
   }
 

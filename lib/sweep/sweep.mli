@@ -118,27 +118,16 @@ type failure = {
   attempts : int;
 }
 
-(** [run_job ?timeout_s ?domains ?pool_capacity job] executes one job
-    in the calling domain.  [timeout_s] is a cooperative wall-clock
-    budget threaded into {!Gossip_scale.Wheel_engine.broadcast} as an
-    absolute deadline and checked between rounds, so it never perturbs
-    trajectories.  [domains] shards the engine run itself across that
-    many OCaml domains (trajectory-identical to 1, see
-    {!Gossip_scale.Wheel_engine.broadcast}); [pool_capacity] bounds
-    the engine's exchange pool so a runaway job fails fast with
-    {!Gossip_scale.Wheel_engine.Pool_exhausted}.  An [Rr_spanner] job
-    first builds the Baswana–Sen orientation (from its own seed
-    stream, so the engine's draws are unperturbed) and runs the RR
-    kernel through {!Gossip_scale.Wheel_engine.broadcast_kernel}.
-    A job's [scenario] is compiled against the realized graph
-    ({!Gossip_dyn.Scenario.compile}) into the engine's [?env] hook and
-    wheel bound; an adversarial scenario aims at the spanner
-    orientation, so it requires an [Rr_spanner] job and raises
-    {!Gossip_dyn.Scenario.Invalid_scenario} (a structured failure
-    under {!run_ft}) on any other protocol.
-    [on_round] is threaded to the engine's between-round observer
-    (see {!Gossip_scale.Wheel_engine.broadcast}): trajectory-neutral
-    progress streaming, and cooperative cancellation by raising.
+(** [run_job ?timeout_s ?domains ?pool_capacity ?on_round job] executes
+    one job in the calling domain: it builds the job's graph (and
+    latency redraw, from [seed + 7]), picks the source [seed mod n],
+    and runs the job's descriptor and scenario through {!Runner.run},
+    which documents the seeds and what each route does with
+    [domains], [pool_capacity] and [on_round].  [timeout_s] is a
+    cooperative wall-clock budget, passed on as an absolute deadline
+    checked between rounds, so it never perturbs trajectories.  Under
+    {!run_ft} a scenario that does not compile (an adversary off
+    rr-spanner, say) and an exhausted pool are structured failures.
     @raise Gossip_scale.Wheel_engine.Deadline_exceeded over budget. *)
 val run_job :
   ?timeout_s:float ->

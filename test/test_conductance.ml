@@ -230,22 +230,27 @@ let test_spectral_params () =
   let exact = Exact.phi_ell g 1 in
   checkb "still >= exact" true (c >= exact -. 1e-9)
 
+(* Scaling every latency by c leaves each phi value unchanged and
+   scales the critical latency: phi_{c*l}(scaled G) = phi_l(G), so
+   ell*(scaled) = c * ell*(G) and phi*(scaled) = phi*(G). *)
+let latency_scaling_invariant (n, c, seed) =
+  let rng = Rng.of_int seed in
+  let g = Gen.with_latencies rng (Gen.Uniform (1, 5)) (Gen.erdos_renyi_connected rng ~n ~p:0.5) in
+  let scaled = Graph.map_latencies (fun _ _ l -> c * l) g in
+  let a = Weighted.weighted_conductance ~backend:Weighted.Exact g in
+  let b = Weighted.weighted_conductance ~backend:Weighted.Exact scaled in
+  b.Weighted.ell_star = c * a.Weighted.ell_star
+  && Float.abs (b.Weighted.phi_star -. a.Weighted.phi_star) < 1e-12
+
 let prop_latency_scaling_invariance =
-  (* Scaling every latency by c leaves each phi value unchanged and
-     scales the critical latency: phi_{c*l}(scaled G) = phi_l(G), so
-     ell*(scaled) = c * ell*(G) and phi*(scaled) = phi*(G). *)
   QCheck.Test.make ~name:"phi* invariant under latency scaling" ~count:20
     QCheck.(triple (int_range 4 10) (int_range 2 5) (int_range 0 1000))
-    (fun (n, c, seed) ->
-      let rng = Rng.of_int seed in
-      let g =
-        Gen.with_latencies rng (Gen.Uniform (1, 5)) (Gen.erdos_renyi_connected rng ~n ~p:0.5)
-      in
-      let scaled = Graph.map_latencies (fun _ _ l -> c * l) g in
-      let a = Weighted.weighted_conductance ~backend:Weighted.Exact g in
-      let b = Weighted.weighted_conductance ~backend:Weighted.Exact scaled in
-      b.Weighted.ell_star = c * a.Weighted.ell_star
-      && Float.abs (b.Weighted.phi_star -. a.Weighted.phi_star) < 1e-12)
+    latency_scaling_invariant
+
+(* phi_4/4 = phi_5/5 = 3/40 exactly here; scaled by 3 the two ratios
+   round apart, and the argmax used to flip from l = 12 to l = 15. *)
+let test_weighted_scaling_tie () =
+  checkb "(10, 3, 260)" true (latency_scaling_invariant (10, 3, 260))
 
 let () =
   Alcotest.run "gossip_conductance"
@@ -290,6 +295,7 @@ let () =
           Alcotest.test_case "push-pull bound" `Quick test_weighted_pushpull_bound;
           Alcotest.test_case "backends agree" `Quick test_weighted_backends_agree_small;
           qtest prop_latency_scaling_invariance;
+          Alcotest.test_case "scaling tie" `Quick test_weighted_scaling_tie;
           Alcotest.test_case "auto backend" `Quick test_weighted_auto_backend;
           Alcotest.test_case "spectral params" `Quick test_spectral_params;
         ] );

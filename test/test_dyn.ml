@@ -59,6 +59,26 @@ let test_compile_rejects () =
   (* An adversary needs a spanner orientation to aim at. *)
   expect "adversary without orientation" {|{"adversary": {"budget": 2}}|} ~source:0
 
+(* A latency bound past the int32 range is refused before any
+   int_of_float: an overflowed bound used to shrink the wheel (x1e300
+   sped the "slowed" edges up) or die mid-run (x1e18). *)
+let test_compile_rejects_out_of_range_bound () =
+  let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:8 in
+  let oriented = Csr.oriented_of_csr csr in
+  let compile s = Scenario.compile ~oriented (Scenario.of_string s) ~csr ~source:0 in
+  let expect name s =
+    match compile s with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Scenario.Invalid_scenario _ -> ()
+  in
+  let step f = Printf.sprintf {|{"kind": "step", "at": 0, "factor": %s}|} f in
+  expect "x1e300" (Printf.sprintf {|{"schedules": [%s]}|} (step "1e300"));
+  expect "x1e18" (Printf.sprintf {|{"schedules": [%s]}|} (step "1e18"));
+  expect "two x1e5" (Printf.sprintf {|{"schedules": [%s, %s]}|} (step "1e5") (step "1e5"));
+  expect "budget 2^31" {|{"adversary": {"budget": 2147483648}}|};
+  checki "x2 still compiles" 16
+    (compile (Printf.sprintf {|{"schedules": [%s]}|} (step "2"))).Scenario.wheel_latency
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip *)
 
@@ -493,6 +513,8 @@ let () =
         [
           Alcotest.test_case "malformed scenarios rejected" `Quick test_validation_rejects;
           Alcotest.test_case "compile-time rejections" `Quick test_compile_rejects;
+          Alcotest.test_case "out-of-range latency bound" `Quick
+            test_compile_rejects_out_of_range_bound;
         ] );
       ("json", [ qtest prop_json_roundtrip; qtest prop_string_roundtrip ]);
       ( "env",

@@ -524,6 +524,35 @@ let test_sweep_pool_exhausted_failure_path () =
     (bare.Sweep.rounds = capped.Sweep.rounds
     && bare.Sweep.metrics = capped.Sweep.metrics)
 
+(* Every descriptor runs through Runner.run, and every engine round of
+   every route reaches on_round — a chain's numbered over its phases —
+   so gossipd can watch, drain and cancel any job. *)
+exception Stop_at_3
+
+let test_sweep_on_round_every_route () =
+  List.iter
+    (fun entry ->
+      let name = List.hd (String.split_on_char '[' entry) in
+      let protocol = Option.get (Wheel.protocol_of_string name) in
+      let job = List.hd (small_jobs protocol) in
+      let calls = ref 0 in
+      let on_round ~round ~informed:_ =
+        incr calls;
+        if round <> !calls then Alcotest.failf "%s: round %d at call %d" name round !calls
+      in
+      let o = Sweep.run_job ~on_round job in
+      let rounds = o.Sweep.metrics.Engine.rounds in
+      (match protocol with
+      | Wheel.Unified ->
+          (* push-pull's rounds, then the chain's; metrics are the winner's *)
+          checkb (name ^ ": both branches watched") true (!calls > rounds)
+      | _ -> checki (name ^ ": one call per engine round") rounds !calls);
+      let stop ~round ~informed:_ = if round = 3 then raise Stop_at_3 in
+      match Sweep.run_job ~on_round:stop job with
+      | _ -> Alcotest.failf "%s: a hook raising at round 3 did not abort the job" name
+      | exception Stop_at_3 -> ())
+    Wheel.known_protocols
+
 let test_sweep_resume_requires_checkpoint () =
   Alcotest.check_raises "resume without checkpoint"
     (Invalid_argument "Sweep.run_ft: ~resume:true requires a checkpoint path")
@@ -581,5 +610,6 @@ let () =
             test_sweep_pool_exhausted_failure_path;
           Alcotest.test_case "resume requires checkpoint" `Quick
             test_sweep_resume_requires_checkpoint;
+          Alcotest.test_case "on_round on every route" `Quick test_sweep_on_round_every_route;
         ] );
     ]
