@@ -751,19 +751,25 @@ let e17 () =
     in
     Scenario.compile scen ~csr ~source
   in
+  (* Fault plans reach the wheel as environments; the jitter plan's
+     wheel covers ℓ_max plus its +2. *)
   let configs =
     [
-      ("static", None, None, 0, None);
+      ("static", None, None);
       ( "drop",
         Some
-          {
-            Wheel.no_faults with
-            Engine.drop =
-              (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 13 = 0);
-          },
-        None, 0, None );
-      ("jitter", Some (Robustness.jitter_up_to (Rng.of_int (seed + 5)) ~extra:2), None, 2, None);
-      ("drift", None, Some drift_compiled.Scenario.env, 0, Some drift_compiled.Scenario.wheel_latency);
+          (Wheel.env_of_faults
+             {
+               Wheel.no_faults with
+               Engine.drop =
+                 (fun ~initiator ~responder ~round ->
+                   (initiator + (3 * responder) + round) mod 13 = 0);
+             }),
+        None );
+      ( "jitter",
+        Some (Wheel.env_of_faults (Robustness.jitter_up_to (Rng.of_int (seed + 5)) ~extra:2)),
+        Some (Csr.max_latency csr + 2) );
+      ("drift", Some drift_compiled.Scenario.env, Some drift_compiled.Scenario.wheel_latency);
     ]
   in
   let t =
@@ -782,10 +788,10 @@ let e17 () =
   in
   let rows = ref [] in
   List.iter
-    (fun (label, faults, env, max_jitter, wheel_latency) ->
+    (fun (label, env, wheel_latency) ->
       let r, secs =
         time (fun () ->
-            Dissemination.broadcast_scale ?faults ?env ?wheel_latency ~max_jitter ~domains
+            Dissemination.broadcast_scale ?env ?wheel_latency ~domains
               (Rng.of_int (seed + 17))
               csr ~source ~max_rounds ())
       in

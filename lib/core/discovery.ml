@@ -87,7 +87,6 @@ type scale_result = {
   s_edges_known : int;
   s_complete : bool;
   s_lat : int array;
-  s_metrics : Scale_wheel.metrics;
 }
 
 (* Index of [target] in [o]'s (sorted, symmetric) row of [u]; the
@@ -106,8 +105,7 @@ let slot_of o u target =
   if !found < 0 then invalid_arg "Discovery.probe_scale: asymmetric CSR row";
   !found
 
-let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?domains
-    rng csr ~d_bound =
+let probe_scale session rng csr ~d_bound =
   if d_bound < 1 then invalid_arg "Discovery.probe_scale: need d_bound >= 1";
   let n = Scale_csr.n csr in
   let disc = Scale_kernel.discovery ~d_bound csr in
@@ -116,8 +114,7 @@ let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?tel
      source is ever informed), so the engine runs exactly [rounds]
      rounds: the cap is the schedule. *)
   let res =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-      ?telemetry ?domains rng csr ~kernel:disc.Scale_kernel.disc_kernel ~source:0
+    Scale_wheel.phase session rng csr ~kernel:disc.Scale_kernel.disc_kernel ~source:0
       ~max_rounds:rounds
   in
   let o = Scale_csr.oriented_of_csr csr in
@@ -150,20 +147,4 @@ let probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?tel
     s_edges_known = !count;
     s_complete = !complete;
     s_lat = lat;
-    s_metrics = res.Scale_wheel.metrics;
   }
-
-let probe_doubling_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains
-    rng csr ~target =
-  if target < 1 then invalid_arg "Discovery.probe_doubling_scale: need target >= 1";
-  let acc_metrics = Engine.empty_metrics () in
-  let rec go d acc =
-    let r =
-      probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?telemetry ?domains rng csr
-        ~d_bound:d
-    in
-    Engine.add_metrics ~into:acc_metrics r.s_metrics;
-    let acc = acc + r.s_rounds in
-    if d >= target then { r with s_rounds = acc; s_metrics = acc_metrics } else go (2 * d) acc
-  in
-  go 1 0

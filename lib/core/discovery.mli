@@ -39,12 +39,12 @@ val probe_rounds : delta:int -> d_bound:int -> int
     through its (sorted) contact row, one probe per round, and records
     the measured round-trip time of each response when it lands within
     [d_bound].  Because the timing wheel measures the exchange's {e
-    effective} round trip, the discovered profile reflects the run's
-    fault plan and environment — jittered edges are discovered at
-    their jittered cost or not at all. *)
+    effective} round trip, the discovered profile reflects the
+    session's environment — stretched edges are discovered at their
+    stretched cost or not at all. *)
 
 type scale_result = {
-  s_rounds : int;  (** wheel rounds executed ([Δ + d], summed under doubling) *)
+  s_rounds : int;  (** wheel rounds executed ([Δ + d]) *)
   s_discovered : Gossip_scale.Csr.t;
       (** the discovered graph: an undirected edge appears once both
           endpoints measured it, at the worse of the two measurements *)
@@ -56,39 +56,15 @@ type scale_result = {
   s_lat : int array;
       (** raw per-direction measurements, parallel to
           [Csr.oriented_of_csr csr]'s [o_col]; [-1] = undiscovered *)
-  s_metrics : Gossip_scale.Wheel_engine.metrics;
 }
 
-(** [probe_scale rng csr ~d_bound] is one probe pass with wait bound
-    [d_bound]; optional arguments pass through to
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}. *)
+(** [probe_scale session rng csr ~d_bound] is one probe pass over
+    [csr] with wait bound [d_bound], run as the next
+    {!Gossip_scale.Wheel_engine.phase} of [session] (whose options,
+    clock and ledger it shares). *)
 val probe_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
-  ?env:Gossip_scale.Wheel_engine.env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?deadline:float ->
-  ?on_round:(round:int -> informed:int -> unit) ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?domains:int ->
+  Gossip_scale.Wheel_engine.session ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   d_bound:int ->
-  scale_result
-
-(** [probe_doubling_scale rng csr ~target] is guess-and-double over
-    [probe_scale] with [d = 1, 2, 4, ...] until [d >= target];
-    [s_rounds] accumulates over attempts, every other field is the
-    final attempt's. *)
-val probe_doubling_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
-  ?env:Gossip_scale.Wheel_engine.env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?deadline:float ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?domains:int ->
-  Gossip_util.Rng.t ->
-  Gossip_scale.Csr.t ->
-  target:int ->
   scale_result

@@ -69,13 +69,13 @@ type scale_result = {
   b_metrics : Gossip_sim.Engine.metrics;
 }
 
-let broadcast_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-    ?deadline ?on_round rng csr ~source ~max_rounds () =
+let broadcast_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng csr
+    ~source ~max_rounds () =
   let pp_rng = Rng.split rng in
   let eid_rng = Rng.split rng in
   let pp =
-    Scale_wheel.broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-      ?telemetry ?domains pp_rng csr ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
+    Scale_wheel.broadcast ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains pp_rng csr
+      ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
   in
   (* The chain's rounds follow on from push-pull's. *)
   let on_round =
@@ -86,8 +86,8 @@ let broadcast_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_
         Some (fun ~round ~informed -> f ~round:(after + round) ~informed)
   in
   let eid =
-    Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-      ?deadline ?on_round eid_rng csr ~source ()
+    Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round
+      eid_rng csr ~source ()
   in
   let winner, rounds, informed, metrics =
     match pp.Scale_wheel.rounds with

@@ -60,18 +60,19 @@ type scale_result = {
 
 (** [broadcast_scale rng csr ~source ~max_rounds ()] races the two
     branches.  [max_rounds] caps the push-pull branch only (the EID
-    chain self-budgets per phase); the other optional arguments pass
-    through to both branches.  [on_round] sees push-pull's rounds,
+    chain self-budgets per phase); the other optional arguments reach
+    both branches.  The branches run in parallel in the model, so each
+    starts at round 0 of the scenario: push-pull is one engine run,
+    and the chain opens its own session
+    ({!Eid.run_unknown_scale}).  [on_round] sees push-pull's rounds,
     then the chain's numbered on from push-pull's last, so the
     rounds strictly increase over the whole race. *)
 val broadcast_scale :
   ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
-  ?max_jitter:int ->
   ?deadline:float ->
   ?on_round:(round:int -> informed:int -> unit) ->
   Gossip_util.Rng.t ->

@@ -97,14 +97,14 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
   let n = Scale_csr.n csr in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
   let lg = Spanner.ceil_log2 n_hat in
+  let session = Scale_wheel.session ?telemetry ?domains csr in
   (* Phase 1: k-DTG local broadcast over the latency-<= d subgraph,
      budgeted at the discovery phase's 2·d·⌈log n̂⌉² rounds (the
      single-rumor shadow of the O(log n) DTG repetitions). *)
   let dtg_budget = max 64 (2 * d * lg * lg) in
   let dtg_kernel = Scale_kernel.dtg_local ~ell:(min d (Scale_csr.max_latency csr)) csr in
   let dtg_res =
-    Scale_wheel.broadcast_kernel ?telemetry ?domains rng csr ~kernel:dtg_kernel ~source
-      ~max_rounds:dtg_budget
+    Scale_wheel.phase session rng csr ~kernel:dtg_kernel ~source ~max_rounds:dtg_budget
   in
   let dtg_rounds = dtg_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds in
   (* Phase 2: Baswana–Sen on G_d with k = ⌈log n̂⌉, packed into an
@@ -127,15 +127,15 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
   in
   let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
   let rr_res =
-    Scale_wheel.broadcast_kernel ?telemetry ?domains ~informed:dtg_res.Scale_wheel.informed
-      rng csr ~kernel:rr_kernel ~source ~max_rounds:rr_cap
+    Scale_wheel.phase session ~informed:dtg_res.Scale_wheel.informed rng csr ~kernel:rr_kernel
+      ~source ~max_rounds:rr_cap
   in
   let final_count = ref 0 in
   Bytes.iter
     (fun c -> if c <> '\000' then incr final_count)
     rr_res.Scale_wheel.informed;
   {
-    scale_rounds = dtg_rounds + rr_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
+    scale_rounds = Scale_wheel.session_rounds session;
     scale_dtg_rounds = dtg_rounds;
     scale_rr_rounds = rr_res.Scale_wheel.rounds;
     scale_spanner_out_degree = Spanner.max_out_degree spanner;
@@ -161,12 +161,13 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
    5. a failed (or vacuously clean-but-incomplete) verdict doubles k
       and retries, carrying the informed set forward.
 
-   Phases 2–4 run with the discovered graph as the engine's base, so
-   the wheel sizes itself from discovered latencies; when the caller
-   pinned a wheel bound we widen it to cover them.  The true input
-   only appears in the harness guard (the latency-sum cap that
-   bounds the doubling loop, mirroring [run]) and in
-   [Discovery.probe_scale]'s completeness audit. *)
+   Every engine run is a phase of one Wheel_engine session: the run
+   options, the scenario clock, [on_round]'s numbering and the
+   metrics ledger belong to it, and it sizes a pinned wheel for the
+   discovered graphs phases 2–4 run on.  The true input only appears
+   in the harness guard (the latency-sum cap that bounds the doubling
+   loop, mirroring [run]) and in [Discovery.probe_scale]'s
+   completeness audit. *)
 
 type unknown_attempt = {
   ua_k : int;
@@ -196,24 +197,15 @@ let count_informed informed =
   Bytes.iter (fun ch -> if ch <> '\000' then incr c) informed;
   !c
 
-let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?max_jitter
-    ?deadline ?on_round rng csr ~source () =
+let run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng
+    csr ~source () =
   let n = Scale_csr.n csr in
-  (* Every phase is its own engine run, restarting at round 1; the
-     hook sees rounds counted over the whole chain instead. *)
-  let on_round =
-    match on_round with
-    | None -> None
-    | Some f ->
-        let total = ref 0 in
-        Some
-          (fun ~round:_ ~informed ->
-            incr total;
-            f ~round:!total ~informed)
+  let session =
+    Scale_wheel.session ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains csr
   in
+  let clock () = Scale_wheel.session_rounds session in
   let n_hat = match n_hat with Some h -> max h n | None -> n in
   let lg = Spanner.ceil_log2 n_hat in
-  let mj = match max_jitter with Some j -> j | None -> 0 in
   (* Harness guard on the doubling loop, from the TRUE latencies (the
      protocol never reads them): a guess beyond twice the latency sum
      cannot be beaten by any larger guess on a connected input. *)
@@ -226,25 +218,12 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
     done;
     max 1 (!acc / 2)
   in
-  let u_metrics = Gossip_sim.Engine.empty_metrics () in
-  let rec attempt_loop k informed acc_attempts acc_rounds unanimous =
-    let disc =
-      Discovery.probe_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-        ?telemetry ?domains rng csr ~d_bound:k
-    in
+  let rec attempt_loop k informed acc_attempts unanimous =
+    let disc = Discovery.probe_scale session rng csr ~d_bound:k in
     let gk = disc.Discovery.s_discovered in
-    (* Phases over the discovered graph: widen a pinned wheel to cover
-       measured latencies (a jittered probe can measure above the
-       static ℓ_max). *)
-    let gk_wheel =
-      match wheel_latency with
-      | Some w -> Some (max w (Scale_csr.max_latency gk + mj))
-      | None -> None
-    in
-    let sched =
-      Path_discovery.run_schedule_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter
-        ?deadline ?on_round ?telemetry ?domains ?informed rng gk ~k ~source
-    in
+    let sched_start = clock () in
+    let sched = Path_discovery.run_schedule_scale session ?informed rng gk ~k ~source in
+    let sched_rounds = clock () - sched_start in
     let k_spanner = lg in
     let spanner = Spanner.build rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat () in
     let oriented =
@@ -256,20 +235,18 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
     let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
     let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
     let rr_res =
-      Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
-        ?on_round ?telemetry ?domains ~informed:sched.Path_discovery.ps_informed rng gk
-        ~kernel:rr_kernel ~source ~max_rounds:rr_cap
+      Scale_wheel.phase session ~informed:sched rng gk ~kernel:rr_kernel ~source
+        ~max_rounds:rr_cap
     in
     let check =
-      Termination_check.run_scale ?faults ?env ?wheel_latency:gk_wheel ?max_jitter ?deadline
-        ?on_round ?telemetry ?domains rng gk ~oriented ~k:k_rr
+      Termination_check.run_scale session rng gk ~oriented ~k:k_rr
         ~informed:rr_res.Scale_wheel.informed
     in
     let attempt =
       {
         ua_k = k;
         ua_discovery_rounds = disc.Discovery.s_rounds;
-        ua_schedule_rounds = sched.Path_discovery.ps_rounds;
+        ua_schedule_rounds = sched_rounds;
         ua_rr_rounds = rr_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
         ua_check_rounds = check.Termination_check.sc_rounds;
         ua_edges_known = disc.Discovery.s_edges_known;
@@ -279,34 +256,26 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?faults ?env ?wheel_latency ?ma
         ua_unanimous = check.Termination_check.sc_unanimous;
       }
     in
-    let acc_rounds =
-      acc_rounds + attempt.ua_discovery_rounds + attempt.ua_schedule_rounds
-      + attempt.ua_rr_rounds + attempt.ua_check_rounds
-    in
     let acc_attempts = attempt :: acc_attempts in
     let unanimous = unanimous && check.Termination_check.sc_unanimous in
     let informed = rr_res.Scale_wheel.informed in
-    Gossip_sim.Engine.add_metrics ~into:u_metrics disc.Discovery.s_metrics;
-    Gossip_sim.Engine.add_metrics ~into:u_metrics sched.Path_discovery.ps_metrics;
-    Gossip_sim.Engine.add_metrics ~into:u_metrics rr_res.Scale_wheel.metrics;
-    Gossip_sim.Engine.add_metrics ~into:u_metrics check.Termination_check.sc_metrics;
     let finish success =
       {
-        u_rounds = acc_rounds;
+        u_rounds = clock ();
         u_attempts = List.rev acc_attempts;
         u_k_final = k;
         u_informed = informed;
         u_success = success;
         u_unanimous = unanimous;
-        u_metrics;
+        u_metrics = Scale_wheel.session_metrics session;
       }
     in
     if not check.Termination_check.sc_any_failed then
       finish (count_informed informed = n)
     else if k > 2 * latency_sum then finish false
-    else attempt_loop (2 * k) (Some informed) acc_attempts acc_rounds unanimous
+    else attempt_loop (2 * k) (Some informed) acc_attempts unanimous
   in
-  attempt_loop 1 None [] 0 true
+  attempt_loop 1 None [] true
 
 let run rng g ?n_hat () =
   let n_hat = match n_hat with Some h -> max h (Graph.n g) | None -> Graph.n g in

@@ -73,8 +73,9 @@ type scale_result = {
 
 (** [run_known_diameter_scale rng csr ~d ~source ()] runs the known-[d]
     pipeline above from [source].  [max_rounds] caps the RR phase
-    (default: Lemma 15's [k_rr · Δ_out + k_rr] plus response slack);
-    [domains] and [telemetry] pass through to the wheel engine.
+    (default: Lemma 15's [k_rr · Δ_out + k_rr] plus response slack).
+    The two phases run in one {!Gossip_scale.Wheel_engine.session}
+    opened with [domains] and [telemetry].
     @raise Invalid_argument on [d < 1], a bad [source], or a spanner
     orientation violating the Lemma 15 bound. *)
 val run_known_diameter_scale :
@@ -127,21 +128,21 @@ type unknown_result = {
   u_metrics : Gossip_sim.Engine.metrics;  (** summed over every phase *)
 }
 
-(** [run_unknown_scale rng csr ~source ()] runs the chain above.
-    Optional arguments pass through to every wheel-engine phase;
-    [wheel_latency], when pinned, is widened per attempt to cover the
-    measured (possibly jittered) latencies of the discovered graph.
-    [on_round] fires after every engine round of every phase, with
-    the round counted over the whole chain (1, 2, …, [u_rounds]); an
-    exception it raises aborts the chain and propagates. *)
+(** [run_unknown_scale rng csr ~source ()] runs the chain above as one
+    {!Gossip_scale.Wheel_engine.session} opened at round 0 with the
+    optional arguments, so every phase of every attempt shares them
+    and one round clock: a scenario [env] unfolds once over the whole
+    chain, [on_round] sees rounds 1, 2, …, [u_rounds], and a pinned
+    [wheel_latency] is scaled for each discovered graph (see
+    {!Gossip_scale.Wheel_engine.phase}).  A static fault plan is
+    passed as [~env:(Wheel_engine.env_of_faults plan)].  An exception
+    [on_round] raises aborts the chain and propagates. *)
 val run_unknown_scale :
   ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
-  ?faults:Gossip_scale.Wheel_engine.faults ->
   ?env:Gossip_scale.Wheel_engine.env ->
   ?wheel_latency:int ->
-  ?max_jitter:int ->
   ?deadline:float ->
   ?on_round:(round:int -> informed:int -> unit) ->
   Gossip_util.Rng.t ->

@@ -44,40 +44,23 @@ module Scale_csr = Gossip_scale.Csr
 module Scale_kernel = Gossip_scale.Kernel
 module Scale_wheel = Gossip_scale.Wheel_engine
 
-type schedule_scale_result = {
-  ps_rounds : int;
-  ps_informed : Bytes.t;
-  ps_metrics : Gossip_sim.Engine.metrics;
-}
-
-let run_schedule_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?domains ?informed rng csr ~k ~source =
+let run_schedule_scale session ?informed rng csr ~k ~source =
   if k < 1 then invalid_arg "Path_discovery.run_schedule_scale: need k >= 1";
   let lg = Spanner.ceil_log2 (Scale_csr.n csr) in
   let lmax = Scale_csr.max_latency csr in
-  let total = ref 0 in
-  let acc_metrics = Gossip_sim.Engine.empty_metrics () in
-  let inf = ref (match informed with Some b -> Some (Bytes.copy b) | None -> None) in
-  List.iter
-    (fun ell ->
+  List.fold_left
+    (fun informed ell ->
       (* The single-rumor shadow of one ℓ-DTG phase: local broadcast
          over G_ℓ, budgeted at 2·ℓ·⌈log n⌉² rounds (each phase of the
          paper's schedule is O(ℓ log² n)). *)
       let budget = max 64 (2 * ell * lg * lg) in
       let kernel = Scale_kernel.dtg_local ~ell:(min ell lmax) csr in
       let res =
-        Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline
-          ?on_round ?telemetry ?domains ?informed:!inf rng csr ~kernel ~source
-          ~max_rounds:budget
+        Scale_wheel.phase session ?informed rng csr ~kernel ~source ~max_rounds:budget
       in
-      total := !total + res.Scale_wheel.metrics.Gossip_sim.Engine.rounds;
-      Gossip_sim.Engine.add_metrics ~into:acc_metrics res.Scale_wheel.metrics;
-      inf := Some res.Scale_wheel.informed)
-    (t_sequence k);
-  let informed =
-    match !inf with Some b -> b | None -> assert false (* t_sequence is non-empty *)
-  in
-  { ps_rounds = !total; ps_informed = informed; ps_metrics = acc_metrics }
+      Some res.Scale_wheel.informed)
+    informed (t_sequence k)
+  |> Option.get (* t_sequence is non-empty *)
 
 let run_known_diameter g ~d =
   let sets = Rumor.initial g in

@@ -41,34 +41,21 @@ val run : Gossip_graph.Graph.t -> result
 
 (** {1 The T(k) schedule on the flat scale engine} *)
 
-type schedule_scale_result = {
-  ps_rounds : int;  (** wheel rounds executed across all phases *)
-  ps_informed : Bytes.t;  (** final informed set, one byte per node *)
-  ps_metrics : Gossip_sim.Engine.metrics;  (** summed over all phases *)
-}
-
-(** [run_schedule_scale rng csr ~k ~source] executes [T(k)]
-    single-rumor: each ℓ-DTG entry runs as a
-    {!Gossip_scale.Kernel.dtg_local} kernel for its
+(** [run_schedule_scale session rng csr ~k ~source] executes [T(k)]
+    single-rumor over [csr] and returns the final informed set, one
+    byte per node.  Each ℓ-DTG entry is the next
+    {!Gossip_scale.Wheel_engine.phase} of [session]: a
+    {!Gossip_scale.Kernel.dtg_local} kernel run for its
     [max 64 (2·ℓ·⌈log n⌉²)] budget, the informed set chaining from
-    phase to phase (seeded from [?informed], copied).  Phases after
-    the rumor has reached everyone cost no rounds.  Optional
-    arguments pass through to every phase's
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [on_round] so sees
-    each phase's rounds from 1 ({!Eid.run_unknown_scale} counts them
-    over the whole chain). *)
+    phase to phase (seeded from [?informed], never written).  Phases
+    after the rumor has reached everyone cost no rounds; the
+    schedule's rounds and metrics are the session's growth over the
+    call. *)
 val run_schedule_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
-  ?env:Gossip_scale.Wheel_engine.env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?deadline:float ->
-  ?on_round:(round:int -> informed:int -> unit) ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?domains:int ->
+  Gossip_scale.Wheel_engine.session ->
   ?informed:Bytes.t ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   k:int ->
   source:int ->
-  schedule_scale_result
+  Bytes.t

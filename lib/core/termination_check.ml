@@ -124,11 +124,9 @@ type scale_result = {
   sc_rounds : int;
   sc_unanimous : bool;
   sc_any_failed : bool;
-  sc_metrics : Gossip_sim.Engine.metrics;
 }
 
-let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?domains
-    rng csr ~oriented ~k ~informed =
+let run_scale session rng csr ~oriented ~k ~informed =
   let n = Scale_csr.n csr in
   if Bytes.length informed <> n then
     invalid_arg "Termination_check.run_scale: informed size mismatch";
@@ -142,8 +140,7 @@ let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telem
      first round and skip the run — which is exactly the case the
      check must confirm by actually talking. *)
   let res1 =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-      ?telemetry ?domains rng csr ~kernel:check.Scale_kernel.check_kernel ~source:0
+    Scale_wheel.phase session rng csr ~kernel:check.Scale_kernel.check_kernel ~source:0
       ~max_rounds:window
   in
   let failed = Bytes.make n '\000' in
@@ -154,10 +151,7 @@ let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telem
     then Bytes.set failed u '\001'
   done;
   let verdict = Scale_kernel.verdict_flood ~iterations ~failed usable in
-  let res2 =
-    Scale_wheel.broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round
-      ?telemetry ?domains rng csr ~kernel:verdict ~source:0 ~max_rounds:window
-  in
+  let res2 = Scale_wheel.phase session rng csr ~kernel:verdict ~source:0 ~max_rounds:window in
   let first = Bytes.get failed 0 in
   let unanimous = ref true and any = ref false in
   Bytes.iter
@@ -165,13 +159,10 @@ let run_scale ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telem
       if c <> first then unanimous := false;
       if c <> '\000' then any := true)
     failed;
-  let sc_metrics = Gossip_sim.Engine.empty_metrics () in
-  Gossip_sim.Engine.add_metrics ~into:sc_metrics res1.Scale_wheel.metrics;
-  Gossip_sim.Engine.add_metrics ~into:sc_metrics res2.Scale_wheel.metrics;
+  let rounds (r : Scale_wheel.result) = r.metrics.Gossip_sim.Engine.rounds in
   {
     sc_failed = failed;
-    sc_rounds = sc_metrics.Gossip_sim.Engine.rounds;
+    sc_rounds = rounds res1 + rounds res2;
     sc_unanimous = !unanimous;
     sc_any_failed = !any;
-    sc_metrics;
   }

@@ -60,26 +60,18 @@ type scale_result = {
   sc_rounds : int;  (** wheel rounds executed, both passes *)
   sc_unanimous : bool;  (** Lemma 18: all verdicts equal *)
   sc_any_failed : bool;  (** some node failed (retry needed) *)
-  sc_metrics : Gossip_sim.Engine.metrics;  (** summed over both passes *)
 }
 
-(** [run_scale rng csr ~oriented ~k ~informed] runs the single-rumor
-    check through the {!Gossip_scale.Kernel.termination_check} /
-    [verdict_flood] kernels: gather over [oriented]'s latency-[<= k]
-    out-edges for the Lemma 15 window, then flood the verdict for the
-    same window.  [informed] is frozen at kernel construction (copied,
-    never written).  Optional arguments pass through to both passes'
-    {!Gossip_scale.Wheel_engine.broadcast_kernel}; [on_round] so sees
-    each pass's rounds from 1. *)
+(** [run_scale session rng csr ~oriented ~k ~informed] runs the
+    single-rumor check through the
+    {!Gossip_scale.Kernel.termination_check} / [verdict_flood]
+    kernels: gather over [oriented]'s latency-[<= k] out-edges for the
+    Lemma 15 window, then flood the verdict for the same window — two
+    {!Gossip_scale.Wheel_engine.phase}s of [session] over [csr], whose
+    metrics land in the session's ledger.  [informed] is frozen at
+    kernel construction (copied, never written). *)
 val run_scale :
-  ?faults:Gossip_scale.Wheel_engine.faults ->
-  ?env:Gossip_scale.Wheel_engine.env ->
-  ?wheel_latency:int ->
-  ?max_jitter:int ->
-  ?deadline:float ->
-  ?on_round:(round:int -> informed:int -> unit) ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?domains:int ->
+  Gossip_scale.Wheel_engine.session ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   oriented:Gossip_scale.Csr.oriented ->

@@ -61,28 +61,6 @@ let env_of_faults (f : faults) =
     env_rejoins = [||];
   }
 
-(* ?faults and ?env compose: the static plan filters first (its jitter
-   feeds the environment's latency map), the environment decides
-   presence over intervals and rejoins. *)
-let compose_env (f : faults) (e : env) =
-  if f == no_faults then e
-  else
-    {
-      env_alive =
-        (fun ~node ~round -> f.Engine.alive ~node ~round && e.env_alive ~node ~round);
-      env_present_since =
-        (fun ~node ~since ~round ->
-          f.Engine.alive ~node ~round && e.env_present_since ~node ~since ~round);
-      env_drop =
-        (fun ~initiator ~responder ~round ->
-          f.Engine.drop ~initiator ~responder ~round
-          || e.env_drop ~initiator ~responder ~round);
-      env_latency =
-        (fun ~u ~v ~latency ~round ->
-          e.env_latency ~u ~v ~latency:(f.Engine.jitter ~latency ~round) ~round);
-      env_rejoins = e.env_rejoins;
-    }
-
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
 exception Deadline_exceeded of { round : int; elapsed_s : float }
@@ -101,7 +79,7 @@ let () =
         Some
           (Printf.sprintf
              "Wheel_engine.Jitter_overflow: jittered latency %d exceeds the wheel bound %d \
-              at round %d (declare the fault plan's maximum jitter via ?max_jitter)"
+              at round %d (size the wheel for the environment via ?wheel_latency)"
              latency bound round)
     | Deadline_exceeded { round; elapsed_s } ->
         Some
@@ -141,22 +119,15 @@ type tel = {
   c_kernel_words : Gossip_obs.Registry.counter;
 }
 
-(* Run validation: the wheel must hold every latency the run can see,
-   the graph's ℓ_max plus the fault plan's declared jitter. *)
-let wheel_bound ?wheel_latency ~max_jitter csr =
-  if max_jitter < 0 then invalid_arg "Wheel_engine.create: max_jitter must be >= 0";
+(* Run validation: the wheel must hold every latency the run can see —
+   at least the graph's ℓ_max, and whatever the environment stretches
+   latencies to, which only the caller's [wheel_latency] can know. *)
+let wheel_bound ?wheel_latency csr =
   match wheel_latency with
-  | None -> Csr.max_latency csr + max_jitter
+  | None -> Csr.max_latency csr
   | Some b ->
       if b < Csr.max_latency csr then
         invalid_arg "Wheel_engine.create: wheel_latency below the graph's ℓ_max";
-      if b < Csr.max_latency csr + max_jitter then
-        invalid_arg
-          (Printf.sprintf
-             "Wheel_engine.create: wheel_latency %d cannot hold the fault plan's maximum \
-              jitter (ℓ_max %d + max_jitter %d = %d)"
-             b (Csr.max_latency csr) max_jitter
-             (Csr.max_latency csr + max_jitter));
       b
 
 (* Pool indices live in int32 cells ([s_next], the free list), so the
@@ -204,23 +175,17 @@ let resolve_tel ~kernel_name ~msg_words telemetry =
       })
     telemetry
 
-(* The kernel's contact rows must fit the wheel even under the fault
-   plan's worst jitter; for kernels derived from [csr] this is
-   automatic (their latencies are a subset), so the check only bites
-   on caller-supplied orientations. *)
-let check_contact ~bound ~max_jitter kernel csr =
+(* The kernel's contact rows must fit the wheel; for kernels derived
+   from [csr] this is automatic (their latencies are a subset), so the
+   check only bites on caller-supplied orientations. *)
+let check_contact ~bound kernel csr =
   let contact = kernel.Kernel.contact in
   if Csr.oriented_n contact <> Csr.n csr then
     invalid_arg "Wheel_engine.create: kernel contact node count differs from the graph";
-  if Csr.oriented_edge_count contact > 0
-     && Csr.oriented_max_latency contact > bound - max_jitter
-  then
+  if Csr.oriented_edge_count contact > 0 && Csr.oriented_max_latency contact > bound then
     invalid_arg
-      (Printf.sprintf
-         "Wheel_engine.create: kernel contact latency %d exceeds the wheel bound %d \
-          (graph ℓ_max %d + max_jitter %d)"
-         (Csr.oriented_max_latency contact)
-         (bound - max_jitter) (Csr.max_latency csr) max_jitter)
+      (Printf.sprintf "Wheel_engine.create: kernel contact latency %d exceeds the wheel bound %d"
+         (Csr.oriented_max_latency contact) bound)
 
 (* Kernel-side validation: the store must cover the graph, and the
    declared payload budget must be positive and fit a mailbox
@@ -785,15 +750,14 @@ type t = {
   bar2 : Shard.Barrier.t;
 }
 
-let prepare ~k ?(faults = no_faults) ?env ?wheel_latency ?(max_jitter = 0) ?deadline
-    ?on_round ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
+let prepare ~k ?(env = env_of_faults no_faults) ?wheel_latency ?deadline ?on_round ?telemetry
+    ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
   let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
-  let bound = wheel_bound ?wheel_latency ~max_jitter csr in
-  check_contact ~bound ~max_jitter kernel csr;
+  let bound = wheel_bound ?wheel_latency csr in
+  check_contact ~bound kernel csr;
   let mw = check_kernel_shape ~n kernel in
   let pool_limit = pool_limit_of pool_capacity in
-  let env = match env with None -> env_of_faults faults | Some e -> compose_env faults e in
   check_rejoins ~n env.env_rejoins;
   let store = kernel.Kernel.store in
   seed_store ?informed ~n ~source store;
@@ -1018,10 +982,10 @@ let run t =
     informed = t.ctx.sh_informed;
   }
 
-let create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed
-    rng csr ~kernel ~source =
-  prepare ~k:1 ?faults ?env ?wheel_latency ?max_jitter ?telemetry ?pool_capacity ?informed rng
-    csr ~kernel ~source ~max_rounds:max_int
+let create_kernel ?env ?wheel_latency ?telemetry ?pool_capacity ?informed rng csr ~kernel
+    ~source =
+  prepare ~k:1 ?env ?wheel_latency ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source
+    ~max_rounds:max_int
 
 let step t =
   play_round t (fun () -> merge t) t.shards.(0);
@@ -1033,18 +997,100 @@ let informed t u = Bytes.get t.ctx.sh_informed u <> '\000'
 
 let informed_count t = t.ctl.c_count
 
-let broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
+let broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
+    ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
   if domains < 1 then invalid_arg "Wheel_engine.broadcast: domains must be >= 1";
   run
     (prepare
        ~k:(min domains (Csr.n csr))
-       ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry ?pool_capacity
-       ?informed rng csr ~kernel ~source ~max_rounds)
+       ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed rng csr ~kernel
+       ~source ~max_rounds)
 
-let broadcast ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed ?domains rng csr ~protocol ~source ~max_rounds =
-  broadcast_kernel ?faults ?env ?wheel_latency ?max_jitter ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed ?domains rng csr
+let broadcast ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
+    ?domains rng csr ~protocol ~source ~max_rounds =
+  broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
+    ?domains rng csr
     ~kernel:(Kernel.of_protocol csr protocol)
     ~source ~max_rounds
+
+(* Kernel chains: one session per execution, its phases on one round
+   clock (see the interface). *)
+
+type session = {
+  se_env : env option;
+  se_wheel : int option;
+  se_lmax : int;  (* the input graph's ℓ_max, the pinned wheel's reference *)
+  se_deadline : float option;
+  se_on_round : (round:int -> informed:int -> unit) option;
+  se_telemetry : Gossip_obs.Registry.t option;
+  se_domains : int option;
+  se_metrics : metrics;  (* summed over the phases; [rounds] is the clock *)
+}
+
+let session ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains csr =
+  {
+    se_env = env;
+    se_wheel = wheel_latency;
+    se_lmax = Csr.max_latency csr;
+    se_deadline = deadline;
+    se_on_round = on_round;
+    se_telemetry = telemetry;
+    se_domains = domains;
+    se_metrics = Engine.empty_metrics ();
+  }
+
+let session_rounds s = s.se_metrics.Engine.rounds
+
+let session_metrics s = s.se_metrics
+
+(* The environment as seen by a phase that starts at session round
+   [clock]: the closures read the session's round, and the rejoins
+   still ahead are rebased to the phase's round 0. *)
+let env_from ~clock e =
+  if clock = 0 then e
+  else
+    {
+      env_alive = (fun ~node ~round -> e.env_alive ~node ~round:(round + clock));
+      env_present_since =
+        (fun ~node ~since ~round ->
+          e.env_present_since ~node ~since:(since + clock) ~round:(round + clock));
+      env_drop =
+        (fun ~initiator ~responder ~round ->
+          e.env_drop ~initiator ~responder ~round:(round + clock));
+      env_latency =
+        (fun ~u ~v ~latency ~round -> e.env_latency ~u ~v ~latency ~round:(round + clock));
+      env_rejoins =
+        Array.of_seq
+          (Seq.filter_map
+             (fun (r, v) -> if r >= clock then Some (r - clock, v) else None)
+             (Array.to_seq e.env_rejoins));
+    }
+
+(* A pinned wheel [w] for the input's ℓ_max [L] scales to a phase
+   graph with a larger ℓ_max: ⌈w · ℓ_max(g) / L⌉. *)
+let phase_wheel s g =
+  match s.se_wheel with
+  | Some w when Csr.max_latency g > s.se_lmax ->
+      let scaled =
+        if w > I32.max_value then w
+        else ((w * Csr.max_latency g) + s.se_lmax - 1) / s.se_lmax
+      in
+      if scaled > I32.max_value then
+        raise (I32.Overflow { what = "phase wheel bound"; value = scaled });
+      Some scaled
+  | w -> w
+
+let phase s ?informed rng g ~kernel ~source ~max_rounds =
+  let clock = session_rounds s in
+  let on_round =
+    Option.map (fun f ~round ~informed -> f ~round:(clock + round) ~informed) s.se_on_round
+  in
+  let res =
+    broadcast_kernel
+      ?env:(Option.map (env_from ~clock) s.se_env)
+      ?wheel_latency:(phase_wheel s g) ?deadline:s.se_deadline ?on_round
+      ?telemetry:s.se_telemetry ?informed ?domains:s.se_domains rng g ~kernel ~source
+      ~max_rounds
+  in
+  Engine.add_metrics ~into:s.se_metrics res.metrics;
+  res

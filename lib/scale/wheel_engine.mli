@@ -47,8 +47,9 @@
     plus the [on_initiate] / [on_deliver] / [on_response] hooks the
     round phases call (see {!Kernel} for the hook contract and why the
     RNG-stream discipline is part of it).  The engine owns everything
-    else — pool, wheels, faults, deadline, RNG streams, telemetry,
-    shard mailboxes. *)
+    else — pool, wheels, environment, deadline, RNG streams, telemetry,
+    shard mailboxes.  A kernel chain runs its phases in one
+    {!session}. *)
 
 (** The serializable protocol descriptors ({!Kernel.protocol},
     re-exported).  The classic descriptors spread one rumor from a
@@ -114,9 +115,9 @@ val protocol_of_string : string -> protocol option
 (** Canonical protocol names for help strings. *)
 val known_protocols : string list
 
-(** Fault injection is shared with the reference engine so experiment
-    plans ({!Gossip_core.Robustness}-style crash/drop/jitter closures)
-    run unchanged on either. *)
+(** The reference engine's static fault plan, so experiment plans
+    ({!Gossip_core.Robustness}-style crash/drop/jitter closures) run on
+    either engine; the wheel takes them through {!env_of_faults}. *)
 type faults = Gossip_sim.Engine.faults
 
 val no_faults : faults
@@ -161,20 +162,17 @@ type env = {
   env_rejoins : (int * int) array;
 }
 
-(** [env_of_faults f] embeds a static fault plan as the trivial
-    environment ([env_present_since] ignores [since]; no rejoins) —
-    running it is bit-identical to running [f] directly.  When both
-    [?faults] and [?env] are given to {!create_kernel} /
-    {!broadcast}, they compose: alive conjoins, drop disjoins, the
-    fault plan's jitter feeds the environment's [env_latency], and the
-    rejoin schedule is the environment's. *)
+(** The environment is the wheel's one fault channel.  [env_of_faults
+    f] embeds a static fault plan as the trivial environment
+    ([env_present_since] ignores [since]; no rejoins); a plan that
+    jitters latencies by up to [j] needs [~wheel_latency:(ℓ_max + j)]. *)
 val env_of_faults : faults -> env
 
 (** Counters are the reference engine's record, so downstream
     aggregation code needs no conversion. *)
 type metrics = Gossip_sim.Engine.metrics
 
-(** Raised by {!step} and {!broadcast} when a fault plan jitters a
+(** Raised by {!step} and {!broadcast} when the environment stretches a
     latency past the wheel bound mid-run.  A typed exception (with a registered
     printer) rather than [Invalid_argument] so a sweep runtime can
     record the run as a failed outcome instead of crashing. *)
@@ -212,20 +210,15 @@ val gauge_of_minor_words : total:float -> rounds:int -> int
     a round budget. *)
 type t
 
-(** [create_kernel ?faults ?env ?wheel_latency ?max_jitter ?telemetry
-    ?pool_capacity ?informed rng csr ~kernel ~source] builds a run of
-    [kernel] with the source already informed.  The kernel's contact
-    structure must span exactly [Csr.n csr] nodes and its latencies
-    must fit the wheel even under [max_jitter]; both are validated
-    here.  [wheel_latency] sizes the timing wheel (default:
-    [Csr.max_latency csr + max_jitter]); it must be an upper bound on
-    every jittered latency the run will see.
-
-    [max_jitter] (default [0]) declares the fault plan's maximum
-    additive jitter.  Declaring it sizes the wheel to
-    [ℓ_max + max_jitter] automatically and makes an undersized
-    explicit [wheel_latency] fail fast here, with a clear message,
-    instead of deep inside the run thousands of rounds later.
+(** [create_kernel ?env ?wheel_latency ?telemetry ?pool_capacity
+    ?informed rng csr ~kernel ~source] builds a run of [kernel] with
+    the source already informed.  The kernel's contact structure must
+    span exactly [Csr.n csr] nodes and its latencies must fit the
+    wheel; both are validated here.  [wheel_latency] sizes the timing
+    wheel (default: [Csr.max_latency csr]); it must be at least the
+    graph's ℓ_max — a smaller one fails fast here — and an upper bound
+    on every latency [env] stretches to, or the run raises
+    {!Jitter_overflow} when one overruns it.
 
     [pool_capacity] bounds the exchange pool: it is both the initial
     size hint and a hard growth ceiling, so a run that would hold more
@@ -258,25 +251,21 @@ type t
     per executed round on the orchestrating domain (ROADMAP item 3's
     allocation-free-round-loop enforcement hook).
 
-    [env] is a time-indexed environment (see {!env}); it composes with
-    [?faults] as documented at {!env_of_faults}.  A dynamic
-    environment's [env_latency] must respect [wheel_latency] /
-    [max_jitter] sizing exactly as a jitter fault plan would.
+    [env] is a time-indexed environment (see {!env}; default: every
+    node alive, nothing dropped, static latencies).
 
     [informed] seeds the initial informed set from a byte vector (any
     nonzero byte marks the node; the source is always added) — this is
     how {!Gossip_core.Eid}'s scale pipeline chains one kernel's final
     informed set into the next phase.  The bytes are copied, never
     shared.
-    @raise Invalid_argument on a bad source, a negative [max_jitter],
-    a wheel too small for [ℓ_max + max_jitter], an [informed] vector
+    @raise Invalid_argument on a bad source, a wheel below [ℓ_max] or
+    the kernel's contact latencies, an [informed] vector
     of the wrong length, a [pool_capacity] below 1, a malformed rejoin
     schedule, or a kernel contact mismatch. *)
 val create_kernel :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
-  ?max_jitter:int ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?pool_capacity:int ->
   ?informed:Bytes.t ->
@@ -316,8 +305,8 @@ type result = {
           {!Rumor_store} byte array, shared, not copied. *)
 }
 
-(** [broadcast ?faults ?wheel_latency ?max_jitter ?deadline ?domains
-    rng csr ~protocol ~source ~max_rounds] runs until every node is
+(** [broadcast ?env ?wheel_latency ?deadline ?domains rng csr
+    ~protocol ~source ~max_rounds] runs until every node is
     informed or the round budget is spent.  [deadline] is an absolute
     wall-clock time ([Unix.gettimeofday] scale): it is checked
     cooperatively {e between} rounds — so it never perturbs RNG draws,
@@ -331,8 +320,8 @@ type result = {
     through per-[(src, dst)] mailboxes drained in fixed shard order at
     phase barriers.  The trajectory ([history]), [metrics], final
     informed set, and RNG consumption are bit-identical to [domains =
-    1] for every (protocol, seed, fault plan) — {e provided the fault
-    plan's closures are pure} (deterministic functions of their
+    1] for every (protocol, seed, environment) — {e provided the
+    environment's closures are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
     ["wheel.shards"] gauge and the
@@ -351,14 +340,12 @@ type result = {
     cooperative-cancellation hook the serve daemon's progress
     streaming and job cancellation are built on.
     @raise Deadline_exceeded once [deadline] has passed.
-    @raise Jitter_overflow when an undeclared jitter overruns the
+    @raise Jitter_overflow when a stretched latency overruns the
     wheel mid-run.
     @raise Pool_exhausted when the pool hits [pool_capacity]. *)
 val broadcast :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
-  ?max_jitter:int ->
   ?deadline:float ->
   ?on_round:(round:int -> informed:int -> unit) ->
   ?telemetry:Gossip_obs.Registry.t ->
@@ -377,13 +364,11 @@ val broadcast :
     only way to run protocols whose contact structure the engine
     cannot derive from [csr] alone; sharding, determinism guarantees,
     and exceptions are identical.  This is the entry point for RR
-    Broadcast over a precomputed spanner and for EID's phase-chained
-    runs ([?informed] carries the previous phase's informed set). *)
+    Broadcast over a precomputed spanner; a kernel chain runs its
+    phases through {!phase} instead. *)
 val broadcast_kernel :
-  ?faults:faults ->
   ?env:env ->
   ?wheel_latency:int ->
-  ?max_jitter:int ->
   ?deadline:float ->
   ?on_round:(round:int -> informed:int -> unit) ->
   ?telemetry:Gossip_obs.Registry.t ->
@@ -396,3 +381,64 @@ val broadcast_kernel :
   source:int ->
   max_rounds:int ->
   result
+
+(** {1 Kernel chains}
+
+    Theorem 20's unknown-latency route is one execution made of phases
+    (discovery, the [T(k)] schedule, RR Broadcast, the Termination
+    Check), each an engine run of its own kernel, often on a graph of
+    its own.  A session is that execution: the chain opens it once with
+    the run options and runs every engine run through {!phase}.
+
+    - {b One clock.}  A phase starting at session round [c] sees the
+      environment from there: its closures read [round + c] (and
+      [since + c]), and the rejoin schedule keeps the entries at or
+      after [c], rebased to the phase's round 0.  At [c = 0], or
+      without an environment, the environment passes through
+      untouched.  [on_round] sees [c + round], so rounds run 1, 2, …,
+      {!session_rounds} over the chain.  In-flight exchanges end with
+      their phase.
+    - {b One wheel rule.}  Without [wheel_latency] a phase's wheel is
+      its graph's ℓ_max.  A pinned [w] belongs to the input graph's
+      ℓ_max [L]: a phase graph [g] with a larger ℓ_max — a discovered
+      graph, measured under the environment's stretch — gets
+      [⌈w · ℓ_max(g) / L⌉], which covers additive jitter ([w = L + j])
+      and multiplicative drift ([w = L·F + B]) alike.  A scaled bound
+      past the int32 range raises {!I32.Overflow}.
+    - {b One ledger.}  Each finished phase adds its metrics to
+      {!session_metrics}, whose [rounds] is the clock; a phase that
+      raises adds nothing. *)
+
+type session
+
+(** [session ?env ?wheel_latency ?deadline ?on_round ?telemetry
+    ?domains csr] opens a chain at round 0 over the input graph [csr];
+    the options mean what they mean for {!broadcast}. *)
+val session :
+  ?env:env ->
+  ?wheel_latency:int ->
+  ?deadline:float ->
+  ?on_round:(round:int -> informed:int -> unit) ->
+  ?telemetry:Gossip_obs.Registry.t ->
+  ?domains:int ->
+  Csr.t ->
+  session
+
+(** [phase s ?informed rng g ~kernel ~source ~max_rounds] is
+    {!broadcast_kernel} of [kernel] on [g] as the session's next phase;
+    [informed] carries the previous phase's informed set. *)
+val phase :
+  session ->
+  ?informed:Bytes.t ->
+  Gossip_util.Rng.t ->
+  Csr.t ->
+  kernel:Kernel.t ->
+  source:int ->
+  max_rounds:int ->
+  result
+
+(** Rounds the session's phases have executed. *)
+val session_rounds : session -> int
+
+(** Metrics summed over the session's phases (the live ledger). *)
+val session_metrics : session -> metrics

@@ -28,8 +28,12 @@
     where an adversary is refused.  With [telemetry], single-kernel
     and rr-spanner runs also attach {!Gossip_dyn.Scenario.observer}
     ahead of [on_round], so a [track-phi] scenario's [dyn.epoch.*]
-    gauges land in the registry.  Chains get no observer: each phase
-    is a fresh engine run whose scenario clock restarts at round 0.
+    gauges land in the registry.  Chains get no observer.  Their phases
+    share one scenario clock, so the rounds [on_round] sees are the
+    scenario's, but the phases run on the discovered graph and its
+    spanner rather than on [csr]: an epoch probe of [csr] would
+    describe a graph no phase runs on, and which graph a chain's
+    epochs should describe is left to a per-phase outcome.
 
     {b Options by route.}  [domains], [telemetry], [deadline] and
     [on_round] reach every engine run of every route; on a chain,

@@ -4,6 +4,7 @@ module Rng = Gossip_util.Rng
 module Graph = Gossip_graph.Graph
 module Gen = Gossip_graph.Gen
 module Discovery = Gossip_core.Discovery
+module Wheel = Gossip_scale.Wheel_engine
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -99,7 +100,7 @@ let check_probe_scale_parity n seed d_bound =
   in
   let core = Discovery.probe g ~d_bound in
   let csr = Csr.of_graph g in
-  let r = Discovery.probe_scale (Rng.of_int (seed + 1)) csr ~d_bound in
+  let r = Discovery.probe_scale (Wheel.session csr) (Rng.of_int (seed + 1)) csr ~d_bound in
   if r.Discovery.s_rounds <> core.Discovery.rounds then
     Alcotest.failf "rounds diverge: scale %d vs core %d" r.Discovery.s_rounds
       core.Discovery.rounds;
@@ -142,7 +143,7 @@ let test_probe_scale_sharded_parity () =
     Gen.with_latencies rng (Gen.Uniform (1, 5)) (Gen.erdos_renyi_connected rng ~n:60 ~p:0.15)
   in
   let csr = Csr.of_graph g in
-  let run d = Discovery.probe_scale ?domains:d (Rng.of_int 9) csr ~d_bound:4 in
+  let run d = Discovery.probe_scale (Wheel.session ?domains:d csr) (Rng.of_int 9) csr ~d_bound:4 in
   let base = run None in
   List.iter
     (fun d ->
@@ -162,13 +163,14 @@ let test_probe_scale_faults_lose_edges () =
   (* A drop-everything plan measures nothing; the completeness audit
      says so instead of pretending. *)
   let csr = Csr.ring_of_cliques ~cliques:3 ~size:4 ~bridge_latency:2 in
-  let faults =
-    {
-      Gossip_scale.Wheel_engine.no_faults with
-      Gossip_sim.Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
-    }
+  let env =
+    Wheel.env_of_faults
+      {
+        Wheel.no_faults with
+        Gossip_sim.Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
+      }
   in
-  let r = Discovery.probe_scale ~faults (Rng.of_int 2) csr ~d_bound:5 in
+  let r = Discovery.probe_scale (Wheel.session ~env csr) (Rng.of_int 2) csr ~d_bound:5 in
   checkb "nothing discovered" true (r.Discovery.s_edges_known = 0);
   checkb "not complete" false r.Discovery.s_complete
 

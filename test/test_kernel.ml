@@ -306,15 +306,16 @@ let test_kernel_fault_smoke () =
     (fun (label, mk) ->
       (* Kernels are single-run (mutable cursors): fresh instance per run. *)
       let crashed =
-        Wheel.broadcast_kernel ~faults:crash (Rng.of_int 2) csr ~kernel:(mk ()) ~source:0
-          ~max_rounds:2_000
+        Wheel.broadcast_kernel ~env:(Wheel.env_of_faults crash) (Rng.of_int 2) csr
+          ~kernel:(mk ()) ~source:0 ~max_rounds:2_000
       in
       checkb (label ^ " crash run executes") true
         (crashed.Wheel.metrics.Engine.initiations > 0);
       checkb (label ^ " crash drops counted") true (crashed.Wheel.metrics.Engine.dropped > 0);
       let jittered =
-        Wheel.broadcast_kernel ~faults:jitter ~max_jitter:2 (Rng.of_int 2) csr ~kernel:(mk ())
-          ~source:0 ~max_rounds:20_000
+        Wheel.broadcast_kernel ~env:(Wheel.env_of_faults jitter)
+          ~wheel_latency:(Csr.max_latency csr + 2) (Rng.of_int 2) csr ~kernel:(mk ()) ~source:0
+          ~max_rounds:20_000
       in
       checkb (label ^ " completes under jitter") true (jittered.Wheel.rounds <> None))
     [ ("rr-spanner", mk_rr); ("dtg", fun () -> Kernel.dtg_local ~ell:3 csr) ]
@@ -614,6 +615,12 @@ let parity_fault_plans =
       2 );
   ]
 
+(* A plan reaches the wheel as an environment, with a wheel that holds
+   ℓ_max plus the plan's jitter (the third field). *)
+let plan_env csr pick =
+  let _, faults, jitter = List.nth parity_fault_plans pick in
+  (Wheel.env_of_faults faults, Csr.max_latency csr + jitter)
+
 let test_sharded_kernel_fixed () =
   let csr = Csr.ring_of_cliques ~cliques:6 ~size:7 ~bridge_latency:9 in
   let s = Spanner.build (Rng.of_int 4) (Csr.to_graph csr) ~k:3 () in
@@ -650,9 +657,9 @@ let prop_sharded_kernel_parity =
           fun () -> Kernel.rr_broadcast ~k:(Csr.oriented_max_latency o) o)
         else fun () -> Kernel.dtg_local ~ell:(1 + (pick / 2)) csr
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans (pick / 2) in
+      let env, wheel_latency = plan_env csr (pick / 2) in
       let run d =
-        Wheel.broadcast_kernel ~faults ~max_jitter ~domains:d
+        Wheel.broadcast_kernel ~env ~wheel_latency ~domains:d
           (Rng.of_int (seed + 1))
           csr ~kernel:(mk ()) ~source ~max_rounds:400
       in
@@ -741,11 +748,11 @@ let prop_rumor_sharded_parity =
         | 1 -> (Kernel.Rumor_rotation { k; budget }, "rotation")
         | _ -> (Kernel.Algebraic { k; budget = 0 }, "algebraic")
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let env, wheel_latency = plan_env csr pick in
       let run d =
         let reg = Registry.create () in
         let r =
-          Wheel.broadcast ~faults ~max_jitter ~telemetry:reg ~domains:d
+          Wheel.broadcast ~env ~wheel_latency ~telemetry:reg ~domains:d
             (Rng.of_int (seed + 1))
             csr ~protocol:proto ~source:(seed mod n) ~max_rounds:400
         in
@@ -852,7 +859,7 @@ let check_check_parity label g seed informed =
   let core = Check.run_single ~base:g ~out_edges:s.Spanner.out_edges ~k ~informed in
   let bytes = Bytes.init n (fun v -> if informed.(v) then '\001' else '\000') in
   let scale =
-    Check.run_scale (Rng.of_int (seed + 1)) csr ~oriented ~k ~informed:bytes
+    Check.run_scale (Wheel.session csr) (Rng.of_int (seed + 1)) csr ~oriented ~k ~informed:bytes
   in
   checki (label ^ " rounds") core.Check.rounds scale.Check.sc_rounds;
   checkb (label ^ " unanimous") core.Check.unanimous scale.Check.sc_unanimous;
@@ -894,18 +901,18 @@ let prop_check_sharded_parity =
       let s = Spanner.build (Rng.of_int (seed + 3)) g ~k:2 () in
       let oriented = Csr.of_oriented_spanner s.Spanner.out_edges in
       let informed = Bytes.init n (fun v -> if (v + seed) mod 4 = 0 then '\000' else '\001') in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let env, wheel_latency = plan_env csr pick in
       let run d =
-        Check.run_scale ~faults ~max_jitter ~domains:d
-          (Rng.of_int (seed + 1))
-          csr ~oriented ~k ~informed
+        let session = Wheel.session ~env ~wheel_latency ~domains:d csr in
+        ( Check.run_scale session (Rng.of_int (seed + 1)) csr ~oriented ~k ~informed,
+          Wheel.session_metrics session )
       in
-      let base = run 1 in
+      let base, base_metrics = run 1 in
       List.for_all
         (fun d ->
-          let r = run d in
+          let r, metrics = run d in
           r.Check.sc_rounds = base.Check.sc_rounds
-          && r.Check.sc_metrics = base.Check.sc_metrics
+          && metrics = base_metrics
           && Bytes.equal r.Check.sc_failed base.Check.sc_failed)
         parity_domains)
 
@@ -917,9 +924,10 @@ let prop_discovery_sharded_parity =
     (fun (n, seed, pick) ->
       let g = gen_graph n seed 5 in
       let csr = Csr.of_graph g in
-      let _, faults, max_jitter = List.nth parity_fault_plans pick in
+      let env, wheel_latency = plan_env csr pick in
       let run d =
-        Discovery.probe_scale ~faults ~max_jitter ~domains:d
+        Discovery.probe_scale
+          (Wheel.session ~env ~wheel_latency ~domains:d csr)
           (Rng.of_int (seed + 1))
           csr ~d_bound:3
       in
@@ -931,6 +939,75 @@ let prop_discovery_sharded_parity =
           && r.Discovery.s_lat = base.Discovery.s_lat
           && Csr.equal r.Discovery.s_discovered base.Discovery.s_discovered)
         parity_domains)
+
+(* Theorem 20's chains under a dynamic scenario: drift on the slow
+   bridges plus churn stretches the discovered graph's latencies past
+   the input's ℓ_max, so every phase after discovery needs the scaled
+   wheel; the chain's phases share one scenario clock, so a schedule
+   fires once over the chain, not once per phase. *)
+let test_chains_under_scenario () =
+  let module Scenario = Gossip_dyn.Scenario in
+  let module Dissemination = Gossip_core.Dissemination in
+  let csr = Csr.braided_ring ~cliques:8 ~size:8 ~bridges:3 ~bridge_latency:5 in
+  let n = Csr.n csr in
+  let braid =
+    Scenario.of_string
+      {|{ "seed": 5,
+          "schedules": [ { "kind": "linear", "rate": 0.25, "cap": 4,
+                           "filter": { "kind": "lat-ge", "latency": 5 } } ],
+          "churn": [ { "node": 9, "leave": 6, "rejoin": 14 },
+                     { "kind": "random", "fraction": 0.05, "leave": 3, "down": 5,
+                       "period": 4 } ] }|}
+  in
+  let eid ?scenario d =
+    let c = Option.map (fun s -> Scenario.compile s ~csr ~source:0) scenario in
+    Eid.run_unknown_scale
+      ?env:(Option.map (fun c -> c.Scenario.env) c)
+      ?wheel_latency:(Option.map (fun c -> c.Scenario.wheel_latency) c)
+      ~domains:d (Rng.of_int 24) csr ~source:0 ()
+  in
+  let unified d =
+    let c = Scenario.compile braid ~csr ~source:0 in
+    Dissemination.broadcast_scale ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+      ~domains:d (Rng.of_int 24) csr ~source:0 ~max_rounds:100_000 ()
+  in
+  let base = eid ~scenario:braid 1 and base_u = unified 1 in
+  checkb "unknown-eid completes under the scenario" true base.Eid.u_success;
+  checki "unknown-eid informs everyone" n (count_informed base.Eid.u_informed);
+  checkb "unified completes under the scenario" true base_u.Dissemination.b_success;
+  checki "unified informs everyone" n (count_informed base_u.Dissemination.b_informed);
+  List.iter
+    (fun d ->
+      let r = eid ~scenario:braid d and u = unified d in
+      let label what = Printf.sprintf "%s domains=%d" what d in
+      checki (label "unknown-eid rounds") base.Eid.u_rounds r.Eid.u_rounds;
+      checkb (label "unknown-eid metrics") true (base.Eid.u_metrics = r.Eid.u_metrics);
+      checkb (label "unknown-eid informed") true (Bytes.equal base.Eid.u_informed r.Eid.u_informed);
+      checki (label "unified rounds") base_u.Dissemination.b_rounds u.Dissemination.b_rounds;
+      checkb (label "unified metrics") true
+        (base_u.Dissemination.b_metrics = u.Dissemination.b_metrics);
+      checkb (label "unified informed") true
+        (Bytes.equal base_u.Dissemination.b_informed u.Dissemination.b_informed))
+    parity_domains;
+  (* A ×3 step is seen by the phases that run after its round, and by
+     no others. *)
+  let static = eid 1 in
+  let step at =
+    Scenario.of_string
+      (Printf.sprintf
+         {|{ "schedules": [ { "kind": "step", "at": %d, "factor": 3 } ] }|} at)
+  in
+  let first_attempt =
+    match static.Eid.u_attempts with
+    | a :: _ ->
+        a.Eid.ua_discovery_rounds + a.Eid.ua_schedule_rounds + a.Eid.ua_rr_rounds
+        + a.Eid.ua_check_rounds
+    | [] -> Alcotest.fail "no attempts recorded"
+  in
+  checkb "a step after the first attempt changes the chain" false
+    ((eid ~scenario:(step (first_attempt + 1)) 1).Eid.u_metrics = static.Eid.u_metrics);
+  checkb "a step past the end of the run changes nothing" true
+    ((eid ~scenario:(step (static.Eid.u_rounds + 1)) 1).Eid.u_metrics = static.Eid.u_metrics)
 
 (* ------------------------------------------------------------------ *)
 (* EID on the scale engine *)
@@ -1072,6 +1149,7 @@ let () =
           qtest prop_rumor_sharded_parity_churn;
           qtest prop_check_sharded_parity;
           qtest prop_discovery_sharded_parity;
+          Alcotest.test_case "chains under a scenario" `Quick test_chains_under_scenario;
         ] );
       ( "check-parity",
         [

@@ -147,7 +147,8 @@ let test_wheel_drop_everything () =
     { Wheel.no_faults with Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true) }
   in
   let r =
-    Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:50
+    Wheel.broadcast ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c ~protocol:Wheel.Push_pull
+      ~source:0 ~max_rounds:50
   in
   checkb "never completes" true (r.Wheel.rounds = None);
   checki "everything dropped" r.Wheel.metrics.Engine.initiations
@@ -165,7 +166,8 @@ let test_wheel_crash_isolates () =
     { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
   in
   let r =
-    Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:60
+    Wheel.broadcast ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c ~protocol:Wheel.Push_pull
+      ~source:0 ~max_rounds:60
   in
   let informed v = Bytes.get r.Wheel.informed v <> '\000' in
   checkb "source informed" true (informed 0);
@@ -178,49 +180,34 @@ let test_wheel_jitter_bound () =
   let faults =
     { Wheel.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
   in
-  (* An undeclared jitter overrunning the wheel is a typed exception
-     (a failed run for the sweep runtime), not Invalid_argument. *)
+  let env = Wheel.env_of_faults faults in
+  (* A jitter overrunning the wheel is a typed exception (a failed run
+     for the sweep runtime), not Invalid_argument. *)
   Alcotest.check_raises "oversized jitter rejected"
     (Wheel.Jitter_overflow { latency = 51; bound = 1; round = 0 }) (fun () ->
       ignore
-        (Wheel.broadcast ~faults (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+        (Wheel.broadcast ~env (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
            ~max_rounds:200));
   (* A wheel sized for the jitter accepts it. *)
   let r =
-    Wheel.broadcast ~faults ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull
-      ~source:0 ~max_rounds:200
+    Wheel.broadcast ~env ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+      ~max_rounds:200
   in
   checki "spread despite jitter" 2 (count_informed r.Wheel.informed)
 
-let test_wheel_max_jitter_declared () =
-  let c = Csr.of_graph (Gen.path 2) in
-  let faults =
-    { Wheel.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
-  in
-  (* Declaring the plan's maximum jitter sizes the wheel automatically:
-     the same plan that overflowed above now runs to completion. *)
-  let r =
-    Wheel.broadcast ~faults ~max_jitter:50 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+let test_wheel_undersized_refused () =
+  (* A wheel_latency below the graph's ℓ_max fails fast at create, not
+     thousands of rounds into a sweep job. *)
+  let c = Csr.ring_of_cliques ~cliques:3 ~size:3 ~bridge_latency:9 in
+  match
+    Wheel.broadcast ~wheel_latency:4 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
       ~max_rounds:400
-  in
-  checki "spread with declared jitter" 2 (count_informed r.Wheel.informed);
-  (* An explicit wheel_latency too small for the declared jitter fails
-     fast at create, not thousands of rounds into a sweep job. *)
-  (match
-     Wheel.broadcast ~faults ~wheel_latency:10 ~max_jitter:50 (Rng.of_int 4) c
-       ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:400
-   with
+  with
   | _ -> Alcotest.fail "undersized wheel accepted"
   | exception Invalid_argument msg ->
       checkb "clear message" true
         (String.length msg > 0
-        && String.sub msg 0 (String.length "Wheel_engine.create") = "Wheel_engine.create"));
-  match
-    Wheel.broadcast ~max_jitter:(-1) (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:400
-  with
-  | _ -> Alcotest.fail "negative max_jitter accepted"
-  | exception Invalid_argument _ -> ()
+        && String.sub msg 0 (String.length "Wheel_engine.create") = "Wheel_engine.create")
 
 let test_wheel_deadline () =
   let c = Csr.of_graph (Gen.cycle 64) in
@@ -470,9 +457,10 @@ let prop_sharded_parity =
       let protocol =
         match pick mod 3 with 0 -> Wheel.Push_pull | 1 -> Wheel.Flood | _ -> Wheel.Random_contact
       in
-      let _, faults, max_jitter = List.nth parity_fault_plans (pick / 3) in
+      let _, faults, jitter = List.nth parity_fault_plans (pick / 3) in
       let run d =
-        Wheel.broadcast ~faults ~max_jitter ~domains:d
+        Wheel.broadcast ~env:(Wheel.env_of_faults faults)
+          ~wheel_latency:(Csr.max_latency csr + jitter) ~domains:d
           (Rng.of_int (seed + 1))
           csr ~protocol ~source ~max_rounds:400
       in
@@ -500,8 +488,8 @@ let test_sharded_dead_shard () =
     { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node < 10 || node >= 20) }
   in
   let run d =
-    Wheel.broadcast ~faults ~domains:d (Rng.of_int 8) csr ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:300
+    Wheel.broadcast ~env:(Wheel.env_of_faults faults) ~domains:d (Rng.of_int 8) csr
+      ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:300
   in
   let base = run 1 in
   let sharded = run 4 in
@@ -802,7 +790,7 @@ let () =
           Alcotest.test_case "drop everything" `Quick test_wheel_drop_everything;
           Alcotest.test_case "crash isolates" `Quick test_wheel_crash_isolates;
           Alcotest.test_case "jitter bound" `Quick test_wheel_jitter_bound;
-          Alcotest.test_case "declared max jitter" `Quick test_wheel_max_jitter_declared;
+          Alcotest.test_case "undersized bound refused" `Quick test_wheel_undersized_refused;
           Alcotest.test_case "deadline" `Quick test_wheel_deadline;
           Alcotest.test_case "metrics match engine" `Quick test_wheel_metrics_match_engine;
         ] );
