@@ -17,6 +17,7 @@ module Graph = Gossip_graph.Graph
 module Weighted = Gossip_conductance.Weighted
 module Push_pull = Gossip_core.Push_pull
 module Csr = Gossip_scale.Csr
+module Kernel = Gossip_scale.Kernel
 module Wheel = Gossip_scale.Wheel_engine
 module Runner = Gossip_sweep.Runner
 
@@ -66,8 +67,8 @@ let e12 () =
         Push_pull.broadcast (Rng.of_int (seed + 17)) g ~source:0 ~max_rounds:10_000
       in
       let run_wheel () =
-        Wheel.broadcast (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull ~source:0
-          ~max_rounds:10_000
+        Wheel.broadcast_kernel (Rng.of_int (seed + 17)) csr ~kernel:(Kernel.push_pull csr)
+          ~source:0 ~max_rounds:10_000
       in
       let er, engine_s = time run_engine in
       let wr, wheel_s = time run_wheel in
@@ -132,8 +133,8 @@ let e12 () =
       let measured =
         mean_of ~trials:3 ~base_seed:31 (fun seed ->
             let r =
-              Wheel.broadcast (Rng.of_int seed) csr ~protocol:Wheel.Push_pull ~source:0
-                ~max_rounds:5_000_000
+              Wheel.broadcast_kernel (Rng.of_int seed) csr ~kernel:(Kernel.push_pull csr)
+                ~source:0 ~max_rounds:5_000_000
             in
             float_of_int (rounds_exn r.Wheel.rounds))
       in
@@ -170,8 +171,8 @@ let e13 () =
       (Csr.barabasi_albert (Rng.of_int seed) ~n ~attach:3)
   in
   let run ?telemetry () =
-    Wheel.broadcast ?telemetry (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
-      ~source:0 ~max_rounds:10_000
+    Wheel.broadcast_kernel ?telemetry (Rng.of_int (seed + 17)) csr
+      ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
   in
   (* warm up allocator and page cache before timing anything *)
   ignore (run ());
@@ -303,8 +304,8 @@ let e14 () =
           (Csr.barabasi_albert (Rng.of_int seed) ~n ~attach:3)
       in
       let run d =
-        Wheel.broadcast ~domains:d (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
-          ~source:0 ~max_rounds:10_000
+        Wheel.broadcast_kernel ~domains:d (Rng.of_int (seed + 17)) csr
+          ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
       in
       if n <= 100_000 then ignore (run 1);
       let sr, seq_s = time (fun () -> run 1) in
@@ -418,11 +419,11 @@ let e15 () =
       let csr = Csr.ring_of_cliques ~cliques ~size:clique ~bridge_latency:bridge in
       let n = Csr.n csr in
       let pp, pp_s =
-        time (fun () -> Runner.run ~domains csr Wheel.Push_pull ~seed ~source:0 ~max_rounds)
+        time (fun () -> Runner.run ~domains csr Runner.Push_pull ~seed ~source:0 ~max_rounds)
       in
       let rr, sp, rr_s =
         time_rr_spanner (fun () ->
-            Runner.run ~domains csr (Wheel.Rr_spanner { stretch_k = 0 }) ~seed ~source:0
+            Runner.run ~domains csr (Runner.Rr_spanner { stretch_k = 0 }) ~seed ~source:0
               ~max_rounds)
       in
       let pp = pp.Runner.result and rr = rr.Runner.result in
@@ -577,9 +578,11 @@ let e16 () =
           let run ?telemetry p =
             Runner.run ?scenario ?telemetry csr p ~seed ~source:0 ~max_rounds
           in
-          let pp, pp_s = time (fun () -> run ~telemetry:reg Wheel.Push_pull) in
-          let rr, _, rr_s = time_rr_spanner (fun () -> run (Wheel.Rr_spanner { stretch_k = 0 })) in
-          let base, base_s = time (fun () -> run (Wheel.Dtg_local { ell = bridge - 1 })) in
+          let pp, pp_s = time (fun () -> run ~telemetry:reg Runner.Push_pull) in
+          let rr, _, rr_s =
+            time_rr_spanner (fun () -> run (Runner.Rr_spanner { stretch_k = 0 }))
+          in
+          let base, base_s = time (fun () -> run (Runner.Dtg_local { ell = bridge - 1 })) in
           let pp_r = rounds_exn pp.Runner.result.Wheel.rounds in
           let rr_r = rounds_exn rr.Runner.result.Wheel.rounds in
           let base_r = rounds_exn base.Runner.result.Wheel.rounds in
@@ -698,7 +701,6 @@ let e16 () =
    assertion holds at every size), E17_DOMAINS shards the wheel.
    Rows in BENCH_e17.json. *)
 let e17 () =
-  let module Kernel = Gossip_scale.Kernel in
   let module Dissemination = Gossip_core.Dissemination in
   let module Eid = Gossip_core.Eid in
   let module Robustness = Gossip_core.Robustness in
@@ -707,7 +709,6 @@ let e17 () =
   let module Paths = Gossip_graph.Paths in
   let module Engine = Gossip_sim.Engine in
   let module Json = Gossip_util.Json in
-  ignore Kernel.known_protocols;
   let n_req =
     match Sys.getenv_opt "E17_N" with Some s -> int_of_string s | None -> 50_000
   in
@@ -760,7 +761,7 @@ let e17 () =
         Some
           (Wheel.env_of_faults
              {
-               Wheel.no_faults with
+               Engine.no_faults with
                Engine.drop =
                  (fun ~initiator ~responder ~round ->
                    (initiator + (3 * responder) + round) mod 13 = 0);
@@ -944,8 +945,8 @@ let e18 () =
   let reg = Registry.create () in
   let seq, seq_s =
     time (fun () ->
-        Wheel.broadcast ~telemetry:reg (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
-          ~source:0 ~max_rounds:10_000)
+        Wheel.broadcast_kernel ~telemetry:reg (Rng.of_int (seed + 17)) csr
+          ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000)
   in
   let rounds = rounds_exn seq.Wheel.rounds in
   let gauge = Registry.gauge_value (Registry.gauge reg "wheel.minor_words_per_round") in
@@ -957,8 +958,8 @@ let e18 () =
   (* Parity: a domains=2 run must be bit-identical. *)
   let shard, shard_s =
     time (fun () ->
-        Wheel.broadcast ~domains:2 (Rng.of_int (seed + 17)) csr ~protocol:Wheel.Push_pull
-          ~source:0 ~max_rounds:10_000)
+        Wheel.broadcast_kernel ~domains:2 (Rng.of_int (seed + 17)) csr
+          ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000)
   in
   if
     not
@@ -1103,22 +1104,26 @@ let e19 () =
       (Csr.watts_strogatz (Rng.of_int 4093) ~n ~k:6 ~beta:0.1)
   in
   let graphs = [ ("ring-of-cliques", roc); ("watts-strogatz", ws) ] in
+  (* The three kernels; algebraic carries exactly the coefficient
+     words one combination of k rumors needs. *)
+  let k_rumor ~k ~budget csr = (Kernel.k_rumor_push_pull ~k ~budget csr).Kernel.rum_kernel in
+  let rotation ~k ~budget csr = (Kernel.rumor_rotation ~k ~budget csr).Kernel.rum_kernel in
+  let algebraic ~k csr =
+    let budget = (k + Kernel.coeff_bits - 1) / Kernel.coeff_bits in
+    (Kernel.algebraic ~k ~budget csr).Kernel.alg_kernel
+  in
   (* One run: mean completion rounds (cap-scored) and mean payload
-     words on the wire across the seeds. *)
-  let measure csr protocol =
-    let words_key =
-      Printf.sprintf "wheel.kernel.%s.words_on_wire"
-        (match protocol with
-        | Wheel.K_rumor _ -> "k-rumor"
-        | Wheel.Rumor_rotation _ -> "rotation"
-        | _ -> "algebraic")
-    in
+     words on the wire across the seeds, a fresh kernel per seed. *)
+  let measure csr make =
     let rounds_sum = ref 0 and words_sum = ref 0 and capped = ref 0 in
     List.iter
       (fun seed ->
         let reg = Registry.create () in
+        let kernel = make csr in
+        let words_key = Printf.sprintf "wheel.kernel.%s.words_on_wire" (Kernel.name kernel) in
         let r =
-          Wheel.broadcast ~telemetry:reg (Rng.of_int seed) csr ~protocol ~source:0 ~max_rounds
+          Wheel.broadcast_kernel ~telemetry:reg (Rng.of_int seed) csr ~kernel ~source:0
+            ~max_rounds
         in
         (match r.Wheel.rounds with
         | Some rounds -> rounds_sum := !rounds_sum + rounds
@@ -1170,9 +1175,9 @@ let e19 () =
     (fun (gname, csr) ->
       List.iter
         (fun k ->
-          let kr = measure csr (Wheel.K_rumor { k; budget = 1 }) in
-          let rot = measure csr (Wheel.Rumor_rotation { k; budget = 1 }) in
-          let alg = measure csr (Wheel.Algebraic { k; budget = 0 }) in
+          let kr = measure csr (k_rumor ~k ~budget:1) in
+          let rot = measure csr (rotation ~k ~budget:1) in
+          let alg = measure csr (algebraic ~k) in
           record ~graph:gname ~sweep:"k" ~proto:"k-rumor" ~k ~b:1 kr;
           record ~graph:gname ~sweep:"k" ~proto:"rotation" ~k ~b:1 rot;
           record ~graph:gname ~sweep:"k" ~proto:"algebraic" ~k ~b:0 alg;
@@ -1195,8 +1200,8 @@ let e19 () =
   in
   List.iter
     (fun b ->
-      let kr = measure roc (Wheel.K_rumor { k = kmax; budget = b }) in
-      let rot = measure roc (Wheel.Rumor_rotation { k = kmax; budget = b }) in
+      let kr = measure roc (k_rumor ~k:kmax ~budget:b) in
+      let rot = measure roc (rotation ~k:kmax ~budget:b) in
       record ~graph:"ring-of-cliques" ~sweep:"budget" ~proto:"k-rumor" ~k:kmax ~b kr;
       record ~graph:"ring-of-cliques" ~sweep:"budget" ~proto:"rotation" ~k:kmax ~b rot;
       Table.add_row t2 [ string_of_int b; fmt_mean kr; fmt_mean rot ])

@@ -18,10 +18,20 @@ module Gen = Gossip_graph.Gen
 module Gadgets = Gossip_graph.Gadgets
 module Paths = Gossip_graph.Paths
 module Weighted = Gossip_conductance.Weighted
+module Runner = Gossip_sweep.Runner
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing *)
+
+(* A bad value a user typed: the message on stderr and exit status 2,
+   never an uncaught-exception backtrace. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("gossip-cli: " ^ msg);
+      exit 2)
+    fmt
 
 let seed_arg =
   let doc = "Seed for all randomness (runs are reproducible)." in
@@ -49,6 +59,18 @@ let pos_float_conv =
     | Some v -> Ok v
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let protocol_conv =
+  let parse s =
+    match Runner.protocol_of_string s with
+    | Some p -> Ok p
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown protocol %S (known: %s)" s
+               (String.concat ", " Runner.known_protocols)))
+  in
+  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Runner.protocol_name p))
 
 let latency_spec_conv =
   let parse s =
@@ -113,42 +135,27 @@ let scenario_arg =
 let load_scenario path =
   match Gossip_dyn.Scenario.load path with
   | s -> s
-  | exception Gossip_dyn.Scenario.Invalid_scenario msg ->
-      Printf.eprintf "gossip-cli: --scenario %s: %s\n" path msg;
-      exit 2
-  | exception Sys_error msg ->
-      Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
-      exit 2
+  | exception Gossip_dyn.Scenario.Invalid_scenario msg -> die "--scenario %s: %s" path msg
+  | exception Sys_error msg -> die "--scenario: %s" msg
 
-(* A --protocol name, with --rumors / --budget overriding the rumor
-   count k and the per-message word budget of a rumor-state descriptor
-   (k-rumor, rotation, algebraic).  The overrides are meaningless on
-   the single-rumor protocols, so using them there is a loud usage
-   error, not a silent no-op. *)
-let parse_protocol ~rumors ~budget pname =
-  let module Wheel = Gossip_scale.Wheel_engine in
+(* --rumors / --budget override the rumor count k and the per-message
+   word budget of a rumor-state descriptor (k-rumor, rotation,
+   algebraic).  The overrides are meaningless on the single-rumor
+   protocols, so using them there is a loud usage error, not a silent
+   no-op. *)
+let with_rumor_overrides ~rumors ~budget protocol =
   let k0 k = Option.value rumors ~default:k in
   let b0 b = Option.value budget ~default:b in
-  let protocol =
-    match Wheel.protocol_of_string pname with
-    | Some p -> p
-    | None ->
-        failwith
-          (Printf.sprintf "unknown protocol %S (known: %s)" pname
-             (String.concat ", " Wheel.known_protocols))
-  in
   match protocol with
   | _ when rumors = None && budget = None -> protocol
-  | Wheel.K_rumor { k; budget = b } -> Wheel.K_rumor { k = k0 k; budget = b0 b }
-  | Wheel.Rumor_rotation { k; budget = b } ->
-      Wheel.Rumor_rotation { k = k0 k; budget = b0 b }
-  | Wheel.Algebraic { k; budget = b } -> Wheel.Algebraic { k = k0 k; budget = b0 b }
+  | Runner.K_rumor { k; budget = b } -> Runner.K_rumor { k = k0 k; budget = b0 b }
+  | Runner.Rumor_rotation { k; budget = b } -> Runner.Rumor_rotation { k = k0 k; budget = b0 b }
+  | Runner.Algebraic { k; budget = b } -> Runner.Algebraic { k = k0 k; budget = b0 b }
   | p ->
-      failwith
-        (Printf.sprintf
-           "--rumors/--budget apply to the rumor-state protocols (k-rumor, rotation, \
-            algebraic), not %S"
-           (Wheel.protocol_name p))
+      die
+        "--rumors/--budget apply to the rumor-state protocols (k-rumor, rotation, algebraic), \
+         not %S"
+        (Runner.protocol_name p)
 
 let rumors_arg =
   let doc =
@@ -239,7 +246,7 @@ let build_graph a =
     | "ring-of-cliques" ->
         Gen.ring_of_cliques ~cliques:a.cliques ~size:a.size ~bridge_latency:a.bridge
     | "dumbbell" -> Gen.dumbbell ~size:a.size ~bridge_latency:a.bridge
-    | other -> failwith (Printf.sprintf "unknown family %S" other)
+    | other -> die "unknown family %S" other
   in
   match a.latency with
   | Gen.Unit -> base
@@ -277,7 +284,6 @@ let build_csr a =
    descriptor, prints the route's record and optionally dumps the
    telemetry registry -- kernel-tagged counters included -- as JSONL. *)
 let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~scenario =
-  let module Runner = Gossip_sweep.Runner in
   let module Obs = Gossip_obs in
   let module Json = Gossip_util.Json in
   (* Validate the scenario file before any graph is built — a typo in
@@ -298,9 +304,7 @@ let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~s
         ~max_rounds
     with
     | o -> o
-    | exception Gossip_dyn.Scenario.Invalid_scenario msg ->
-        Printf.eprintf "gossip-cli: --scenario: %s\n" msg;
-        exit 2
+    | exception Gossip_dyn.Scenario.Invalid_scenario msg -> die "--scenario: %s" msg
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let r = o.Runner.result in
@@ -402,9 +406,9 @@ let analyze_cmd =
 let run_cmd =
   let algorithm =
     let doc =
-      "Algorithm: push-pull, push-pull-all, flood, push-only, dtg, eid, eid-known-d, \
-       path-discovery, unified, or a flat-array wheel engine run: wheel-$(i,PROTO) for \
-       any $(b,--protocol) name (these honor $(b,--domains))."
+      "Algorithm on the reference engine: push-pull, push-pull-all, flood, push-only, dtg, \
+       eid, eid-known-d, path-discovery, unified.  For a flat-array wheel engine run use \
+       $(b,--protocol)."
     in
     Arg.(value & opt string "push-pull" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
   in
@@ -416,17 +420,17 @@ let run_cmd =
          ring-of-cliques, barabasi-albert, and watts-strogatz directly in CSR form (no \
          boxed graph), honors $(b,--domains) and $(b,--telemetry), and overrides \
          $(b,--algorithm)."
-        (String.concat ", " Gossip_scale.Wheel_engine.known_protocols)
+        (String.concat ", " Runner.known_protocols)
     in
-    Arg.(value & opt (some string) None & info [ "protocol" ] ~docv:"PROTO" ~doc)
+    Arg.(value & opt (some protocol_conv) None & info [ "protocol" ] ~docv:"PROTO" ~doc)
   in
   let domains =
     Arg.(
       value & opt int 1
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Shard a wheel-* run across D OCaml domains; the trajectory is bit-identical \
-             to --domains 1.")
+            "Shard a $(b,--protocol) run across D OCaml domains; the trajectory is \
+             bit-identical to --domains 1.")
   in
   let source =
     Arg.(value & opt int 0 & info [ "source" ] ~docv:"NODE" ~doc:"Broadcast source.")
@@ -470,33 +474,18 @@ let run_cmd =
       capacity trace telemetry scenario =
     (* A wheel run never touches the boxed graph: dispatch before
        build_graph so --protocol works at 10^6 nodes. *)
-    let wheel_protocol =
-      match protocol with
-      | Some p -> Some p
-      | None ->
-          let pfx = "wheel-" in
-          let pl = String.length pfx in
-          if String.length algorithm > pl && String.sub algorithm 0 pl = pfx then
-            Some (String.sub algorithm pl (String.length algorithm - pl))
-          else None
-    in
-    (match (scenario, wheel_protocol) with
-    | Some _, None ->
-        prerr_endline
-          "gossip-cli: --scenario applies to wheel-engine runs only (use --protocol or \
-           --algorithm wheel-PROTO)";
-        exit 2
+    (match (scenario, protocol) with
+    | Some _, None -> die "--scenario applies to wheel-engine runs only (use --protocol)"
     | _ -> ());
-    (match (rumors, budget, wheel_protocol) with
+    (match (rumors, budget, protocol) with
     | (Some _, _, None | _, Some _, None) ->
-        prerr_endline
-          "gossip-cli: --rumors/--budget apply to wheel-engine runs only (use --protocol \
-           k-rumor, rotation, or algebraic)";
-        exit 2
+        die
+          "--rumors/--budget apply to wheel-engine runs only (use --protocol k-rumor, \
+           rotation, or algebraic)"
     | _ -> ());
-    match wheel_protocol with
-    | Some pname ->
-        run_wheel_protocol args ~protocol:(parse_protocol ~rumors ~budget pname) ~domains
+    match protocol with
+    | Some p ->
+        run_wheel_protocol args ~protocol:(with_rumor_overrides ~rumors ~budget p) ~domains
           ~source ~max_rounds ~telemetry ~scenario
     | None ->
     let g = build_graph args in
@@ -617,7 +606,7 @@ let run_cmd =
           | Some x -> string_of_int x
           | None -> "cap")
           r.Gossip_core.Dissemination.spanner_rounds
-    | other -> failwith (Printf.sprintf "unknown algorithm %S" other)
+    | other -> die "unknown algorithm %S" other
   in
   let doc = "Run a dissemination algorithm and report round counts." in
   Cmd.v (Cmd.info "run" ~doc)
@@ -655,7 +644,7 @@ let game_cmd =
       (Gossip_game.Game.target_size game)
       strategy;
     match List.assoc_opt strategy Gossip_game.Strategies.all with
-    | None -> failwith (Printf.sprintf "unknown strategy %S" strategy)
+    | None -> die "unknown strategy %S" strategy
     | Some s -> (
         match s rng game ~max_rounds:10_000_000 with
         | Some o ->
@@ -752,52 +741,47 @@ let spanner_cmd =
             Gossip_graph.Dot.write path
               (Gossip_graph.Dot.to_dot s.Gossip_core.Greedy_spanner.spanner);
             Printf.printf "spanner written to %s\n" path)
-    | other -> failwith (Printf.sprintf "unknown spanner algorithm %S" other)
+    | other -> die "unknown spanner algorithm %S" other
   in
   let doc = "Build a spanner of the graph (Appendix D / greedy baseline)." in
   Cmd.v (Cmd.info "spanner" ~doc) Term.(const run $ family_term $ k $ algorithm $ dot)
 
 (* ------------------------------------------------------------------ *)
-(* sweep *)
+(* sweep and client submit: one job spec *)
 
-let sweep_cmd =
+(* The flags that say which jobs to run, shared by [sweep], which runs
+   them in process, and [client submit], which queues them on the
+   daemon: the daemon's submit spec, less the scenario, which each
+   command loads itself. *)
+let job_spec_term =
   let module Sweep = Gossip_sweep.Sweep in
-  let module Pool = Gossip_sweep.Pool in
-  let module Wheel = Gossip_scale.Wheel_engine in
-  let module Json = Gossip_util.Json in
   let family =
-    let doc =
-      "Scale family: ring-of-cliques, braided-ring, barabasi-albert, watts-strogatz."
+    let families =
+      [
+        ("ring-of-cliques", `Ring_of_cliques);
+        ("braided-ring", `Braided_ring);
+        ("barabasi-albert", `Barabasi_albert);
+        ("watts-strogatz", `Watts_strogatz);
+      ]
     in
-    Arg.(value & opt string "ring-of-cliques" & info [ "family" ] ~docv:"FAMILY" ~doc)
+    let doc = "Scale family: ring-of-cliques, braided-ring, barabasi-albert, watts-strogatz." in
+    Arg.(value & opt (enum families) `Ring_of_cliques & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
   let n =
-    Arg.(value & opt int 10_000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Node count.")
+    Arg.(value & opt pos_int_conv 10_000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Node count.")
   in
   let protocol =
-    let doc =
-      Printf.sprintf "Protocol: %s." (String.concat ", " Wheel.known_protocols)
-    in
-    Arg.(value & opt string "push-pull" & info [ "protocol" ] ~docv:"PROTO" ~doc)
+    let doc = Printf.sprintf "Protocol: %s." (String.concat ", " Runner.known_protocols) in
+    Arg.(value & opt protocol_conv Runner.Push_pull & info [ "protocol" ] ~docv:"PROTO" ~doc)
   in
   let trials =
-    Arg.(value & opt int 8 & info [ "trials" ] ~docv:"T" ~doc:"Independent seeded trials.")
-  in
-  let jobs =
     Arg.(
-      value & opt (some int) None
-      & info [ "jobs" ] ~docv:"J" ~doc:"Worker domains (default: cores - 1).")
-  in
-  let domains =
-    Arg.(
-      value & opt pos_int_conv 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Engine domains per job (sharded wheel engine; trajectory-identical to 1). \
-             Workers are budgeted so jobs × domains never oversubscribes the machine.")
+      value & opt pos_int_conv 8 & info [ "trials" ] ~docv:"T" ~doc:"Independent seeded trials.")
   in
   let size =
-    Arg.(value & opt int 8 & info [ "size" ] ~docv:"S" ~doc:"Clique size (ring-of-cliques).")
+    Arg.(
+      value & opt int 8
+      & info [ "size" ] ~docv:"S" ~doc:"Clique size (ring-of-cliques, braided-ring).")
   in
   let bridge =
     Arg.(
@@ -833,7 +817,49 @@ let sweep_cmd =
                 powerlaw:MIN,MAX,EXP.")
   in
   let max_rounds =
-    Arg.(value & opt int 1_000_000 & info [ "max-rounds" ] ~docv:"R" ~doc:"Round cap.")
+    Arg.(value & opt pos_int_conv 1_000_000 & info [ "max-rounds" ] ~docv:"R" ~doc:"Round cap.")
+  in
+  let make family n protocol trials size bridge bridges attach ws_k beta latency max_rounds
+      seed =
+    let family =
+      match family with
+      | `Ring_of_cliques -> Sweep.Ring_of_cliques { size; bridge_latency = bridge }
+      | `Braided_ring -> Sweep.Braided_ring { size; bridges; bridge_latency = bridge }
+      | `Barabasi_albert -> Sweep.Barabasi_albert { attach }
+      | `Watts_strogatz -> Sweep.Watts_strogatz { k = ws_k; beta }
+    in
+    {
+      Gossip_serve.Protocol.family;
+      n;
+      protocol;
+      trials;
+      base_seed = seed;
+      max_rounds;
+      latency;
+      scenario = None;
+    }
+  in
+  Term.(
+    const make $ family $ n $ protocol $ trials $ size $ bridge $ bridges $ attach $ ws_k $ beta
+    $ latency $ max_rounds $ seed_arg)
+
+let sweep_cmd =
+  let module Sweep = Gossip_sweep.Sweep in
+  let module Pool = Gossip_sweep.Pool in
+  let module P = Gossip_serve.Protocol in
+  let module Json = Gossip_util.Json in
+  let jobs =
+    Arg.(
+      value & opt (some int) None
+      & info [ "jobs" ] ~docv:"J" ~doc:"Worker domains (default: cores - 1).")
+  in
+  let domains =
+    Arg.(
+      value & opt pos_int_conv 1
+      & info [ "domains" ] ~docv:"D"
+          ~doc:
+            "Engine domains per job (sharded wheel engine; trajectory-identical to 1). \
+             Workers are budgeted so jobs × domains never oversubscribes the machine.")
   in
   let retries =
     Arg.(
@@ -884,30 +910,17 @@ let sweep_cmd =
             "Write per-job outcomes and pool metrics (worker busy time, job-latency \
              histogram, queue depth) as JSONL; inspect with $(b,gossip-cli report).")
   in
-  let run family n protocol rumors budget trials jobs domains size bridge bridges attach
-      ws_k beta latency max_rounds retries job_timeout checkpoint resume inject_crash out
-      telemetry scenario seed =
-    let family =
-      match family with
-      | "ring-of-cliques" -> Sweep.Ring_of_cliques { size; bridge_latency = bridge }
-      | "braided-ring" -> Sweep.Braided_ring { size; bridges; bridge_latency = bridge }
-      | "barabasi-albert" -> Sweep.Barabasi_albert { attach }
-      | "watts-strogatz" -> Sweep.Watts_strogatz { k = ws_k; beta }
-      | other -> failwith (Printf.sprintf "unknown sweep family %S" other)
-    in
-    let protocol = parse_protocol ~rumors ~budget protocol in
+  let run (spec : P.spec) rumors budget jobs domains retries job_timeout checkpoint resume
+      inject_crash out telemetry scenario =
+    let protocol = with_rumor_overrides ~rumors ~budget spec.P.protocol in
     let scenario = Option.map load_scenario scenario in
-    let jobs_list =
-      Sweep.make_jobs ~family ~n ~protocol ~trials ~base_seed:seed ~max_rounds ?latency
-        ?scenario ()
-    in
+    let jobs_list = P.jobs_of_spec { spec with P.protocol; scenario } in
     let workers =
       let requested = match jobs with Some j -> max 1 j | None -> Pool.default_workers () in
       if domains > 1 then Pool.budget_workers ~workers:requested ~domains_per_job:domains ()
       else requested
     in
-    if resume && checkpoint = None then
-      failwith "--resume requires --checkpoint FILE";
+    if resume && checkpoint = None then die "--resume requires --checkpoint FILE";
     let registry =
       match telemetry with
       | None -> None
@@ -947,7 +960,7 @@ let sweep_cmd =
         Printf.printf "FAILED %s n=%d seed=%d %s after %d attempt%s: %s\n"
           (Sweep.family_name f.Sweep.failed_job.Sweep.family)
           f.Sweep.failed_job.Sweep.n f.Sweep.failed_job.Sweep.seed
-          (Gossip_scale.Wheel_engine.protocol_name f.Sweep.failed_job.Sweep.protocol)
+          (Runner.protocol_name f.Sweep.failed_job.Sweep.protocol)
           f.Sweep.attempts
           (if f.Sweep.attempts = 1 then "" else "s")
           f.Sweep.message)
@@ -955,7 +968,7 @@ let sweep_cmd =
     let meta =
       [
         ("tool", Json.String "gossip-cli sweep");
-        ("seed", Json.Int seed);
+        ("seed", Json.Int spec.P.base_seed);
         ("workers", Json.Int workers);
         ("domains", Json.Int domains);
       ]
@@ -976,10 +989,8 @@ let sweep_cmd =
   let doc = "Sweep a protocol over seeded trials of a large graph family (multicore)." in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ family $ n $ protocol $ rumors_arg $ budget_arg $ trials $ jobs
-      $ domains $ size $ bridge $ bridges $ attach $ ws_k $ beta $ latency $ max_rounds
-      $ retries $ job_timeout $ checkpoint $ resume $ inject_crash $ out $ telemetry
-      $ scenario_arg $ seed_arg)
+      const run $ job_spec_term $ rumors_arg $ budget_arg $ jobs $ domains $ retries
+      $ job_timeout $ checkpoint $ resume $ inject_crash $ out $ telemetry $ scenario_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the gossip daemon *)
@@ -1050,8 +1061,6 @@ let serve_cmd =
 let client_cmd =
   let module P = Gossip_serve.Protocol in
   let module C = Gossip_serve.Client in
-  let module Sweep = Gossip_sweep.Sweep in
-  let module Wheel = Gossip_scale.Wheel_engine in
   let action =
     Arg.(
       required
@@ -1067,60 +1076,12 @@ let client_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"JOB" ~doc:"Job id (status, watch, results, cancel, wait).")
   in
-  let family =
-    let doc =
-      "Sweep family: ring-of-cliques, braided-ring, barabasi-albert, watts-strogatz."
-    in
-    Arg.(value & opt string "ring-of-cliques" & info [ "family" ] ~docv:"FAMILY" ~doc)
-  in
-  let n = Arg.(value & opt pos_int_conv 10_000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Node count.") in
-  let protocol =
-    let doc = Printf.sprintf "Protocol: %s." (String.concat ", " Wheel.known_protocols) in
-    Arg.(value & opt string "push-pull" & info [ "protocol" ] ~docv:"PROTO" ~doc)
-  in
-  let trials =
-    Arg.(value & opt pos_int_conv 8 & info [ "trials" ] ~docv:"T" ~doc:"Independent seeded trials.")
-  in
-  let size =
-    Arg.(value & opt int 8 & info [ "size" ] ~docv:"S" ~doc:"Clique size (ring-of-cliques).")
-  in
-  let bridge =
-    Arg.(
-      value & opt int 8
-      & info [ "bridge" ] ~docv:"L" ~doc:"Bridge latency (ring-of-cliques, braided-ring).")
-  in
-  let bridges =
-    Arg.(
-      value & opt int 2
-      & info [ "bridges" ] ~docv:"B"
-          ~doc:"Parallel bridges between adjacent cliques (braided-ring).")
-  in
-  let attach =
-    Arg.(value & opt int 3 & info [ "attach" ] ~docv:"M" ~doc:"Edges per new node (barabasi-albert).")
-  in
-  let ws_k =
-    Arg.(value & opt int 6 & info [ "ws-k" ] ~docv:"K" ~doc:"Even base degree (watts-strogatz).")
-  in
-  let beta =
-    Arg.(value & opt float 0.1 & info [ "beta" ] ~docv:"B" ~doc:"Rewiring probability (watts-strogatz).")
-  in
-  let latency =
-    Arg.(
-      value & opt (some latency_spec_conv) None
-      & info [ "latency" ] ~docv:"SPEC"
-          ~doc:"Redraw edge latencies: unit, fixed:K, uniform:LO-HI, bimodal:F,S,P, \
-                powerlaw:MIN,MAX,EXP.")
-  in
-  let max_rounds =
-    Arg.(value & opt pos_int_conv 1_000_000 & info [ "max-rounds" ] ~docv:"R" ~doc:"Round cap.")
-  in
   let wait_timeout =
     Arg.(
       value & opt pos_float_conv 60.0
       & info [ "wait-timeout" ] ~docv:"SECS" ~doc:"Give up on $(b,wait) after this long.")
   in
-  let run socket action job family n protocol rumors budget trials size bridge bridges
-      attach ws_k beta latency max_rounds scenario wait_timeout seed =
+  let run socket action job (spec : P.spec) rumors budget scenario wait_timeout =
     let print_resp r = print_string (Gossip_serve.Frame.frame (P.response_to_json r)) in
     let finish r =
       print_resp r;
@@ -1129,45 +1090,22 @@ let client_cmd =
     let need_job () =
       match job with
       | Some j -> j
-      | None -> failwith (Printf.sprintf "client %s needs a JOB argument" action)
+      | None -> die "client %s needs a JOB argument" action
     in
     let with_connect f =
       match C.with_connect socket f with
       | v -> v
       | exception Unix.Unix_error (e, "connect", _) ->
-          failwith
-            (Printf.sprintf "cannot connect to %s: %s (is the daemon running?)" socket
-               (Unix.error_message e))
-      | exception C.Closed -> failwith "the daemon closed the connection mid-exchange"
+          die "cannot connect to %s: %s (is the daemon running?)" socket (Unix.error_message e)
+      | exception C.Closed -> die "the daemon closed the connection mid-exchange"
     in
     with_connect (fun c ->
         match action with
         | "ping" -> finish (C.rpc c P.Ping)
         | "submit" ->
-            let family =
-              match family with
-              | "ring-of-cliques" -> Sweep.Ring_of_cliques { size; bridge_latency = bridge }
-              | "braided-ring" ->
-                  Sweep.Braided_ring { size; bridges; bridge_latency = bridge }
-              | "barabasi-albert" -> Sweep.Barabasi_albert { attach }
-              | "watts-strogatz" -> Sweep.Watts_strogatz { k = ws_k; beta }
-              | other -> failwith (Printf.sprintf "unknown sweep family %S" other)
-            in
-            let protocol = parse_protocol ~rumors ~budget protocol in
+            let protocol = with_rumor_overrides ~rumors ~budget spec.P.protocol in
             let scenario = Option.map load_scenario scenario in
-            finish
-              (C.rpc c
-                 (P.Submit
-                    {
-                      P.family;
-                      n;
-                      protocol;
-                      trials;
-                      base_seed = seed;
-                      max_rounds;
-                      latency;
-                      scenario;
-                    }))
+            finish (C.rpc c (P.Submit { spec with P.protocol; scenario }))
         | "status" -> finish (C.rpc c (P.Status (need_job ())))
         | "cancel" -> finish (C.rpc c (P.Cancel (need_job ())))
         | "stats" -> finish (C.rpc c P.Stats)
@@ -1211,14 +1149,13 @@ let client_cmd =
               | r -> finish r
             in
             poll ()
-        | other -> failwith (Printf.sprintf "unknown client action %S" other))
+        | other -> die "unknown client action %S" other)
   in
   let doc = "Talk to a running gossip daemon (submit, follow, and fetch jobs)." in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
-      const run $ socket_arg $ action $ job $ family $ n $ protocol $ rumors_arg
-      $ budget_arg $ trials $ size $ bridge $ bridges $ attach $ ws_k $ beta $ latency
-      $ max_rounds $ scenario_arg $ wait_timeout $ seed_arg)
+      const run $ socket_arg $ action $ job $ job_spec_term $ rumors_arg $ budget_arg
+      $ scenario_arg $ wait_timeout)
 
 (* ------------------------------------------------------------------ *)
 (* report *)
@@ -1231,8 +1168,7 @@ let report_cmd =
       & info [] ~docv:"FILE" ~doc:"Telemetry JSONL file to summarize.")
   in
   let run file =
-    if not (Sys.file_exists file) then
-      failwith (Printf.sprintf "no such file %S" file);
+    if not (Sys.file_exists file) then die "no such file %S" file;
     Format.printf "%a@?" Gossip_obs.Report.pp (Gossip_obs.Report.of_file file)
   in
   let doc = "Summarize a telemetry JSONL file (event counts, job latency, metrics)." in
@@ -1304,7 +1240,7 @@ let gadget_cmd =
           info.Gadgets.t8_phi_analytic info.Gadgets.t8_diameter_bound;
         describe info.Gadgets.t8_graph
           (Printf.sprintf "Theorem 8 layered ring (k=%d, s=%d, ell=%d)" layers size ell)
-    | other -> failwith (Printf.sprintf "unknown gadget %S" other)
+    | other -> die "unknown gadget %S" other
   in
   let doc = "Build and describe a lower-bound gadget (Section 3.2)." in
   Cmd.v (Cmd.info "gadget" ~doc)

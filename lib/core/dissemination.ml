@@ -74,8 +74,8 @@ let broadcast_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on
   let pp_rng = Rng.split rng in
   let eid_rng = Rng.split rng in
   let pp =
-    Scale_wheel.broadcast ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains pp_rng csr
-      ~protocol:Scale_wheel.Push_pull ~source ~max_rounds
+    Scale_wheel.broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains
+      pp_rng csr ~kernel:(Gossip_scale.Kernel.push_pull csr) ~source ~max_rounds
   in
   (* The chain's rounds follow on from push-pull's. *)
   let on_round =

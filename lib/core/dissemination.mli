@@ -40,7 +40,7 @@ val all_to_all :
 (** {1 The unified algorithm on the flat scale engine}
 
     Single-rumor Theorem 20 at 10^6 nodes with {e unknown} latencies:
-    push-pull ({!Gossip_scale.Wheel_engine.broadcast}) raced against
+    push-pull ({!Gossip_scale.Kernel.push_pull}) raced against
     the unknown-latency EID chain ({!Eid.run_unknown_scale}), each on
     its own RNG split, winner = fewer rounds. *)
 

@@ -1,105 +1,6 @@
 module Rng = Gossip_util.Rng
 
 (* ------------------------------------------------------------------ *)
-(* Protocol descriptors *)
-
-type protocol =
-  | Push_pull
-  | Flood
-  | Random_contact
-  | Rr_spanner of { stretch_k : int }
-  | Dtg_local of { ell : int }
-  | Unknown_eid
-  | Unified
-  | K_rumor of { k : int; budget : int }
-  | Rumor_rotation of { k : int; budget : int }
-  | Algebraic of { k : int; budget : int }
-
-(* Minimal printing keeps names injective on descriptors: a trailing
-   auto parameter (0) is omitted, but an explicit budget forces the k
-   field out too ("k-rumor:0:2" = auto k, budget 2). *)
-let rumor_name base k budget =
-  if budget = 0 then
-    if k = 0 then base else Printf.sprintf "%s:%d" base k
-  else Printf.sprintf "%s:%d:%d" base k budget
-
-let protocol_name = function
-  | Push_pull -> "push-pull"
-  | Flood -> "flood"
-  | Random_contact -> "random-contact"
-  | Rr_spanner { stretch_k } ->
-      if stretch_k = 0 then "rr-spanner" else Printf.sprintf "rr-spanner:%d" stretch_k
-  | Dtg_local { ell } -> if ell = 0 then "dtg" else Printf.sprintf "dtg:%d" ell
-  | Unknown_eid -> "unknown-eid"
-  | Unified -> "unified"
-  | K_rumor { k; budget } -> rumor_name "k-rumor" k budget
-  | Rumor_rotation { k; budget } -> rumor_name "rotation" k budget
-  | Algebraic { k; budget } -> rumor_name "algebraic" k budget
-
-(* "name" or "name:K" with K >= 1; K absent encodes the auto value 0. *)
-let parse_param s prefix make =
-  let pl = String.length prefix and sl = String.length s in
-  if sl >= pl && String.sub s 0 pl = prefix then
-    if sl = pl then Some (make 0)
-    else if s.[pl] = ':' then
-      match int_of_string_opt (String.sub s (pl + 1) (sl - pl - 1)) with
-      | Some v when v >= 1 -> Some (make v)
-      | _ -> None
-    else None
-  else None
-
-(* "name", "name:K", or "name:K:B" with K, B >= 0 (0 = auto). *)
-let parse_param2 s prefix make =
-  let pl = String.length prefix and sl = String.length s in
-  if sl >= pl && String.sub s 0 pl = prefix then
-    if sl = pl then Some (make 0 0)
-    else if s.[pl] = ':' then
-      match String.split_on_char ':' (String.sub s (pl + 1) (sl - pl - 1)) with
-      | [ ks ] -> (
-          match int_of_string_opt ks with
-          | Some k when k >= 0 -> Some (make k 0)
-          | _ -> None)
-      | [ ks; bs ] -> (
-          match (int_of_string_opt ks, int_of_string_opt bs) with
-          | Some k, Some b when k >= 0 && b >= 0 -> Some (make k b)
-          | _ -> None)
-      | _ -> None
-    else None
-  else None
-
-let protocol_of_string s =
-  match s with
-  | "push-pull" -> Some Push_pull
-  | "flood" -> Some Flood
-  | "random-contact" -> Some Random_contact
-  | "unknown-eid" -> Some Unknown_eid
-  | "unified" -> Some Unified
-  | _ -> (
-      let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-      parse_param s "rr-spanner" (fun k -> Rr_spanner { stretch_k = k })
-      <|> fun () ->
-      parse_param s "dtg" (fun l -> Dtg_local { ell = l })
-      <|> fun () ->
-      parse_param2 s "k-rumor" (fun k budget -> K_rumor { k; budget })
-      <|> fun () ->
-      parse_param2 s "rotation" (fun k budget -> Rumor_rotation { k; budget })
-      <|> fun () -> parse_param2 s "algebraic" (fun k budget -> Algebraic { k; budget }))
-
-let known_protocols =
-  [
-    "push-pull";
-    "flood";
-    "random-contact";
-    "rr-spanner[:K]";
-    "dtg[:L]";
-    "unknown-eid";
-    "unified";
-    "k-rumor[:K[:B]]";
-    "rotation[:K[:B]]";
-    "algebraic[:K[:B]]";
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* The kernel interface *)
 
 type t = {
@@ -706,39 +607,3 @@ let verdict_flood ~iterations ~failed oriented =
         absorb u (I32.get buf off);
         false);
   }
-
-(* Auto parameters for the k-rumor family: a modest rumor count that
-   still exercises multi-word budgets, and a 4-word subset budget
-   (algebraic packs 30 coefficients per word, so its auto budget is
-   the minimum that fits k). *)
-let auto_rumor_k n = min n 16
-
-let of_protocol csr = function
-  | Push_pull -> push_pull csr
-  | Flood -> flood csr
-  | Random_contact -> random_contact csr
-  | Dtg_local { ell } -> dtg_local ~ell:(if ell = 0 then Csr.max_latency csr else ell) csr
-  | K_rumor { k; budget } ->
-      let k = if k = 0 then auto_rumor_k (Csr.n csr) else k in
-      let budget = if budget = 0 then 4 else budget in
-      (k_rumor_push_pull ~k ~budget csr).rum_kernel
-  | Rumor_rotation { k; budget } ->
-      let k = if k = 0 then auto_rumor_k (Csr.n csr) else k in
-      let budget = if budget = 0 then 4 else budget in
-      (rumor_rotation ~k ~budget csr).rum_kernel
-  | Algebraic { k; budget } ->
-      let k = if k = 0 then auto_rumor_k (Csr.n csr) else k in
-      let budget = if budget = 0 then (k + coeff_bits - 1) / coeff_bits else budget in
-      (algebraic ~k ~budget csr).alg_kernel
-  | Rr_spanner _ ->
-      invalid_arg
-        "Kernel.of_protocol: rr-spanner needs a precomputed oriented spanner — run it \
-         through Gossip_sweep.Runner.run, which builds one"
-  | Unknown_eid ->
-      invalid_arg
-        "Kernel.of_protocol: unknown-eid is a kernel chain, not a single kernel — run it \
-         through Gossip_sweep.Runner.run"
-  | Unified ->
-      invalid_arg
-        "Kernel.of_protocol: unified is a kernel chain, not a single kernel — run it \
-         through Gossip_sweep.Runner.run"

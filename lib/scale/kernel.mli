@@ -88,67 +88,15 @@
     single-run: build a fresh kernel per broadcast.  Under domain
     sharding the one instance is shared by all shards, which is safe
     because the engine only calls each hook for nodes the calling
-    shard owns. *)
+    shard owns.
 
-(** {1 Protocol descriptors}
+    {2 Kernels, not descriptors}
 
-    The serializable names for the kernels the stack knows how to
-    build; {!Wheel_engine} re-exports this type, and the sweep
-    checkpoints and the CLI's [--protocol]/[--algorithm] options parse
-    it through the single {!protocol_of_string} below.  A parameter of
-    [0] means "choose automatically at build time" ([⌈log₂ n⌉] for the
-    spanner parameter, the graph's [ℓ_max] for the DTG threshold,
-    [min n 16] rumors / a 4-word budget for the k-rumor family). *)
-
-type protocol =
-  | Push_pull  (** uniform random neighbor, every node, every round *)
-  | Flood  (** informed nodes cycle neighbors round-robin *)
-  | Random_contact  (** informed nodes contact a uniform neighbor *)
-  | Rr_spanner of { stretch_k : int }
-      (** RR Broadcast over a Baswana–Sen oriented spanner built with
-          parameter [stretch_k] (0 = [⌈log₂ n⌉]) *)
-  | Dtg_local of { ell : int }
-      (** deterministic local broadcast over the latency-[<= ell]
-          subgraph (0 = [ℓ_max], i.e. flooding) *)
-  | Unknown_eid
-      (** the unknown-latency EID chain (Theorem 20's spanner branch):
-          guess-and-double latency discovery → T(k) DTG schedule →
-          spanner on the discovered profile → RR Broadcast →
-          termination check, retrying while the vote is failed or
-          non-unanimous.  A kernel chain, so {!of_protocol} rejects it
-          — run [Gossip_core.Eid.run_unknown_scale]. *)
-  | Unified
-      (** Theorem 20's unified algorithm: push-pull and the
-          unknown-latency EID chain raced, min taken.  A kernel chain
-          — run [Gossip_core.Dissemination.broadcast_scale]. *)
-  | K_rumor of { k : int; budget : int }
-      (** k rumors seeded one per node (all-to-all when [k = n]),
-          push-pull contact schedule, each message a random rumor
-          subset of at most [budget] words (0 = auto for either
-          field) *)
-  | Rumor_rotation of { k : int; budget : int }
-      (** same seeding, random contact, Dufoulon-style deterministic
-          rumor rotation: the emission window slides [budget] positions
-          per round *)
-  | Algebraic of { k : int; budget : int }
-      (** Avin et al. algebraic gossip: random GF(2) combinations of
-          the decoded span, 30 coefficient bits per word; completion =
-          rank [k].  [budget] must be at least [⌈k/30⌉] words (0 =
-          exactly that). *)
-
-val protocol_name : protocol -> string
-
-(** [protocol_of_string s] inverts {!protocol_name}; also accepts the
-    parameterless forms ["rr-spanner"] / ["dtg"] / ["k-rumor"] …
-    (auto parameters) and the one-parameter k-rumor forms
-    (["k-rumor:K"], auto budget). *)
-val protocol_of_string : string -> protocol option
-
-(** Canonical names for help strings: ["push-pull"; "flood";
-    "random-contact"; "rr-spanner[:K]"; "dtg[:L]"; "unknown-eid";
-    "unified"; "k-rumor[:K[:B]]"; "rotation[:K[:B]]";
-    "algebraic[:K[:B]]"]. *)
-val known_protocols : string list
+    This layer builds kernels from explicit parameters only; it knows
+    no protocol names.  The serializable descriptors (["push-pull"],
+    ["k-rumor:8:2"], …), their auto parameters, and the routes that
+    need more than one kernel (a spanner set-up, the Theorem 20
+    chains) belong to [Gossip_sweep.Runner]. *)
 
 (** {1 Kernels} *)
 
@@ -247,6 +195,11 @@ val rumor_rotation : k:int -> budget:int -> Csr.t -> rumor
     invariant, which is what the twin-parity tests check. *)
 type algebraic = { alg_kernel : t; alg_rank : v:int -> int; alg_rows : v:int -> int array array }
 
+(** Coefficient bits per int32 payload word of the algebraic kernel:
+    one GF(2) combination of [k] rumors takes [⌈k/coeff_bits⌉] words,
+    the smallest budget {!algebraic} accepts. *)
+val coeff_bits : int
+
 (** [algebraic ~k ~budget csr]: algebraic gossip (Avin et al.) —
     messages are uniform random GF(2) linear combinations of the
     sender's decoded span, completion is rank [k].
@@ -298,10 +251,3 @@ val termination_check : iterations:int -> informed:Bytes.t -> Csr.oriented -> ch
     per-node failed bits spread by OR under the same round-robin
     schedule, mutating [failed] in place. *)
 val verdict_flood : iterations:int -> failed:Bytes.t -> Csr.oriented -> t
-
-(** [of_protocol csr p] builds the kernel a descriptor denotes, on
-    [csr]'s contact rows.  Raises [Invalid_argument] for
-    [Rr_spanner _] (needs a precomputed oriented spanner) and for
-    [Unknown_eid] / [Unified] (kernel chains); [Gossip_sweep.Runner.run]
-    runs every descriptor. *)
-val of_protocol : Csr.t -> protocol -> t

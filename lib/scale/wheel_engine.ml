@@ -1,35 +1,13 @@
 module Rng = Gossip_util.Rng
 module Engine = Gossip_sim.Engine
 
-type protocol = Kernel.protocol =
-  | Push_pull
-  | Flood
-  | Random_contact
-  | Rr_spanner of { stretch_k : int }
-  | Dtg_local of { ell : int }
-  | Unknown_eid
-  | Unified
-  | K_rumor of { k : int; budget : int }
-  | Rumor_rotation of { k : int; budget : int }
-  | Algebraic of { k : int; budget : int }
-
-let protocol_name = Kernel.protocol_name
-
-let protocol_of_string = Kernel.protocol_of_string
-
-let known_protocols = Kernel.known_protocols
-
-type faults = Engine.faults
-
-let no_faults = Engine.no_faults
-
 type metrics = Engine.metrics
 
 (* The dynamic-network environment: a time-indexed generalization of
-   [faults].  Where [faults.jitter] sees only (latency, round), the
-   environment's latency map also sees the edge's endpoints — the hook
-   `lib/dyn` scenarios use to drift, modulate, or adversarially jitter
-   specific edges.  Churn adds two notions the static plan lacks:
+   [Engine.faults].  Where [faults.jitter] sees only (latency, round),
+   the environment's latency map also sees the edge's endpoints — the
+   hook `lib/dyn` scenarios use to drift, modulate, or adversarially
+   jitter specific edges.  Churn adds two notions the static plan lacks:
    [env_present_since] asks whether a node has been continuously
    present over an exchange's lifetime (an exchange binds to both
    endpoints' incarnations — a node that departed and came back must
@@ -51,7 +29,7 @@ type env = {
    map ignores the endpoints, nobody rejoins.  Every check below then
    computes exactly what the pre-environment engine computed, which is
    what keeps static runs bit-identical. *)
-let env_of_faults (f : faults) =
+let env_of_faults (f : Engine.faults) =
   {
     env_alive = (fun ~node ~round -> f.Engine.alive ~node ~round);
     env_present_since = (fun ~node ~since:_ ~round -> f.Engine.alive ~node ~round);
@@ -750,8 +728,8 @@ type t = {
   bar2 : Shard.Barrier.t;
 }
 
-let prepare ~k ?(env = env_of_faults no_faults) ?wheel_latency ?deadline ?on_round ?telemetry
-    ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
+let prepare ~k ?(env = env_of_faults Engine.no_faults) ?wheel_latency ?deadline ?on_round
+    ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
   let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
   let bound = wheel_bound ?wheel_latency csr in
@@ -999,19 +977,12 @@ let informed_count t = t.ctl.c_count
 
 let broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
     ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
-  if domains < 1 then invalid_arg "Wheel_engine.broadcast: domains must be >= 1";
+  if domains < 1 then invalid_arg "Wheel_engine.broadcast_kernel: domains must be >= 1";
   run
     (prepare
        ~k:(min domains (Csr.n csr))
        ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed rng csr ~kernel
        ~source ~max_rounds)
-
-let broadcast ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
-    ?domains rng csr ~protocol ~source ~max_rounds =
-  broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
-    ?domains rng csr
-    ~kernel:(Kernel.of_protocol csr protocol)
-    ~source ~max_rounds
 
 (* Kernel chains: one session per execution, its phases on one round
    clock (see the interface). *)

@@ -49,81 +49,13 @@
     RNG-stream discipline is part of it).  The engine owns everything
     else — pool, wheels, environment, deadline, RNG streams, telemetry,
     shard mailboxes.  A kernel chain runs its phases in one
-    {!session}. *)
+    {!session}.  The engine takes kernels only: it knows no protocol
+    names or descriptors, which [Gossip_sweep.Runner] owns together
+    with the rules that turn one into kernels. *)
 
-(** The serializable protocol descriptors ({!Kernel.protocol},
-    re-exported).  The classic descriptors spread one rumor from a
-    source; the rumor-state descriptors ([K_rumor], [Rumor_rotation],
-    [Algebraic]) run k-rumor all-to-all dissemination under a bounded
-    per-message word budget.  They differ in who initiates, toward
-    whom, over which contact structure, and in what a message
-    carries. *)
-type protocol = Kernel.protocol =
-  | Push_pull
-      (** every node contacts a uniformly random neighbor each round;
-          the exchange pushes the rumor out and pulls it back —
-          trajectory-identical to [Gossip_core.Push_pull.broadcast]
-          for the same seed *)
-  | Flood
-      (** informed nodes cycle deterministically through their
-          neighbors (round-robin push, responses carry nothing) —
-          trajectory-identical to
-          [Gossip_core.Flooding.push_round_robin ~blocking:false] *)
-  | Random_contact
-      (** informed nodes push to a uniformly random neighbor each
-          round — the classical random-phone-call push half *)
-  | Rr_spanner of { stretch_k : int }
-      (** RR Broadcast over a Baswana–Sen oriented spanner ([stretch_k
-          = 0] means [⌈log₂ n⌉]).  Needs a precomputed spanner, so
-          {!broadcast} rejects it — build the kernel with
-          {!Kernel.rr_broadcast} and run {!broadcast_kernel}. *)
-  | Dtg_local of { ell : int }
-      (** deterministic local broadcast over the latency-[<= ell]
-          subgraph ([ell = 0] means [ℓ_max], i.e. flooding) *)
-  | Unknown_eid
-      (** the unknown-latency EID chain (Theorem 20's spanner branch).
-          A kernel chain, so {!broadcast} rejects it — run
-          [Gossip_core.Eid.run_unknown_scale]. *)
-  | Unified
-      (** Theorem 20's unified algorithm: push-pull raced against the
-          unknown-latency chain.  A kernel chain — run
-          [Gossip_core.Dissemination.broadcast_scale]. *)
-  | K_rumor of { k : int; budget : int }
-      (** [k]-rumor all-to-all push-pull: node [j < k] starts with
-          rumor [j]; each exchange carries at most [budget] rumor ids
-          (a rotating subset of what the initiator holds); completion
-          = holding all [k].  [k = 0] means [min n 16]; [budget = 0]
-          means 4 words. *)
-  | Rumor_rotation of { k : int; budget : int }
-      (** small-message dissemination: nodes rotate a [budget]-wide
-          window deterministically over their [k]-rumor state and
-          contact a uniform random neighbor each round (Dufoulon-style
-          rumor rotation). *)
-  | Algebraic of { k : int; budget : int }
-      (** algebraic gossip (Avin et al.): messages are random GF(2)
-          linear combinations of held coded rows; completion = rank
-          [k].  [budget = 0] means exactly the [⌈k/30⌉] coefficient
-          words a combination needs; an explicit budget below that is
-          rejected. *)
-
-val protocol_name : protocol -> string
-
-(** [protocol_of_string s] inverts {!protocol_name} (single parser
-    shared by the CLI and the sweep checkpoints). *)
-val protocol_of_string : string -> protocol option
-
-(** Canonical protocol names for help strings. *)
-val known_protocols : string list
-
-(** The reference engine's static fault plan, so experiment plans
-    ({!Gossip_core.Robustness}-style crash/drop/jitter closures) run on
-    either engine; the wheel takes them through {!env_of_faults}. *)
-type faults = Gossip_sim.Engine.faults
-
-val no_faults : faults
-
-(** A time-indexed network environment — the generalization of
-    {!faults} that dynamic scenarios ([lib/dyn]) compile into.  Where a
+(** A time-indexed network environment — the generalization of the
+    reference engine's static fault plan
+    ({!Gossip_sim.Engine.faults}) that dynamic scenarios ([lib/dyn]) compile into.  Where a
     fault plan sees only [(node, round)] or [(latency, round)], an
     environment additionally sees {e edge identity} ([u], [v]) for
     latency rewriting and {e presence intervals} for churn:
@@ -164,21 +96,23 @@ type env = {
 
 (** The environment is the wheel's one fault channel.  [env_of_faults
     f] embeds a static fault plan as the trivial environment
-    ([env_present_since] ignores [since]; no rejoins); a plan that
-    jitters latencies by up to [j] needs [~wheel_latency:(ℓ_max + j)]. *)
-val env_of_faults : faults -> env
+    ([env_present_since] ignores [since]; no rejoins), so experiment
+    plans ({!Gossip_core.Robustness}-style crash/drop/jitter closures)
+    run on either engine; a plan that jitters latencies by up to [j]
+    needs [~wheel_latency:(ℓ_max + j)]. *)
+val env_of_faults : Gossip_sim.Engine.faults -> env
 
 (** Counters are the reference engine's record, so downstream
     aggregation code needs no conversion. *)
 type metrics = Gossip_sim.Engine.metrics
 
-(** Raised by {!step} and {!broadcast} when the environment stretches a
+(** Raised by {!step} and {!broadcast_kernel} when the environment stretches a
     latency past the wheel bound mid-run.  A typed exception (with a registered
     printer) rather than [Invalid_argument] so a sweep runtime can
     record the run as a failed outcome instead of crashing. *)
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
-(** Raised by {!broadcast} between rounds once the wall-clock
+(** Raised by {!broadcast_kernel} between rounds once the wall-clock
     [deadline] has passed. *)
 exception Deadline_exceeded of { round : int; elapsed_s : float }
 
@@ -246,7 +180,7 @@ type t
     declared per-message bit budget ([32 * msg_words]) once at
     creation.  All handles are
     resolved at creation; a telemetry-off run pays one option match
-    per round.  A full {!broadcast} run additionally sets the
+    per round.  A full {!broadcast_kernel} run additionally sets the
     ["wheel.minor_words_per_round"] gauge — minor-heap words allocated
     per executed round on the orchestrating domain (ROADMAP item 3's
     allocation-free-round-loop enforcement hook).
@@ -305,13 +239,18 @@ type result = {
           {!Rumor_store} byte array, shared, not copied. *)
 }
 
-(** [broadcast ?env ?wheel_latency ?deadline ?domains rng csr
-    ~protocol ~source ~max_rounds] runs until every node is
-    informed or the round budget is spent.  [deadline] is an absolute
-    wall-clock time ([Unix.gettimeofday] scale): it is checked
-    cooperatively {e between} rounds — so it never perturbs RNG draws,
-    delivery order, or trajectory parity — and once passed the run
-    aborts with {!Deadline_exceeded}.
+(** [broadcast_kernel ?env ?wheel_latency ?deadline ?domains rng csr
+    ~kernel ~source ~max_rounds] runs [kernel] until every node has
+    completed or the round budget is spent; {!create_kernel} documents
+    [kernel], [env], [wheel_latency], [telemetry], [pool_capacity] and
+    [informed].  This is the entry point for every single-kernel run,
+    RR Broadcast over a precomputed spanner included; a kernel chain
+    runs its phases through {!phase} instead.
+
+    [deadline] is an absolute wall-clock time ([Unix.gettimeofday]
+    scale): it is checked cooperatively {e between} rounds — so it
+    never perturbs RNG draws, delivery order, or trajectory parity —
+    and once passed the run aborts with {!Deadline_exceeded}.
 
     [domains] (default 1) shards the run across that many OCaml
     domains: nodes are partitioned into contiguous shards
@@ -320,7 +259,7 @@ type result = {
     through per-[(src, dst)] mailboxes drained in fixed shard order at
     phase barriers.  The trajectory ([history]), [metrics], final
     informed set, and RNG consumption are bit-identical to [domains =
-    1] for every (protocol, seed, environment) — {e provided the
+    1] for every (kernel, seed, environment) — {e provided the
     environment's closures are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
@@ -343,29 +282,6 @@ type result = {
     @raise Jitter_overflow when a stretched latency overruns the
     wheel mid-run.
     @raise Pool_exhausted when the pool hits [pool_capacity]. *)
-val broadcast :
-  ?env:env ->
-  ?wheel_latency:int ->
-  ?deadline:float ->
-  ?on_round:(round:int -> informed:int -> unit) ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?pool_capacity:int ->
-  ?informed:Bytes.t ->
-  ?domains:int ->
-  Gossip_util.Rng.t ->
-  Csr.t ->
-  protocol:protocol ->
-  source:int ->
-  max_rounds:int ->
-  result
-
-(** [broadcast_kernel rng csr ~kernel ~source ~max_rounds] is
-    {!broadcast} for an explicit kernel (see {!create_kernel}) — the
-    only way to run protocols whose contact structure the engine
-    cannot derive from [csr] alone; sharding, determinism guarantees,
-    and exceptions are identical.  This is the entry point for RR
-    Broadcast over a precomputed spanner; a kernel chain runs its
-    phases through {!phase} instead. *)
 val broadcast_kernel :
   ?env:env ->
   ?wheel_latency:int ->
@@ -413,7 +329,7 @@ type session
 
 (** [session ?env ?wheel_latency ?deadline ?on_round ?telemetry
     ?domains csr] opens a chain at round 0 over the input graph [csr];
-    the options mean what they mean for {!broadcast}. *)
+    the options mean what they mean for {!broadcast_kernel}. *)
 val session :
   ?env:env ->
   ?wheel_latency:int ->

@@ -1,13 +1,13 @@
 module Json = Gossip_util.Json
 module Sweep = Gossip_sweep.Sweep
-module Wheel = Gossip_scale.Wheel_engine
+module Runner = Gossip_sweep.Runner
 
 let version = 1
 
 type spec = {
   family : Sweep.family;
   n : int;
-  protocol : Wheel.protocol;
+  protocol : Runner.protocol;
   trials : int;
   base_seed : int;
   max_rounds : int;
@@ -131,7 +131,7 @@ let spec_to_json s =
     ([
        ("family", Sweep.family_json s.family);
        ("n", Json.Int s.n);
-       ("protocol", Json.String (Wheel.protocol_name s.protocol));
+       ("protocol", Json.String (Runner.protocol_name s.protocol));
        ("trials", Json.Int s.trials);
        ("base_seed", Json.Int s.base_seed);
        ("max_rounds", Json.Int s.max_rounds);
@@ -156,7 +156,7 @@ let spec_of_json j =
   let* n = need "n" (int_field j "n") in
   let* pname = need "protocol" (str_field j "protocol") in
   let* protocol =
-    match Wheel.protocol_of_string pname with
+    match Runner.protocol_of_string pname with
     | Some p -> Ok p
     | None -> Result.Error (Printf.sprintf "spec: unknown protocol %S" pname)
   in

@@ -22,7 +22,7 @@ val version : int
 type spec = {
   family : Gossip_sweep.Sweep.family;
   n : int;  (** requested node count *)
-  protocol : Gossip_scale.Wheel_engine.protocol;
+  protocol : Gossip_sweep.Runner.protocol;
   trials : int;  (** independent seeded trials *)
   base_seed : int;
   max_rounds : int;

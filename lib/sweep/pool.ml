@@ -146,13 +146,3 @@ let run_outcomes ?workers ?(retries = 0) ?on_retry ?on_result ?telemetry f input
     | Some reg -> Array.iter (fun tel -> Registry.merge ~into:reg tel.local) tels);
     Array.map (function Some r -> r | None -> assert false) results
   end
-
-let run ?workers ?telemetry f inputs =
-  Array.map
-    (function
-      | Ok v -> v
-      | Failed { exn; backtrace; _ } -> Printexc.raise_with_backtrace exn backtrace)
-    (run_outcomes ?workers ?telemetry f inputs)
-
-let map_list ?workers ?telemetry f jobs =
-  Array.to_list (run ?workers ?telemetry f (Array.of_list jobs))

@@ -10,8 +10,7 @@
     The pool is fault tolerant: {!run_outcomes} captures each job's
     exception (with the backtrace of the failing attempt, taken at the
     catch site) as a structured {!outcome} instead of aborting the
-    whole run, and can retry failing jobs a bounded number of times.
-    {!run} keeps the historical fail-fast semantics on top of it. *)
+    whole run, and can retry failing jobs a bounded number of times. *)
 
 (** [default_workers ()] is [Domain.recommended_domain_count () - 1],
     clamped to at least 1 — one domain is left for the orchestrator. *)
@@ -84,23 +83,3 @@ val run_outcomes :
   ('a -> 'b) ->
   'a array ->
   'b outcome array
-
-(** [run ?workers ?telemetry f inputs] is {!run_outcomes} with the
-    historical fail-fast contract: results come back in input order,
-    and if any job raised, the exception of the lowest-indexed failing
-    job is re-raised (with that job's captured backtrace) after all
-    workers have drained the queue. *)
-val run :
-  ?workers:int ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [map_list ?workers ?telemetry f jobs] is {!run} over a list. *)
-val map_list :
-  ?workers:int ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list

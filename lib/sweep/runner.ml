@@ -7,6 +7,102 @@ module Eid = Gossip_core.Eid
 module Dissemination = Gossip_core.Dissemination
 module Rng = Gossip_util.Rng
 
+type protocol =
+  | Push_pull
+  | Flood
+  | Random_contact
+  | Rr_spanner of { stretch_k : int }
+  | Dtg_local of { ell : int }
+  | Unknown_eid
+  | Unified
+  | K_rumor of { k : int; budget : int }
+  | Rumor_rotation of { k : int; budget : int }
+  | Algebraic of { k : int; budget : int }
+
+(* Minimal printing keeps names injective on descriptors: a trailing
+   auto parameter (0) is omitted, but an explicit budget forces the k
+   field out too ("k-rumor:0:2" = auto k, budget 2). *)
+let rumor_name base k budget =
+  if budget = 0 then
+    if k = 0 then base else Printf.sprintf "%s:%d" base k
+  else Printf.sprintf "%s:%d:%d" base k budget
+
+let protocol_name = function
+  | Push_pull -> "push-pull"
+  | Flood -> "flood"
+  | Random_contact -> "random-contact"
+  | Rr_spanner { stretch_k } ->
+      if stretch_k = 0 then "rr-spanner" else Printf.sprintf "rr-spanner:%d" stretch_k
+  | Dtg_local { ell } -> if ell = 0 then "dtg" else Printf.sprintf "dtg:%d" ell
+  | Unknown_eid -> "unknown-eid"
+  | Unified -> "unified"
+  | K_rumor { k; budget } -> rumor_name "k-rumor" k budget
+  | Rumor_rotation { k; budget } -> rumor_name "rotation" k budget
+  | Algebraic { k; budget } -> rumor_name "algebraic" k budget
+
+(* "name" or "name:K" with K >= 1; K absent encodes the auto value 0. *)
+let parse_param s prefix make =
+  let pl = String.length prefix and sl = String.length s in
+  if sl >= pl && String.sub s 0 pl = prefix then
+    if sl = pl then Some (make 0)
+    else if s.[pl] = ':' then
+      match int_of_string_opt (String.sub s (pl + 1) (sl - pl - 1)) with
+      | Some v when v >= 1 -> Some (make v)
+      | _ -> None
+    else None
+  else None
+
+(* "name", "name:K", or "name:K:B" with K, B >= 0 (0 = auto). *)
+let parse_param2 s prefix make =
+  let pl = String.length prefix and sl = String.length s in
+  if sl >= pl && String.sub s 0 pl = prefix then
+    if sl = pl then Some (make 0 0)
+    else if s.[pl] = ':' then
+      match String.split_on_char ':' (String.sub s (pl + 1) (sl - pl - 1)) with
+      | [ ks ] -> (
+          match int_of_string_opt ks with
+          | Some k when k >= 0 -> Some (make k 0)
+          | _ -> None)
+      | [ ks; bs ] -> (
+          match (int_of_string_opt ks, int_of_string_opt bs) with
+          | Some k, Some b when k >= 0 && b >= 0 -> Some (make k b)
+          | _ -> None)
+      | _ -> None
+    else None
+  else None
+
+let protocol_of_string s =
+  match s with
+  | "push-pull" -> Some Push_pull
+  | "flood" -> Some Flood
+  | "random-contact" -> Some Random_contact
+  | "unknown-eid" -> Some Unknown_eid
+  | "unified" -> Some Unified
+  | _ -> (
+      let ( <|> ) a b = match a with Some _ -> a | None -> b () in
+      parse_param s "rr-spanner" (fun k -> Rr_spanner { stretch_k = k })
+      <|> fun () ->
+      parse_param s "dtg" (fun l -> Dtg_local { ell = l })
+      <|> fun () ->
+      parse_param2 s "k-rumor" (fun k budget -> K_rumor { k; budget })
+      <|> fun () ->
+      parse_param2 s "rotation" (fun k budget -> Rumor_rotation { k; budget })
+      <|> fun () -> parse_param2 s "algebraic" (fun k budget -> Algebraic { k; budget }))
+
+let known_protocols =
+  [
+    "push-pull";
+    "flood";
+    "random-contact";
+    "rr-spanner[:K]";
+    "dtg[:L]";
+    "unknown-eid";
+    "unified";
+    "k-rumor[:K[:B]]";
+    "rotation[:K[:B]]";
+    "algebraic[:K[:B]]";
+  ]
+
 type spanner = {
   k : int;
   edges : int;
@@ -41,6 +137,14 @@ let build_spanner csr ~stretch_k ~seed =
       build_s = Unix.gettimeofday () -. t0;
     } )
 
+(* The auto parameters of the rumor-state descriptors (see the
+   interface): a modest rumor count that still exercises multi-word
+   budgets, and a 4-word message budget; algebraic's auto budget is the
+   minimum that fits [k] coefficient bits. *)
+let rumor_k csr k = if k = 0 then min (Csr.n csr) 16 else k
+
+let rumor_budget b = if b = 0 then 4 else b
+
 let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr protocol ~seed
     ~source ~max_rounds =
   let rng = Rng.of_int (seed + 17) in
@@ -53,8 +157,53 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr pro
     let rounds = if success then Some rounds else None in
     { Wheel_engine.rounds; metrics; history = []; informed }
   in
+  (* One engine run of a kernel already built — on [csr]'s rows, or on
+     the spanner's [oriented] rows, which the scenario may then aim
+     at. *)
+  let kernel_run ?oriented route kernel =
+    let c = compile ?oriented () in
+    let on_round =
+      match (telemetry, c) with
+      | Some reg, Some c -> (
+          let observe = Scenario.observer c ~csr ~telemetry:reg in
+          match on_round with
+          | None -> Some observe
+          | Some f ->
+              Some
+                (fun ~round ~informed ->
+                  observe ~round ~informed;
+                  f ~round ~informed))
+      | _ -> on_round
+    in
+    let result =
+      Wheel_engine.broadcast_kernel ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
+        ?telemetry ?pool_capacity ?domains rng csr ~kernel ~source ~max_rounds
+    in
+    { name = Kernel.name kernel; result; route }
+  in
   match protocol with
-  | Kernel.Unknown_eid ->
+  | Push_pull -> kernel_run Kernel_run (Kernel.push_pull csr)
+  | Flood -> kernel_run Kernel_run (Kernel.flood csr)
+  | Random_contact -> kernel_run Kernel_run (Kernel.random_contact csr)
+  | Dtg_local { ell } ->
+      let ell = if ell = 0 then Csr.max_latency csr else ell in
+      kernel_run Kernel_run (Kernel.dtg_local ~ell csr)
+  | K_rumor { k; budget } ->
+      let r = Kernel.k_rumor_push_pull ~k:(rumor_k csr k) ~budget:(rumor_budget budget) csr in
+      kernel_run Kernel_run r.Kernel.rum_kernel
+  | Rumor_rotation { k; budget } ->
+      let r = Kernel.rumor_rotation ~k:(rumor_k csr k) ~budget:(rumor_budget budget) csr in
+      kernel_run Kernel_run r.Kernel.rum_kernel
+  | Algebraic { k; budget } ->
+      let k = rumor_k csr k in
+      let words = (k + Kernel.coeff_bits - 1) / Kernel.coeff_bits in
+      let a = Kernel.algebraic ~k ~budget:(if budget = 0 then words else budget) csr in
+      kernel_run Kernel_run a.Kernel.alg_kernel
+  | Rr_spanner { stretch_k } ->
+      let oriented, sp = build_spanner csr ~stretch_k ~seed in
+      kernel_run ~oriented (Spanner_run sp)
+        (Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented)
+  | Unknown_eid ->
       let c = compile () in
       let r =
         Eid.run_unknown_scale ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
@@ -67,7 +216,7 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr pro
             ~informed:r.Eid.u_informed;
         route = Eid_chain r;
       }
-  | Kernel.Unified ->
+  | Unified ->
       let c = compile () in
       let r =
         Dissemination.broadcast_scale ?env:(env c) ?wheel_latency:(wheel c) ?deadline
@@ -80,32 +229,3 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr pro
             ~metrics:r.Dissemination.b_metrics ~informed:r.Dissemination.b_informed;
         route = Unified_race r;
       }
-  | p ->
-      let kernel, oriented, route =
-        match p with
-        | Kernel.Rr_spanner { stretch_k } ->
-            let oriented, sp = build_spanner csr ~stretch_k ~seed in
-            ( Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented,
-              Some oriented,
-              Spanner_run sp )
-        | p -> (Kernel.of_protocol csr p, None, Kernel_run)
-      in
-      let c = compile ?oriented () in
-      let on_round =
-        match (telemetry, c) with
-        | Some reg, Some c -> (
-            let observe = Scenario.observer c ~csr ~telemetry:reg in
-            match on_round with
-            | None -> Some observe
-            | Some f ->
-                Some
-                  (fun ~round ~informed ->
-                    observe ~round ~informed;
-                    f ~round ~informed))
-        | _ -> on_round
-      in
-      let result =
-        Wheel_engine.broadcast_kernel ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
-          ?telemetry ?pool_capacity ?domains rng csr ~kernel ~source ~max_rounds
-      in
-      { name = Kernel.name kernel; result; route }

@@ -1,13 +1,16 @@
 (** One runner from protocol descriptor to outcome.
 
-    This is the one place that turns a {!Gossip_scale.Kernel.protocol}
-    descriptor into a run.  The CLI's [run --protocol], {!Sweep.run_job}
-    (so [sweep], {!Sweep.run_ft} and the gossipd daemon) and the scale
-    benches call {!run} and keep only their own graph building and
-    printing.  Routes:
+    This module owns the serializable protocol descriptors and is the
+    one place that turns a descriptor into a run.  The CLI's
+    [run --protocol], {!Sweep.run_job} (so [sweep], {!Sweep.run_ft}
+    and the gossipd daemon) and the scale benches call {!run} and keep
+    only their own graph building and printing; the engine below,
+    {!Gossip_scale.Wheel_engine}, takes kernels and knows no
+    descriptors.  Routes:
 
     - single kernels (push-pull, flood, random-contact, dtg, k-rumor,
-      rotation, algebraic): {!Gossip_scale.Kernel.of_protocol} run by
+      rotation, algebraic): the descriptor's {!Gossip_scale.Kernel}
+      constructor on [csr]'s contact rows, run by
       {!Gossip_scale.Wheel_engine.broadcast_kernel};
     - rr-spanner (Lemma 15, Theorem 14): a Baswana–Sen spanner with
       parameter [stretch_k] ([⌈log₂ n⌉] when 0), packed with
@@ -44,6 +47,93 @@
     caps those runs and unified's push-pull branch; the unknown-eid
     chain budgets its own phases. *)
 
+(** {1 Protocol descriptors}
+
+    The names the CLI's [--protocol], the sweep checkpoints and the
+    gossipd wire format carry.  The grammar, one production per
+    descriptor:
+
+    {v
+    push-pull | flood | random-contact | unknown-eid | unified
+    rr-spanner[:K]          K >= 1
+    dtg[:L]                 L >= 1
+    k-rumor[:K[:B]]         K, B >= 0
+    rotation[:K[:B]]        K, B >= 0
+    algebraic[:K[:B]]       K, B >= 0
+    v}
+
+    A parameter that is absent or [0] is chosen at run time from the
+    graph:
+
+    - [rr-spanner]: [K = ⌈log₂ n⌉];
+    - [dtg]: [L = ℓ_max], i.e. flooding;
+    - [k-rumor], [rotation], [algebraic]: [K = min n 16] rumors;
+    - [k-rumor], [rotation]: a [B = 4]-word message budget;
+    - [algebraic]: [B = ⌈K/30⌉] words, exactly the
+      {!Gossip_scale.Kernel.coeff_bits}-bit coefficient words one
+      combination needs. *)
+
+type protocol =
+  | Push_pull
+      (** every node contacts a uniformly random neighbor each round;
+          the exchange pushes the rumor out and pulls it back —
+          trajectory-identical to [Gossip_core.Push_pull.broadcast]
+          for the same seed *)
+  | Flood
+      (** informed nodes cycle deterministically through their
+          neighbors (round-robin push, responses carry nothing) —
+          trajectory-identical to
+          [Gossip_core.Flooding.push_round_robin ~blocking:false] *)
+  | Random_contact
+      (** informed nodes push to a uniformly random neighbor each
+          round — the classical random-phone-call push half *)
+  | Rr_spanner of { stretch_k : int }
+      (** RR Broadcast over a Baswana–Sen oriented spanner built with
+          parameter [stretch_k] *)
+  | Dtg_local of { ell : int }
+      (** deterministic local broadcast over the latency-[<= ell]
+          subgraph *)
+  | Unknown_eid
+      (** the unknown-latency EID chain (Theorem 20's spanner branch):
+          guess-and-double latency discovery → T(k) DTG schedule →
+          spanner on the discovered profile → RR Broadcast →
+          termination check, retrying while the vote is failed or
+          non-unanimous *)
+  | Unified
+      (** Theorem 20's unified algorithm: push-pull and the
+          unknown-latency EID chain raced, min taken *)
+  | K_rumor of { k : int; budget : int }
+      (** [k] rumors seeded rumor [j] at node [j] (all-to-all when
+          [k = n]), push-pull contact schedule, each message a random
+          subset of at most [budget] held rumor ids; completion =
+          holding all [k] *)
+  | Rumor_rotation of { k : int; budget : int }
+      (** same seeding, random contact, Dufoulon-style deterministic
+          rumor rotation: the emission window slides [budget]
+          positions per round *)
+  | Algebraic of { k : int; budget : int }
+      (** Avin et al. algebraic gossip: random GF(2) combinations of
+          the decoded span; completion = rank [k].  An explicit
+          [budget] below [⌈k/30⌉] words is refused at run time. *)
+
+(** Minimal printing: a trailing auto parameter is omitted, but an
+    explicit budget forces the [k] field out too (["k-rumor:0:2"] is
+    auto [k], budget 2), so names are injective on descriptors. *)
+val protocol_name : protocol -> string
+
+(** [protocol_of_string s] inverts {!protocol_name}; it also accepts
+    the parameterless forms (auto parameters) and the one-parameter
+    rumor forms (["k-rumor:K"], auto budget). *)
+val protocol_of_string : string -> protocol option
+
+(** One entry per production, for help strings: ["push-pull";
+    "flood"; "random-contact"; "rr-spanner[:K]"; "dtg[:L]";
+    "unknown-eid"; "unified"; "k-rumor[:K[:B]]"; "rotation[:K[:B]]";
+    "algebraic[:K[:B]]"]. *)
+val known_protocols : string list
+
+(** {1 Running a descriptor} *)
+
 (** The set-up of an rr-spanner run. *)
 type spanner = {
   k : int;  (** spanner parameter (stretch [2k − 1]) *)
@@ -75,7 +165,8 @@ type outcome = {
     [csr] from [source].
     @raise Gossip_dyn.Scenario.Invalid_scenario when [scenario] does
     not compile against [csr].
-    @raise Invalid_argument on a bad descriptor parameter or an
+    @raise Invalid_argument on a bad descriptor parameter (a rumor
+    count above [n], an algebraic budget below [⌈k/30⌉]) or an
     orientation over the Lemma 15 out-degree bound.  Engine exceptions
     ([Deadline_exceeded], [Pool_exhausted], [Jitter_overflow]) and
     [on_round]'s propagate. *)
@@ -87,7 +178,7 @@ val run :
   ?on_round:(round:int -> informed:int -> unit) ->
   ?pool_capacity:int ->
   Gossip_scale.Csr.t ->
-  Gossip_scale.Kernel.protocol ->
+  protocol ->
   seed:int ->
   source:int ->
   max_rounds:int ->

@@ -43,7 +43,7 @@ type job = {
   family : family;
   n : int;
   seed : int;
-  protocol : Wheel_engine.protocol;
+  protocol : Runner.protocol;
   latency : Gen.latency_spec option;
   scenario : Gossip_dyn.Scenario.t option;
   max_rounds : int;
@@ -64,7 +64,7 @@ let make_jobs ~family ~n ~protocol ~trials ~base_seed ~max_rounds ?latency ?scen
 
 type job_key = string * int * int * string
 
-let job_key j = (family_name j.family, j.n, j.seed, Wheel_engine.protocol_name j.protocol)
+let job_key j = (family_name j.family, j.n, j.seed, Runner.protocol_name j.protocol)
 
 type outcome = {
   job : job;
@@ -115,10 +115,6 @@ let budgeted_workers ?workers ?domains () =
   match domains with
   | Some d when d > 1 -> Some (Pool.budget_workers ?workers ~domains_per_job:d ())
   | _ -> workers
-
-let run ?workers ?domains ?telemetry jobs =
-  let workers = budgeted_workers ?workers ?domains () in
-  Pool.map_list ?workers ?telemetry (fun job -> run_job ?domains job) jobs
 
 (* ------------------------------------------------------------------ *)
 (* JSON serialization *)
@@ -202,7 +198,7 @@ let outcome_json o =
       ("n", Json.Int o.n_actual);
       ("edges", Json.Int o.edges);
       ("seed", Json.Int o.job.seed);
-      ("protocol", Json.String (Wheel_engine.protocol_name o.job.protocol));
+      ("protocol", Json.String (Runner.protocol_name o.job.protocol));
       ("max_rounds", Json.Int o.job.max_rounds);
       ("rounds", match o.rounds with Some r -> Json.Int r | None -> Json.Null);
       ("initiations", Json.Int o.metrics.Engine.initiations);
@@ -219,7 +215,7 @@ let failure_json i (f : failure) =
     ("family", Json.String (family_name f.failed_job.family));
     ("n", Json.Int f.failed_job.n);
     ("seed", Json.Int f.failed_job.seed);
-    ("protocol", Json.String (Wheel_engine.protocol_name f.failed_job.protocol));
+    ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
     ("error", Json.String f.message);
     ("attempts", Json.Int f.attempts);
   ]
@@ -231,7 +227,7 @@ let retry_json i (job, attempt, message) =
     ("family", Json.String (family_name job.family));
     ("n", Json.Int job.n);
     ("seed", Json.Int job.seed);
-    ("protocol", Json.String (Wheel_engine.protocol_name job.protocol));
+    ("protocol", Json.String (Runner.protocol_name job.protocol));
     ("attempt", Json.Int attempt);
     ("error", Json.String message);
   ]
@@ -258,14 +254,12 @@ let ckpt_fail_event (f : failure) =
     ("family", family_json f.failed_job.family);
     ("n_requested", Json.Int f.failed_job.n);
     ("seed", Json.Int f.failed_job.seed);
-    ("protocol", Json.String (Wheel_engine.protocol_name f.failed_job.protocol));
+    ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
     ("max_rounds", Json.Int f.failed_job.max_rounds);
     ("error", Json.String f.message);
     ("backtrace", Json.String f.backtrace);
     ("attempts", Json.Int f.attempts);
   ]
-
-let protocol_of_name = Wheel_engine.protocol_of_string
 
 let family_of_json j =
   let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
@@ -307,7 +301,7 @@ let job_to_json j =
        ("family", family_json j.family);
        ("n", Json.Int j.n);
        ("seed", Json.Int j.seed);
-       ("protocol", Json.String (Wheel_engine.protocol_name j.protocol));
+       ("protocol", Json.String (Runner.protocol_name j.protocol));
        ("max_rounds", Json.Int j.max_rounds);
      ]
     @ (match j.latency with None -> [] | Some spec -> [ ("latency", latency_json spec) ])
@@ -322,7 +316,7 @@ let job_of_json j =
   let str name = match field name with Some (Json.String s) -> Some s | _ -> None in
   match (field "family", int "n", int "seed", str "protocol", int "max_rounds") with
   | Some fj, Some n, Some seed, Some pname, Some max_rounds -> (
-      match (family_of_json fj, protocol_of_name pname) with
+      match (family_of_json fj, Runner.protocol_of_string pname) with
       | Some family, Some protocol -> (
           let latency =
             match field "latency" with
@@ -360,7 +354,7 @@ let entry_of_json j =
   let parse_job () =
     match (field "family", int "n_requested", int "seed", str "protocol", int "max_rounds") with
     | Some fj, Some n, Some seed, Some pname, Some max_rounds -> (
-        match (family_of_json fj, protocol_of_name pname) with
+        match (family_of_json fj, Runner.protocol_of_string pname) with
         | Some family, Some protocol ->
             (* The latency redraw and scenario specs only steer
                execution; every reported field is checkpointed, so they
@@ -587,12 +581,12 @@ let summarize ?(failures = []) outcomes =
      the graphs behind them.  Failures are grouped by the realized
      count their job would have built. *)
   let okey o =
-    (family_name o.job.family, o.n_actual, Wheel_engine.protocol_name o.job.protocol)
+    (family_name o.job.family, o.n_actual, Runner.protocol_name o.job.protocol)
   in
   let fkey (f : failure) =
     ( family_name f.failed_job.family,
       realized_n f.failed_job.family ~n:f.failed_job.n,
-      Wheel_engine.protocol_name f.failed_job.protocol )
+      Runner.protocol_name f.failed_job.protocol )
   in
   let order = ref [] in
   let groups = Hashtbl.create 16 in
@@ -679,7 +673,7 @@ let error_json (f : failure) =
       ("family", family_json f.failed_job.family);
       ("n_requested", Json.Int f.failed_job.n);
       ("seed", Json.Int f.failed_job.seed);
-      ("protocol", Json.String (Wheel_engine.protocol_name f.failed_job.protocol));
+      ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
       ("error", Json.String f.message);
       ("attempts", Json.Int f.attempts);
     ]
@@ -706,7 +700,7 @@ let job_event i o =
     ("n", Json.Int o.n_actual);
     ("edges", Json.Int o.edges);
     ("seed", Json.Int o.job.seed);
-    ("protocol", Json.String (Wheel_engine.protocol_name o.job.protocol));
+    ("protocol", Json.String (Runner.protocol_name o.job.protocol));
     ("max_rounds", Json.Int o.job.max_rounds);
     ("rounds", (match o.rounds with Some r -> Json.Int r | None -> Json.Null));
     ("initiations", Json.Int o.metrics.Engine.initiations);

@@ -45,7 +45,7 @@ type job = {
   family : family;
   n : int;  (** requested node count *)
   seed : int;  (** drives both graph sampling and the protocol run *)
-  protocol : Gossip_scale.Wheel_engine.protocol;
+  protocol : Runner.protocol;
   latency : Gossip_graph.Gen.latency_spec option;
       (** optional redraw of edge latencies after construction *)
   scenario : Gossip_dyn.Scenario.t option;
@@ -61,7 +61,7 @@ type job = {
 val make_jobs :
   family:family ->
   n:int ->
-  protocol:Gossip_scale.Wheel_engine.protocol ->
+  protocol:Runner.protocol ->
   trials:int ->
   base_seed:int ->
   max_rounds:int ->
@@ -137,24 +137,6 @@ val run_job :
   job ->
   outcome
 
-(** [run ?workers ?domains ?telemetry jobs] fans the jobs across a
-    domain pool (default {!Pool.default_workers}); results come back
-    in job order and are deterministic per job regardless of [workers]
-    {e and} [domains].  Fail-fast: the first job failure is re-raised
-    after the queue drains — use {!run_ft} for campaigns that must
-    survive partial failure.  With [domains > 1] each job shards its
-    engine run, and the worker count is budgeted through
-    {!Pool.budget_workers} so workers × domains never oversubscribes
-    the machine.  [telemetry] is forwarded to {!Pool.run}:
-    worker-local pool metrics (busy time, job latency histogram, queue
-    depth) are merged into it at join. *)
-val run :
-  ?workers:int ->
-  ?domains:int ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  job list ->
-  outcome list
-
 (** One checkpoint record: a finished job or a recorded failure. *)
 type checkpoint_entry = Ckpt_done of outcome | Ckpt_failed of failure
 
@@ -207,9 +189,11 @@ type report = {
 }
 
 (** [run_ft ?workers ?retries ?timeout_s ?checkpoint ?resume ?inject
-    ?telemetry jobs] is the fault-tolerant {!run}: every job outcome
-    comes back structured instead of the first exception aborting the
-    campaign.
+    ?telemetry jobs] fans the jobs across a domain pool of [workers]
+    (default {!Pool.default_workers}).  Outcomes come back in job order
+    and are deterministic per job regardless of [workers] {e and}
+    [domains]; every job's outcome comes back structured, so one
+    failing job never aborts the campaign.
 
     - [retries] (default 0): extra attempts per failing job, via
       {!Pool.run_outcomes}.
@@ -231,8 +215,9 @@ type report = {
     - [inject]: test hook invoked before each attempt of each job; an
       exception it raises is recorded as that attempt's failure
       (failure-injection for the test-suite and CI).
-    - [telemetry]: forwarded to the pool; gains [pool.retries] and
-      [pool.failures] counters on top of the usual pool metrics.
+    - [telemetry]: forwarded to {!Pool.run_outcomes}: worker-local
+      pool metrics (busy time, job latency histogram, queue depth,
+      [pool.retries], [pool.failures]) are merged into it at join.
 
     @raise Invalid_argument if [resume] is set without [checkpoint]. *)
 val run_ft :

@@ -166,8 +166,8 @@ let test_probe_scale_faults_lose_edges () =
   let env =
     Wheel.env_of_faults
       {
-        Wheel.no_faults with
-        Gossip_sim.Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
+        Gossip_sim.Engine.no_faults with
+        drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true);
       }
   in
   let r = Discovery.probe_scale (Wheel.session ~env csr) (Rng.of_int 2) csr ~d_bound:5 in

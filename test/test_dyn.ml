@@ -9,6 +9,7 @@ module Json = Gossip_util.Json
 module Gen = Gossip_graph.Gen
 module Engine = Gossip_sim.Engine
 module Csr = Gossip_scale.Csr
+module Kernel = Gossip_scale.Kernel
 module Wheel = Gossip_scale.Wheel_engine
 module Registry = Gossip_obs.Registry
 module Scenario = Gossip_dyn.Scenario
@@ -253,9 +254,9 @@ let test_rejoin_schedule () =
 let test_rejoin_schedule_validated () =
   let csr = Csr.ring_of_cliques ~cliques:3 ~size:4 ~bridge_latency:3 in
   let run rejoins =
-    Wheel.broadcast
-      ~env:{ (Wheel.env_of_faults Wheel.no_faults) with Wheel.env_rejoins = rejoins }
-      (Rng.of_int 1) csr ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:100
+    Wheel.broadcast_kernel
+      ~env:{ (Wheel.env_of_faults Engine.no_faults) with Wheel.env_rejoins = rejoins }
+      (Rng.of_int 1) csr ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:100
   in
   List.iter
     (fun (label, rejoins) ->
@@ -346,18 +347,18 @@ let test_static_bit_identity () =
   let csr = Csr.ring_of_cliques ~cliques:5 ~size:6 ~bridge_latency:5 in
   let c = Scenario.compile Scenario.static ~csr ~source:3 in
   List.iter
-    (fun protocol ->
-      let name = Wheel.protocol_name protocol in
+    (fun make ->
+      let name = Kernel.name (make csr) in
       let run ?env ?wheel_latency d =
-        Wheel.broadcast ?env ?wheel_latency ~domains:d (Rng.of_int 11) csr ~protocol ~source:3
-          ~max_rounds:100_000
+        Wheel.broadcast_kernel ?env ?wheel_latency ~domains:d (Rng.of_int 11) csr
+          ~kernel:(make csr) ~source:3 ~max_rounds:100_000
       in
       (* Trivial env vs no env, sequential and sharded. *)
       check_same (name ^ " seq") (run 1)
         (run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 1);
       check_same (name ^ " sharded") (run 1)
         (run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency 3))
-    [ Wheel.Push_pull; Wheel.Flood; Wheel.Random_contact ]
+    [ Kernel.push_pull; Kernel.flood; Kernel.random_contact ]
 
 (* ------------------------------------------------------------------ *)
 (* Churn on the wheel *)
@@ -372,8 +373,8 @@ let test_rejoin_while_response_on_wheel () =
   let s = Scenario.of_string {|{"churn": [{"node": 1, "leave": 2, "rejoin": 3}]}|} in
   let c = Scenario.compile s ~csr ~source:0 in
   let run ?env ?wheel_latency () =
-    Wheel.broadcast ?env ?wheel_latency (Rng.of_int 4) csr ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:1_000
+    Wheel.broadcast_kernel ?env ?wheel_latency (Rng.of_int 4) csr ~kernel:(Kernel.push_pull csr)
+      ~source:0 ~max_rounds:1_000
   in
   let base = run () in
   let churned = run ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency () in
@@ -385,8 +386,8 @@ let test_rejoin_while_response_on_wheel () =
   checkb "suppressed delivery counted" true (churned.Wheel.metrics.Engine.dropped > 0);
   (* Sequential and sharded agree on the churned trajectory too. *)
   let sharded =
-    Wheel.broadcast ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency ~domains:2
-      (Rng.of_int 4) csr ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:1_000
+    Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+      ~domains:2 (Rng.of_int 4) csr ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:1_000
   in
   check_same "churned parity" churned sharded
 
@@ -395,8 +396,8 @@ let test_permanent_leave_darkens_node () =
   let s = Scenario.of_string {|{"churn": [{"node": 9, "leave": 0}]}|} in
   let c = Scenario.compile s ~csr ~source:0 in
   let r =
-    Wheel.broadcast ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency (Rng.of_int 2)
-      csr ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:500
+    Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+      (Rng.of_int 2) csr ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:500
   in
   checkb "capped, not hung" true (r.Wheel.rounds = None);
   checki "the leaver stays dark" 0 (Char.code (Bytes.get r.Wheel.informed 9))
@@ -456,8 +457,8 @@ let test_observer_gauges () =
   let reg = Registry.create () in
   let on_round = Scenario.observer c ~csr ~telemetry:reg in
   let r =
-    Wheel.broadcast ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency ~on_round
-      (Rng.of_int 7) csr ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:10_000
+    Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency ~on_round
+      (Rng.of_int 7) csr ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
   in
   checkb "completes" true (r.Wheel.rounds <> None);
   let value name = Registry.gauge_value (Registry.gauge reg name) in

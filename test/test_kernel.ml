@@ -1,9 +1,9 @@
-(* Tests for the protocol-kernel layer of lib/scale: protocol
-   descriptors, the oriented-spanner packing (Lemma 15 bound), the
-   trajectory parity of the scale RR kernel against the reference
-   Gossip_core.Rr_broadcast on the paper's gadget families, the
-   DTG/flood coincidence, fault-plan and domain-sharding coverage for
-   the new kernels, and the EID-at-scale pipeline. *)
+(* Tests for the protocol-kernel layer of lib/scale: the oriented
+   spanner packing (Lemma 15 bound), the trajectory parity of the
+   scale RR kernel against the reference Gossip_core.Rr_broadcast on
+   the paper's gadget families, the DTG/flood coincidence, fault-plan
+   and domain-sharding coverage for the new kernels, and the
+   EID-at-scale pipeline. *)
 
 module Rng = Gossip_util.Rng
 module Bitset = Gossip_util.Bitset
@@ -34,100 +34,6 @@ let count_informed bytes =
   let c = ref 0 in
   Bytes.iter (fun ch -> if ch <> '\000' then incr c) bytes;
   !c
-
-(* ------------------------------------------------------------------ *)
-(* Protocol descriptors *)
-
-let test_protocol_roundtrip () =
-  List.iter
-    (fun p ->
-      let s = Kernel.protocol_name p in
-      match Kernel.protocol_of_string s with
-      | Some p' -> checkb (s ^ " round-trips") true (p = p')
-      | None -> Alcotest.failf "%s does not parse back" s)
-    [
-      Kernel.Push_pull;
-      Kernel.Flood;
-      Kernel.Random_contact;
-      Kernel.Rr_spanner { stretch_k = 0 };
-      Kernel.Rr_spanner { stretch_k = 3 };
-      Kernel.Dtg_local { ell = 0 };
-      Kernel.Dtg_local { ell = 5 };
-      Kernel.Unknown_eid;
-      Kernel.Unified;
-      Kernel.K_rumor { k = 0; budget = 0 };
-      Kernel.K_rumor { k = 8; budget = 0 };
-      Kernel.K_rumor { k = 8; budget = 3 };
-      Kernel.Rumor_rotation { k = 0; budget = 0 };
-      Kernel.Rumor_rotation { k = 5; budget = 2 };
-      Kernel.Algebraic { k = 0; budget = 0 };
-      Kernel.Algebraic { k = 16; budget = 1 };
-    ];
-  (* Parameterless forms mean "choose automatically". *)
-  checkb "bare rr-spanner" true
-    (Kernel.protocol_of_string "rr-spanner" = Some (Kernel.Rr_spanner { stretch_k = 0 }));
-  checkb "bare dtg" true
-    (Kernel.protocol_of_string "dtg" = Some (Kernel.Dtg_local { ell = 0 }));
-  checkb "bare k-rumor" true
-    (Kernel.protocol_of_string "k-rumor" = Some (Kernel.K_rumor { k = 0; budget = 0 }));
-  checkb "k-rumor:4" true
-    (Kernel.protocol_of_string "k-rumor:4" = Some (Kernel.K_rumor { k = 4; budget = 0 }));
-  checkb "rotation:4:2" true
-    (Kernel.protocol_of_string "rotation:4:2"
-    = Some (Kernel.Rumor_rotation { k = 4; budget = 2 }));
-  checkb "algebraic:16:1" true
-    (Kernel.protocol_of_string "algebraic:16:1" = Some (Kernel.Algebraic { k = 16; budget = 1 }));
-  List.iter
-    (fun s -> checkb ("\"" ^ s ^ "\" rejected") true (Kernel.protocol_of_string s = None))
-    [
-      "nope"; "rr-spanner:0"; "rr-spanner:x"; "dtg:-2"; "dtg:"; ""; "k-rumor:"; "k-rumor:-1";
-      "k-rumor:2:"; "k-rumor:2:-1"; "k-rumor:2:3:4"; "rotation:x"; "algebraic:1:x";
-    ];
-  checki "known protocols listed" 10 (List.length Kernel.known_protocols);
-  (* The engine and the sweep both delegate to this one parser. *)
-  checkb "wheel re-export is the same table" true
-    (Wheel.protocol_of_string "dtg:3" = Some (Wheel.Dtg_local { ell = 3 }));
-  (* The chain descriptors name multi-phase drivers, not single
-     kernels: the kernel factory must refuse them. *)
-  let csr = Csr.ring_of_cliques ~cliques:3 ~size:3 ~bridge_latency:1 in
-  List.iter
-    (fun p ->
-      match Kernel.of_protocol csr p with
-      | _ -> Alcotest.failf "%s built as a single kernel" (Kernel.protocol_name p)
-      | exception Invalid_argument _ -> ())
-    [ Kernel.Unknown_eid; Kernel.Unified ]
-
-let test_of_protocol_rr_needs_spanner () =
-  let csr = Csr.ring_of_cliques ~cliques:3 ~size:3 ~bridge_latency:1 in
-  match Kernel.of_protocol csr (Kernel.Rr_spanner { stretch_k = 2 }) with
-  | _ -> Alcotest.fail "Rr_spanner built without a spanner"
-  | exception Invalid_argument _ -> ()
-
-(* Satellite: the name <-> descriptor bijection holds over the whole
-   descriptor space, parameterized forms included — one generator
-   spanning all ten grammar productions. *)
-let protocol_gen =
-  let open QCheck.Gen in
-  let param2 mk = map2 (fun k budget -> mk k budget) (int_range 0 40) (int_range 0 6) in
-  oneof
-    [
-      return Kernel.Push_pull;
-      return Kernel.Flood;
-      return Kernel.Random_contact;
-      map (fun stretch_k -> Kernel.Rr_spanner { stretch_k }) (int_range 0 12);
-      map (fun ell -> Kernel.Dtg_local { ell }) (int_range 0 12);
-      return Kernel.Unknown_eid;
-      return Kernel.Unified;
-      param2 (fun k budget -> Kernel.K_rumor { k; budget });
-      param2 (fun k budget -> Kernel.Rumor_rotation { k; budget });
-      param2 (fun k budget -> Kernel.Algebraic { k; budget });
-    ]
-
-let prop_protocol_roundtrip =
-  QCheck.Test.make ~name:"protocol_of_string inverts protocol_name on every descriptor"
-    ~count:300
-    (QCheck.make protocol_gen ~print:Kernel.protocol_name)
-    (fun p -> Kernel.protocol_of_string (Kernel.protocol_name p) = Some p)
 
 (* ------------------------------------------------------------------ *)
 (* Oriented spanner packing *)
@@ -247,25 +153,19 @@ let check_same_run label (a : Wheel.result) (b : Wheel.result) =
 
 let test_dtg_flood_coincides () =
   (* With ell >= l_max the latency filter keeps everything, so k-DTG is
-     flooding — bit-identical, through both the kernel constructor and
-     the Dtg_local{ell=0} auto-parameter descriptor. *)
+     flooding — bit-identical. *)
   let g = gen_graph 60 123 4 in
   let csr = Csr.of_graph g in
   let flood =
-    Wheel.broadcast (Rng.of_int 0) csr ~protocol:Wheel.Flood ~source:3 ~max_rounds:100_000
+    Wheel.broadcast_kernel (Rng.of_int 0) csr ~kernel:(Kernel.flood csr) ~source:3
+      ~max_rounds:100_000
   in
   let dtg_kernel =
     Wheel.broadcast_kernel (Rng.of_int 0) csr
       ~kernel:(Kernel.dtg_local ~ell:(Csr.max_latency csr) csr)
       ~source:3 ~max_rounds:100_000
   in
-  let dtg_auto =
-    Wheel.broadcast (Rng.of_int 0) csr
-      ~protocol:(Wheel.Dtg_local { ell = 0 })
-      ~source:3 ~max_rounds:100_000
-  in
-  check_same_run "dtg(l_max) = flood" flood dtg_kernel;
-  check_same_run "dtg:0 = flood" flood dtg_auto
+  check_same_run "dtg(l_max) = flood" flood dtg_kernel
 
 let test_dtg_confined_to_subgraph () =
   (* Bridges above the threshold are invisible to k-DTG: the rumor
@@ -289,11 +189,11 @@ let test_dtg_confined_to_subgraph () =
 let test_kernel_fault_smoke () =
   let csr = Csr.ring_of_cliques ~cliques:5 ~size:6 ~bridge_latency:3 in
   let crash =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) }
+    { Engine.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) }
   in
   let jitter =
     {
-      Wheel.no_faults with
+      Engine.no_faults with
       Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
     }
   in
@@ -332,10 +232,10 @@ let test_rumor_all_to_all () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:6 ~bridge_latency:2 in
   let n = Csr.n csr in
   List.iter
-    (fun (label, proto, cname, mw) ->
+    (fun (label, kernel, cname, mw) ->
       let reg = Registry.create () in
       let r =
-        Wheel.broadcast ~telemetry:reg (Rng.of_int 3) csr ~protocol:proto ~source:0
+        Wheel.broadcast_kernel ~telemetry:reg (Rng.of_int 3) csr ~kernel ~source:0
           ~max_rounds:50_000
       in
       checkb (label ^ " completes") true (r.Wheel.rounds <> None);
@@ -352,11 +252,15 @@ let test_rumor_all_to_all () =
       checki (label ^ " payload = words x deliveries")
         (mw * r.Wheel.metrics.Engine.deliveries)
         r.Wheel.metrics.Engine.payload_words)
+    (* algebraic: ⌈5/30⌉ = 1 coefficient word *)
     [
-      ("k-rumor", Kernel.K_rumor { k = 5; budget = 2 }, "k-rumor", 2);
-      ("rotation", Kernel.Rumor_rotation { k = 5; budget = 2 }, "rotation", 2);
-      ("algebraic", Kernel.Algebraic { k = 5; budget = 0 }, "algebraic", 1);
-      ("k-rumor k=1", Kernel.K_rumor { k = 1; budget = 1 }, "k-rumor", 1);
+      ("k-rumor", (Kernel.k_rumor_push_pull ~k:5 ~budget:2 csr).Kernel.rum_kernel, "k-rumor", 2);
+      ("rotation", (Kernel.rumor_rotation ~k:5 ~budget:2 csr).Kernel.rum_kernel, "rotation", 2);
+      ("algebraic", (Kernel.algebraic ~k:5 ~budget:1 csr).Kernel.alg_kernel, "algebraic", 1);
+      ( "k-rumor k=1",
+        (Kernel.k_rumor_push_pull ~k:1 ~budget:1 csr).Kernel.rum_kernel,
+        "k-rumor",
+        1 );
     ]
 
 let test_rumor_holdings_after_run () =
@@ -596,20 +500,20 @@ let parity_domains =
 
 let parity_fault_plans =
   [
-    ("none", Wheel.no_faults, 0);
+    ("none", Engine.no_faults, 0);
     ( "drop",
       {
-        Wheel.no_faults with
+        Engine.no_faults with
         Engine.drop =
           (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 5 = 0);
       },
       0 );
     ( "crash",
-      { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
+      { Engine.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
       0 );
     ( "jitter",
       {
-        Wheel.no_faults with
+        Engine.no_faults with
         Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
       },
       2 );
@@ -742,19 +646,21 @@ let prop_rumor_sharded_parity =
       let csr = Csr.of_graph g in
       let k = 1 + (seed mod min n 8) in
       let budget = 1 + (seed mod 3) in
-      let proto, cname =
+      (* k <= 8, so algebraic's ⌈k/30⌉ coefficient words are 1 *)
+      let mk, cname =
         match which with
-        | 0 -> (Kernel.K_rumor { k; budget }, "k-rumor")
-        | 1 -> (Kernel.Rumor_rotation { k; budget }, "rotation")
-        | _ -> (Kernel.Algebraic { k; budget = 0 }, "algebraic")
+        | 0 ->
+            ((fun () -> (Kernel.k_rumor_push_pull ~k ~budget csr).Kernel.rum_kernel), "k-rumor")
+        | 1 -> ((fun () -> (Kernel.rumor_rotation ~k ~budget csr).Kernel.rum_kernel), "rotation")
+        | _ -> ((fun () -> (Kernel.algebraic ~k ~budget:1 csr).Kernel.alg_kernel), "algebraic")
       in
       let env, wheel_latency = plan_env csr pick in
       let run d =
         let reg = Registry.create () in
         let r =
-          Wheel.broadcast ~env ~wheel_latency ~telemetry:reg ~domains:d
+          Wheel.broadcast_kernel ~env ~wheel_latency ~telemetry:reg ~domains:d
             (Rng.of_int (seed + 1))
-            csr ~protocol:proto ~source:(seed mod n) ~max_rounds:400
+            csr ~kernel:(mk ()) ~source:(seed mod n) ~max_rounds:400
         in
         ( r,
           Registry.counter_value
@@ -784,11 +690,12 @@ let prop_rumor_sharded_parity_churn =
       let g = gen_graph n seed 5 in
       let csr = Csr.of_graph g in
       let k = 1 + (seed mod min n 6) in
-      let proto =
+      (* k <= 6, so algebraic's ⌈k/30⌉ coefficient words are 1 *)
+      let mk () =
         match which with
-        | 0 -> Kernel.K_rumor { k; budget = 2 }
-        | 1 -> Kernel.Rumor_rotation { k; budget = 2 }
-        | _ -> Kernel.Algebraic { k; budget = 0 }
+        | 0 -> (Kernel.k_rumor_push_pull ~k ~budget:2 csr).Kernel.rum_kernel
+        | 1 -> (Kernel.rumor_rotation ~k ~budget:2 csr).Kernel.rum_kernel
+        | _ -> (Kernel.algebraic ~k ~budget:1 csr).Kernel.alg_kernel
       in
       let scen =
         {
@@ -799,9 +706,8 @@ let prop_rumor_sharded_parity_churn =
       in
       let c = Scenario.compile scen ~csr ~source:0 in
       let run d =
-        Wheel.broadcast ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency ~domains:d
-          (Rng.of_int (seed + 1))
-          csr ~protocol:proto ~source:0 ~max_rounds:300
+        Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+          ~domains:d (Rng.of_int (seed + 1)) csr ~kernel:(mk ()) ~source:0 ~max_rounds:300
       in
       let base = run 1 in
       List.for_all
@@ -834,8 +740,8 @@ let test_kernel_tagged_telemetry () =
   (* The classic protocols are tagged by their kernel name too. *)
   let reg2 = Registry.create () in
   let f =
-    Wheel.broadcast ~telemetry:reg2 (Rng.of_int 2) csr ~protocol:Wheel.Flood ~source:0
-      ~max_rounds:10_000
+    Wheel.broadcast_kernel ~telemetry:reg2 (Rng.of_int 2) csr ~kernel:(Kernel.flood csr)
+      ~source:0 ~max_rounds:10_000
   in
   checki "flood tagged deliveries" f.Wheel.metrics.Engine.deliveries
     (Registry.counter_value (Registry.counter reg2 "wheel.kernel.flood.deliveries"))
@@ -1105,13 +1011,6 @@ let test_unified_scale () =
 let () =
   Alcotest.run "gossip_kernel"
     [
-      ( "protocol",
-        [
-          Alcotest.test_case "name round-trip" `Quick test_protocol_roundtrip;
-          Alcotest.test_case "Rr_spanner needs a spanner" `Quick
-            test_of_protocol_rr_needs_spanner;
-          qtest prop_protocol_roundtrip;
-        ] );
       ( "rumor",
         [
           Alcotest.test_case "all-to-all completion + word accounting" `Quick

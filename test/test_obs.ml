@@ -485,12 +485,12 @@ let test_wheel_telemetry () =
   let ring = Ring.create ~capacity:4096 () in
   let reg = Registry.create ~ring () in
   let plain =
-    Gossip_scale.Wheel_engine.broadcast (Rng.of_int 21) csr
-      ~protocol:Gossip_scale.Wheel_engine.Push_pull ~source:0 ~max_rounds:10_000
+    Gossip_scale.Wheel_engine.broadcast_kernel (Rng.of_int 21) csr
+      ~kernel:(Gossip_scale.Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
   in
   let traced =
-    Gossip_scale.Wheel_engine.broadcast ~telemetry:reg (Rng.of_int 21) csr
-      ~protocol:Gossip_scale.Wheel_engine.Push_pull ~source:0 ~max_rounds:10_000
+    Gossip_scale.Wheel_engine.broadcast_kernel ~telemetry:reg (Rng.of_int 21) csr
+      ~kernel:(Gossip_scale.Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
   in
   checkb "telemetry does not perturb the run" true
     (plain.Gossip_scale.Wheel_engine.rounds = traced.Gossip_scale.Wheel_engine.rounds);
@@ -515,11 +515,11 @@ let test_sweep_telemetry_report () =
   let jobs =
     Sweep.make_jobs
       ~family:(Sweep.Ring_of_cliques { size = 4; bridge_latency = 2 })
-      ~n:16 ~protocol:Gossip_scale.Wheel_engine.Push_pull ~trials:5 ~base_seed:3
+      ~n:16 ~protocol:Gossip_sweep.Runner.Push_pull ~trials:5 ~base_seed:3
       ~max_rounds:100_000 ()
   in
   let reg = Registry.create () in
-  let outcomes = Sweep.run ~workers:1 ~telemetry:reg jobs in
+  let outcomes = (Sweep.run_ft ~workers:1 ~telemetry:reg jobs).Sweep.completed in
   checki "worker job counter" 5
     (Registry.counter_value (Registry.counter reg "pool.worker0.jobs"));
   checki "job hist count" 5 (Registry.hist_count (Registry.histogram reg "pool.job_us"));
@@ -543,11 +543,13 @@ let test_pool_telemetry_multiworker () =
   let module Pool = Gossip_sweep.Pool in
   let reg = Registry.create () in
   let out =
-    Pool.run ~workers:3 ~telemetry:reg (fun x -> x * x) (Array.init 20 (fun i -> i))
+    Pool.run_outcomes ~workers:3 ~telemetry:reg (fun x -> x * x) (Array.init 20 (fun i -> i))
   in
   check (Alcotest.array Alcotest.int) "results in order"
     (Array.init 20 (fun i -> i * i))
-    out;
+    (Array.map
+       (function Pool.Ok v -> v | Pool.Failed f -> Alcotest.fail (Pool.failure_message f))
+       out);
   (* eager pre-registration: every worker's metrics exist even if the
      scheduler starved it *)
   let jobs_total =

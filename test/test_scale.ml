@@ -8,6 +8,7 @@ module Gen = Gossip_graph.Gen
 module Engine = Gossip_sim.Engine
 module Csr = Gossip_scale.Csr
 module I32 = Gossip_scale.I32
+module Kernel = Gossip_scale.Kernel
 module Wheel = Gossip_scale.Wheel_engine
 module Shard = Gossip_scale.Shard
 module Registry = Gossip_obs.Registry
@@ -118,7 +119,8 @@ let prop_csr_roundtrip =
 let test_wheel_pushpull_completes () =
   let c = Csr.ring_of_cliques ~cliques:4 ~size:8 ~bridge_latency:6 in
   let r =
-    Wheel.broadcast (Rng.of_int 3) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:100_000
+    Wheel.broadcast_kernel (Rng.of_int 3) c ~kernel:(Kernel.push_pull c) ~source:0
+      ~max_rounds:100_000
   in
   checkb "completes" true (r.Wheel.rounds <> None);
   (match r.Wheel.history with
@@ -131,24 +133,28 @@ let test_wheel_pushpull_completes () =
 let test_wheel_flood_and_random_contact_complete () =
   let c = Csr.of_graph (Gen.with_latencies (Rng.of_int 2) (Gen.Uniform (1, 4)) (Gen.clique 20)) in
   List.iter
-    (fun protocol ->
-      let r = Wheel.broadcast (Rng.of_int 9) c ~protocol ~source:3 ~max_rounds:10_000 in
-      checkb (Wheel.protocol_name protocol ^ " completes") true (r.Wheel.rounds <> None))
-    [ Wheel.Flood; Wheel.Random_contact ]
+    (fun kernel ->
+      let r =
+        Wheel.broadcast_kernel (Rng.of_int 9) c ~kernel:(kernel c) ~source:3 ~max_rounds:10_000
+      in
+      checkb (Kernel.name (kernel c) ^ " completes") true (r.Wheel.rounds <> None))
+    [ Kernel.flood; Kernel.random_contact ]
 
 let test_wheel_single_node () =
   let c = Csr.of_graph (Graph.of_edges ~n:1 []) in
-  let r = Wheel.broadcast (Rng.of_int 1) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:10 in
+  let r =
+    Wheel.broadcast_kernel (Rng.of_int 1) c ~kernel:(Kernel.push_pull c) ~source:0 ~max_rounds:10
+  in
   Alcotest.check (Alcotest.option Alcotest.int) "zero rounds" (Some 0) r.Wheel.rounds
 
 let test_wheel_drop_everything () =
   let c = Csr.of_graph (Gen.path 2) in
   let faults =
-    { Wheel.no_faults with Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true) }
+    { Engine.no_faults with Engine.drop = (fun ~initiator:_ ~responder:_ ~round:_ -> true) }
   in
   let r =
-    Wheel.broadcast ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c ~protocol:Wheel.Push_pull
-      ~source:0 ~max_rounds:50
+    Wheel.broadcast_kernel ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c
+      ~kernel:(Kernel.push_pull c) ~source:0 ~max_rounds:50
   in
   checkb "never completes" true (r.Wheel.rounds = None);
   checki "everything dropped" r.Wheel.metrics.Engine.initiations
@@ -163,11 +169,11 @@ let test_wheel_crash_isolates () =
      cross and node 2 stays uninformed. *)
   let c = Csr.of_graph (Gen.path 3) in
   let faults =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
+    { Engine.no_faults with Engine.alive = (fun ~node ~round:_ -> node <> 1) }
   in
   let r =
-    Wheel.broadcast ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c ~protocol:Wheel.Push_pull
-      ~source:0 ~max_rounds:60
+    Wheel.broadcast_kernel ~env:(Wheel.env_of_faults faults) (Rng.of_int 4) c
+      ~kernel:(Kernel.push_pull c) ~source:0 ~max_rounds:60
   in
   let informed v = Bytes.get r.Wheel.informed v <> '\000' in
   checkb "source informed" true (informed 0);
@@ -178,7 +184,7 @@ let test_wheel_crash_isolates () =
 let test_wheel_jitter_bound () =
   let c = Csr.of_graph (Gen.path 2) in
   let faults =
-    { Wheel.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
+    { Engine.no_faults with Engine.jitter = (fun ~latency ~round:_ -> latency + 50) }
   in
   let env = Wheel.env_of_faults faults in
   (* A jitter overrunning the wheel is a typed exception (a failed run
@@ -186,12 +192,12 @@ let test_wheel_jitter_bound () =
   Alcotest.check_raises "oversized jitter rejected"
     (Wheel.Jitter_overflow { latency = 51; bound = 1; round = 0 }) (fun () ->
       ignore
-        (Wheel.broadcast ~env (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
+        (Wheel.broadcast_kernel ~env (Rng.of_int 4) c ~kernel:(Kernel.push_pull c) ~source:0
            ~max_rounds:200));
   (* A wheel sized for the jitter accepts it. *)
   let r =
-    Wheel.broadcast ~env ~wheel_latency:64 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:200
+    Wheel.broadcast_kernel ~env ~wheel_latency:64 (Rng.of_int 4) c ~kernel:(Kernel.push_pull c)
+      ~source:0 ~max_rounds:200
   in
   checki "spread despite jitter" 2 (count_informed r.Wheel.informed)
 
@@ -200,8 +206,8 @@ let test_wheel_undersized_refused () =
      thousands of rounds into a sweep job. *)
   let c = Csr.ring_of_cliques ~cliques:3 ~size:3 ~bridge_latency:9 in
   match
-    Wheel.broadcast ~wheel_latency:4 (Rng.of_int 4) c ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:400
+    Wheel.broadcast_kernel ~wheel_latency:4 (Rng.of_int 4) c ~kernel:(Kernel.push_pull c)
+      ~source:0 ~max_rounds:400
   with
   | _ -> Alcotest.fail "undersized wheel accepted"
   | exception Invalid_argument msg ->
@@ -214,8 +220,8 @@ let test_wheel_deadline () =
   (* A deadline already in the past aborts between rounds with the
      typed exception (the sweep runtime records it as a failure). *)
   (match
-     Wheel.broadcast ~deadline:0.0 (Rng.of_int 9) c ~protocol:Wheel.Push_pull ~source:0
-       ~max_rounds:10_000
+     Wheel.broadcast_kernel ~deadline:0.0 (Rng.of_int 9) c ~kernel:(Kernel.push_pull c)
+       ~source:0 ~max_rounds:10_000
    with
   | _ -> Alcotest.fail "expected Deadline_exceeded"
   | exception Wheel.Deadline_exceeded { round; elapsed_s } ->
@@ -224,10 +230,11 @@ let test_wheel_deadline () =
   (* A generous deadline changes nothing: same trajectory as no deadline. *)
   let far = Unix.gettimeofday () +. 3600.0 in
   let bare =
-    Wheel.broadcast (Rng.of_int 9) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:10_000
+    Wheel.broadcast_kernel (Rng.of_int 9) c ~kernel:(Kernel.push_pull c) ~source:0
+      ~max_rounds:10_000
   in
   let budgeted =
-    Wheel.broadcast ~deadline:far (Rng.of_int 9) c ~protocol:Wheel.Push_pull ~source:0
+    Wheel.broadcast_kernel ~deadline:far (Rng.of_int 9) c ~kernel:(Kernel.push_pull c) ~source:0
       ~max_rounds:10_000
   in
   Alcotest.check
@@ -243,7 +250,8 @@ let test_wheel_metrics_match_engine () =
   let g = Gen.ring_of_cliques ~cliques:3 ~size:5 ~bridge_latency:4 in
   let old_r = Push_pull.broadcast (Rng.of_int 21) g ~source:2 ~max_rounds:10_000 in
   let new_r =
-    Wheel.broadcast (Rng.of_int 21) (Csr.of_graph g) ~protocol:Wheel.Push_pull ~source:2
+    let c = Csr.of_graph g in
+    Wheel.broadcast_kernel (Rng.of_int 21) c ~kernel:(Kernel.push_pull c) ~source:2
       ~max_rounds:10_000
   in
   checki "initiations" old_r.Push_pull.metrics.Engine.initiations
@@ -263,7 +271,8 @@ let test_parity_fixed_cases () =
     (fun (label, g, seed, source) ->
       let old_r = Push_pull.broadcast (Rng.of_int seed) g ~source ~max_rounds:1_000_000 in
       let new_r =
-        Wheel.broadcast (Rng.of_int seed) (Csr.of_graph g) ~protocol:Wheel.Push_pull ~source
+        let c = Csr.of_graph g in
+        Wheel.broadcast_kernel (Rng.of_int seed) c ~kernel:(Kernel.push_pull c) ~source
           ~max_rounds:1_000_000
       in
       Alcotest.check (Alcotest.option Alcotest.int) (label ^ " rounds") old_r.Push_pull.rounds
@@ -301,9 +310,9 @@ let prop_pushpull_parity =
       let source = seed mod n in
       let old_r = Push_pull.broadcast (Rng.of_int (seed + 1)) g ~source ~max_rounds:100_000 in
       let new_r =
-        Wheel.broadcast
-          (Rng.of_int (seed + 1))
-          (Csr.of_graph g) ~protocol:Wheel.Push_pull ~source ~max_rounds:100_000
+        let c = Csr.of_graph g in
+        Wheel.broadcast_kernel (Rng.of_int (seed + 1)) c ~kernel:(Kernel.push_pull c) ~source
+          ~max_rounds:100_000
       in
       old_r.Push_pull.rounds = new_r.Wheel.rounds
       && old_r.Push_pull.history = new_r.Wheel.history)
@@ -320,7 +329,8 @@ let prop_flood_parity =
       let source = seed mod n in
       let old_r = Flooding.push_round_robin g ~source ~blocking:false ~max_rounds:100_000 in
       let new_r =
-        Wheel.broadcast (Rng.of_int 0) (Csr.of_graph g) ~protocol:Wheel.Flood ~source
+        let c = Csr.of_graph g in
+        Wheel.broadcast_kernel (Rng.of_int 0) c ~kernel:(Kernel.flood c) ~source
           ~max_rounds:100_000
       in
       old_r.Flooding.rounds = new_r.Wheel.rounds)
@@ -361,21 +371,22 @@ let test_wheel_pool_exhausted () =
     (Wheel.Pool_exhausted { used = 2; round = 0 })
     (fun () ->
       ignore
-        (Wheel.broadcast ~pool_capacity:2 (Rng.of_int 5) c ~protocol:Wheel.Push_pull ~source:0
-           ~max_rounds:10));
+        (Wheel.broadcast_kernel ~pool_capacity:2 (Rng.of_int 5) c ~kernel:(Kernel.push_pull c)
+           ~source:0 ~max_rounds:10));
   (* A capacity the run fits under never steers the trajectory. *)
   let bare =
-    Wheel.broadcast (Rng.of_int 5) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:10_000
+    Wheel.broadcast_kernel (Rng.of_int 5) c ~kernel:(Kernel.push_pull c) ~source:0
+      ~max_rounds:10_000
   in
   let capped =
-    Wheel.broadcast ~pool_capacity:64 (Rng.of_int 5) c ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:10_000
+    Wheel.broadcast_kernel ~pool_capacity:64 (Rng.of_int 5) c ~kernel:(Kernel.push_pull c)
+      ~source:0 ~max_rounds:10_000
   in
   Alcotest.check trajectory_testable "capacity never steers the run" bare.Wheel.history
     capped.Wheel.history;
   match
-    Wheel.broadcast ~pool_capacity:0 (Rng.of_int 1) c ~protocol:Wheel.Push_pull ~source:0
-      ~max_rounds:10
+    Wheel.broadcast_kernel ~pool_capacity:0 (Rng.of_int 1) c ~kernel:(Kernel.push_pull c)
+      ~source:0 ~max_rounds:10
   with
   | _ -> Alcotest.fail "pool_capacity 0 accepted"
   | exception Invalid_argument _ -> ()
@@ -397,20 +408,20 @@ let parity_domains =
    the sharded engine's contract requires. *)
 let parity_fault_plans =
   [
-    ("none", Wheel.no_faults, 0);
+    ("none", Engine.no_faults, 0);
     ( "drop",
       {
-        Wheel.no_faults with
+        Engine.no_faults with
         Engine.drop =
           (fun ~initiator ~responder ~round -> (initiator + (3 * responder) + round) mod 5 = 0);
       },
       0 );
     ( "crash",
-      { Wheel.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
+      { Engine.no_faults with Engine.alive = (fun ~node ~round -> node mod 7 <> 3 || round < 2) },
       0 );
     ( "jitter",
       {
-        Wheel.no_faults with
+        Engine.no_faults with
         Engine.jitter = (fun ~latency ~round -> latency + ((latency + round) mod 3));
       },
       2 );
@@ -426,16 +437,17 @@ let check_sharded_parity label base (r : Wheel.result) =
 let test_sharded_parity_fixed () =
   let c = Csr.ring_of_cliques ~cliques:6 ~size:7 ~bridge_latency:9 in
   List.iter
-    (fun protocol ->
-      let name = Wheel.protocol_name protocol in
+    (fun kernel ->
+      let name = Kernel.name (kernel c) in
       let run d =
-        Wheel.broadcast ~domains:d (Rng.of_int 13) c ~protocol ~source:5 ~max_rounds:100_000
+        Wheel.broadcast_kernel ~domains:d (Rng.of_int 13) c ~kernel:(kernel c) ~source:5
+          ~max_rounds:100_000
       in
       let base = run 1 in
       List.iter
         (fun d -> check_sharded_parity (Printf.sprintf "%s domains=%d" name d) base (run d))
         parity_domains)
-    [ Wheel.Push_pull; Wheel.Flood; Wheel.Random_contact ]
+    [ Kernel.push_pull; Kernel.flood; Kernel.random_contact ]
 
 (* The tentpole acceptance property: for every protocol and every pure
    fault plan, the domain-sharded engine is bit-identical to the
@@ -454,15 +466,18 @@ let prop_sharded_parity =
       in
       let csr = Csr.of_graph g in
       let source = seed mod n in
-      let protocol =
-        match pick mod 3 with 0 -> Wheel.Push_pull | 1 -> Wheel.Flood | _ -> Wheel.Random_contact
+      let kernel =
+        match pick mod 3 with
+        | 0 -> Kernel.push_pull
+        | 1 -> Kernel.flood
+        | _ -> Kernel.random_contact
       in
       let _, faults, jitter = List.nth parity_fault_plans (pick / 3) in
       let run d =
-        Wheel.broadcast ~env:(Wheel.env_of_faults faults)
+        Wheel.broadcast_kernel ~env:(Wheel.env_of_faults faults)
           ~wheel_latency:(Csr.max_latency csr + jitter) ~domains:d
           (Rng.of_int (seed + 1))
-          csr ~protocol ~source ~max_rounds:400
+          csr ~kernel:(kernel csr) ~source ~max_rounds:400
       in
       let base = run 1 in
       List.for_all
@@ -485,11 +500,11 @@ let test_sharded_dead_shard () =
   in
   let csr = Csr.of_graph g in
   let faults =
-    { Wheel.no_faults with Engine.alive = (fun ~node ~round:_ -> node < 10 || node >= 20) }
+    { Engine.no_faults with Engine.alive = (fun ~node ~round:_ -> node < 10 || node >= 20) }
   in
   let run d =
-    Wheel.broadcast ~env:(Wheel.env_of_faults faults) ~domains:d (Rng.of_int 8) csr
-      ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:300
+    Wheel.broadcast_kernel ~env:(Wheel.env_of_faults faults) ~domains:d (Rng.of_int 8) csr
+      ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:300
   in
   let base = run 1 in
   let sharded = run 4 in
@@ -505,17 +520,18 @@ let test_sharded_dead_shard () =
 let test_sharded_domains_validation () =
   let c = Csr.of_graph (Gen.path 3) in
   (match
-     Wheel.broadcast ~domains:0 (Rng.of_int 1) c ~protocol:Wheel.Push_pull ~source:0
+     Wheel.broadcast_kernel ~domains:0 (Rng.of_int 1) c ~kernel:(Kernel.push_pull c) ~source:0
        ~max_rounds:10
    with
   | _ -> Alcotest.fail "domains = 0 accepted"
   | exception Invalid_argument _ -> ());
   (* More domains than nodes clamps to n and still matches. *)
   let base =
-    Wheel.broadcast (Rng.of_int 2) c ~protocol:Wheel.Push_pull ~source:0 ~max_rounds:10_000
+    Wheel.broadcast_kernel (Rng.of_int 2) c ~kernel:(Kernel.push_pull c) ~source:0
+      ~max_rounds:10_000
   in
   let clamped =
-    Wheel.broadcast ~domains:8 (Rng.of_int 2) c ~protocol:Wheel.Push_pull ~source:0
+    Wheel.broadcast_kernel ~domains:8 (Rng.of_int 2) c ~kernel:(Kernel.push_pull c) ~source:0
       ~max_rounds:10_000
   in
   check_sharded_parity "clamped to n" base clamped
@@ -528,8 +544,8 @@ let test_sharded_telemetry () =
   let run d =
     let reg = Registry.create () in
     let r =
-      Wheel.broadcast ~telemetry:reg ~domains:d (Rng.of_int 6) c ~protocol:Wheel.Push_pull
-        ~source:0 ~max_rounds:10_000
+      Wheel.broadcast_kernel ~telemetry:reg ~domains:d (Rng.of_int 6) c
+        ~kernel:(Kernel.push_pull c) ~source:0 ~max_rounds:10_000
     in
     (reg, r)
   in
@@ -566,8 +582,8 @@ let test_minor_words_gauge () =
   let words d =
     let reg = Registry.create () in
     let r =
-      Wheel.broadcast ~telemetry:reg ~domains:d (Rng.of_int 6) c ~protocol:Wheel.Push_pull
-        ~source:0 ~max_rounds:10_000
+      Wheel.broadcast_kernel ~telemetry:reg ~domains:d (Rng.of_int 6) c
+        ~kernel:(Kernel.push_pull c) ~source:0 ~max_rounds:10_000
     in
     checkb "completes" true (r.Wheel.rounds <> None);
     Registry.gauge_value (Registry.gauge reg "wheel.minor_words_per_round")
@@ -714,8 +730,11 @@ let prop_sharded_parity_scenario =
       in
       let csr = Csr.of_graph g in
       let source = seed mod n in
-      let protocol =
-        match pick mod 3 with 0 -> Wheel.Push_pull | 1 -> Wheel.Flood | _ -> Wheel.Random_contact
+      let kernel =
+        match pick mod 3 with
+        | 0 -> Kernel.push_pull
+        | 1 -> Kernel.flood
+        | _ -> Kernel.random_contact
       in
       let rules =
         match pick / 3 with
@@ -745,9 +764,8 @@ let prop_sharded_parity_scenario =
       in
       let c = Scenario.compile scen ~csr ~source in
       let run d =
-        Wheel.broadcast ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency ~domains:d
-          (Rng.of_int (seed + 1))
-          csr ~protocol ~source ~max_rounds:400
+        Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+          ~domains:d (Rng.of_int (seed + 1)) csr ~kernel:(kernel csr) ~source ~max_rounds:400
       in
       let base = run 1 in
       List.for_all

@@ -14,7 +14,7 @@ module Server = Gossip_serve.Server
 module Client = Gossip_serve.Client
 module Live = Gossip_obs.Live
 module Sweep = Gossip_sweep.Sweep
-module Wheel = Gossip_scale.Wheel_engine
+module Runner = Gossip_sweep.Runner
 module Lat = Gossip_graph.Gen
 module Json = Gossip_util.Json
 
@@ -105,7 +105,7 @@ let latency_gen =
         (QGen.oneofl [ 1.5; 2.0; 2.5 ]);
     ]
 
-let protocol_gen = QGen.oneofl (List.filter_map Wheel.protocol_of_string Wheel.known_protocols)
+let protocol_gen = QGen.oneofl (List.filter_map Runner.protocol_of_string Runner.known_protocols)
 
 (* A representative dynamic scenario for the optional submit field
    (drift on slow edges plus one rejoining node). *)
@@ -270,7 +270,7 @@ let small_spec ?latency ?scenario ?(trials = 2) ?(seed = 42) () =
   {
     P.family = Sweep.Ring_of_cliques { size = 8; bridge_latency = 8 };
     n = 64;
-    protocol = Wheel.Push_pull;
+    protocol = Runner.Push_pull;
     trials;
     base_seed = seed;
     max_rounds = 500;

@@ -1,9 +1,12 @@
-(* Tests for lib/sweep (domain pool, orchestrator) and the lib/util
-   JSON emitter it serializes through. *)
+(* Tests for lib/sweep (protocol descriptors and the runner, domain
+   pool, orchestrator) and the lib/util JSON emitter it serializes
+   through. *)
 
 module Json = Gossip_util.Json
 module Pool = Gossip_sweep.Pool
+module Runner = Gossip_sweep.Runner
 module Sweep = Gossip_sweep.Sweep
+module Csr = Gossip_scale.Csr
 module Wheel = Gossip_scale.Wheel_engine
 module Engine = Gossip_sim.Engine
 
@@ -51,30 +54,154 @@ let test_json_write () =
   checks "file contents" {|{"ok":true}|} line
 
 (* ------------------------------------------------------------------ *)
+(* Protocol descriptors *)
+
+let test_protocol_roundtrip () =
+  List.iter
+    (fun p ->
+      let s = Runner.protocol_name p in
+      match Runner.protocol_of_string s with
+      | Some p' -> checkb (s ^ " round-trips") true (p = p')
+      | None -> Alcotest.failf "%s does not parse back" s)
+    [
+      Runner.Push_pull;
+      Runner.Flood;
+      Runner.Random_contact;
+      Runner.Rr_spanner { stretch_k = 0 };
+      Runner.Rr_spanner { stretch_k = 3 };
+      Runner.Dtg_local { ell = 0 };
+      Runner.Dtg_local { ell = 5 };
+      Runner.Unknown_eid;
+      Runner.Unified;
+      Runner.K_rumor { k = 0; budget = 0 };
+      Runner.K_rumor { k = 8; budget = 0 };
+      Runner.K_rumor { k = 8; budget = 3 };
+      Runner.Rumor_rotation { k = 0; budget = 0 };
+      Runner.Rumor_rotation { k = 5; budget = 2 };
+      Runner.Algebraic { k = 0; budget = 0 };
+      Runner.Algebraic { k = 16; budget = 1 };
+    ];
+  (* Parameterless forms mean "choose automatically". *)
+  checkb "bare rr-spanner" true
+    (Runner.protocol_of_string "rr-spanner" = Some (Runner.Rr_spanner { stretch_k = 0 }));
+  checkb "bare dtg" true
+    (Runner.protocol_of_string "dtg" = Some (Runner.Dtg_local { ell = 0 }));
+  checkb "bare k-rumor" true
+    (Runner.protocol_of_string "k-rumor" = Some (Runner.K_rumor { k = 0; budget = 0 }));
+  checkb "k-rumor:4" true
+    (Runner.protocol_of_string "k-rumor:4" = Some (Runner.K_rumor { k = 4; budget = 0 }));
+  checkb "rotation:4:2" true
+    (Runner.protocol_of_string "rotation:4:2"
+    = Some (Runner.Rumor_rotation { k = 4; budget = 2 }));
+  checkb "algebraic:16:1" true
+    (Runner.protocol_of_string "algebraic:16:1" = Some (Runner.Algebraic { k = 16; budget = 1 }));
+  List.iter
+    (fun s -> checkb ("\"" ^ s ^ "\" rejected") true (Runner.protocol_of_string s = None))
+    [
+      "nope"; "rr-spanner:0"; "rr-spanner:x"; "dtg:-2"; "dtg:"; ""; "k-rumor:"; "k-rumor:-1";
+      "k-rumor:2:"; "k-rumor:2:-1"; "k-rumor:2:3:4"; "rotation:x"; "algebraic:1:x";
+    ];
+  checki "known protocols listed" 10 (List.length Runner.known_protocols)
+
+(* The runner's auto parameters: a descriptor whose parameter is 0 (or
+   absent) runs exactly what the explicit descriptor names. *)
+let test_protocol_auto_parameters () =
+  let same label a b =
+    let a = a.Runner.result and b = b.Runner.result in
+    checkb label true
+      (a.Wheel.rounds = b.Wheel.rounds
+      && a.Wheel.history = b.Wheel.history
+      && a.Wheel.metrics = b.Wheel.metrics
+      && Bytes.equal a.Wheel.informed b.Wheel.informed)
+  in
+  (* dtg:0 is dtg at l_max, which is flooding. *)
+  let grng = Gossip_util.Rng.of_int 123 in
+  let p = (log 60.0 +. 3.0) /. 60.0 in
+  let g =
+    Gossip_graph.Gen.with_latencies grng (Gossip_graph.Gen.Uniform (1, 4))
+      (Gossip_graph.Gen.erdos_renyi_connected grng ~n:60 ~p)
+  in
+  let csr = Csr.of_graph g in
+  let run p = Runner.run csr p ~seed:0 ~source:3 ~max_rounds:100_000 in
+  same "dtg:0 = flood" (run (Runner.Dtg_local { ell = 0 })) (run Runner.Flood);
+  same "dtg:0 = dtg:l_max"
+    (run (Runner.Dtg_local { ell = 0 }))
+    (run (Runner.Dtg_local { ell = Csr.max_latency csr }));
+  (* k = min n 16 rumors; budget 4 words, or algebraic's ⌈k/30⌉. *)
+  List.iter
+    (fun (cliques, k) ->
+      let csr = Csr.ring_of_cliques ~cliques ~size:4 ~bridge_latency:3 in
+      let run p = Runner.run csr p ~seed:5 ~source:0 ~max_rounds:100_000 in
+      let n = Csr.n csr in
+      same (Printf.sprintf "k-rumor n=%d" n)
+        (run (Runner.K_rumor { k = 0; budget = 0 }))
+        (run (Runner.K_rumor { k; budget = 4 }));
+      same (Printf.sprintf "rotation n=%d" n)
+        (run (Runner.Rumor_rotation { k = 0; budget = 0 }))
+        (run (Runner.Rumor_rotation { k; budget = 4 }));
+      same (Printf.sprintf "algebraic n=%d" n)
+        (run (Runner.Algebraic { k = 0; budget = 0 }))
+        (run (Runner.Algebraic { k; budget = 1 })))
+    [ (3, 12); (5, 16) ];
+  (* rr-spanner:0 builds with k = ⌈log₂ n⌉. *)
+  let csr = Csr.ring_of_cliques ~cliques:5 ~size:4 ~bridge_latency:3 in
+  let run p = Runner.run csr p ~seed:5 ~source:0 ~max_rounds:100_000 in
+  let auto = run (Runner.Rr_spanner { stretch_k = 0 }) in
+  (match auto.Runner.route with
+  | Runner.Spanner_run sp -> checki "rr-spanner k" 5 sp.Runner.k
+  | _ -> Alcotest.fail "rr-spanner ran no spanner");
+  same "rr-spanner:0 = rr-spanner:5" auto (run (Runner.Rr_spanner { stretch_k = 5 }))
+
+(* The name <-> descriptor bijection holds over the whole descriptor
+   space, parameterized forms included — one generator spanning all
+   ten grammar productions. *)
+let protocol_gen =
+  let open QCheck.Gen in
+  let param2 mk = map2 (fun k budget -> mk k budget) (int_range 0 40) (int_range 0 6) in
+  oneof
+    [
+      return Runner.Push_pull;
+      return Runner.Flood;
+      return Runner.Random_contact;
+      map (fun stretch_k -> Runner.Rr_spanner { stretch_k }) (int_range 0 12);
+      map (fun ell -> Runner.Dtg_local { ell }) (int_range 0 12);
+      return Runner.Unknown_eid;
+      return Runner.Unified;
+      param2 (fun k budget -> Runner.K_rumor { k; budget });
+      param2 (fun k budget -> Runner.Rumor_rotation { k; budget });
+      param2 (fun k budget -> Runner.Algebraic { k; budget });
+    ]
+
+let prop_protocol_roundtrip =
+  QCheck.Test.make ~name:"protocol_of_string inverts protocol_name on every descriptor"
+    ~count:300
+    (QCheck.make protocol_gen ~print:Runner.protocol_name)
+    (fun p -> Runner.protocol_of_string (Runner.protocol_name p) = Some p)
+
+(* ------------------------------------------------------------------ *)
 (* Pool *)
+
+(* The values of a pool run none of whose jobs raised. *)
+let pool_values out =
+  Array.map
+    (function Pool.Ok v -> v | Pool.Failed f -> Alcotest.fail (Pool.failure_message f))
+    out
 
 let test_pool_order_preserved () =
   List.iter
     (fun workers ->
       let inputs = Array.init 37 (fun i -> i) in
-      let out = Pool.run ~workers (fun x -> (2 * x) + 1) inputs in
+      let out = pool_values (Pool.run_outcomes ~workers (fun x -> (2 * x) + 1) inputs) in
       Array.iteri
         (fun i r -> checki (Printf.sprintf "w%d slot %d" workers i) ((2 * i) + 1) r)
         out)
     [ 1; 2; 4 ]
 
 let test_pool_empty_and_clamp () =
-  checki "empty" 0 (Array.length (Pool.run ~workers:4 (fun x -> x) [||]));
+  checki "empty" 0 (Array.length (Pool.run_outcomes ~workers:4 (fun x -> x) [||]));
   (* More workers than jobs must still complete every job once. *)
-  let out = Pool.run ~workers:8 (fun x -> x * x) [| 1; 2; 3 |] in
+  let out = pool_values (Pool.run_outcomes ~workers:8 (fun x -> x * x) [| 1; 2; 3 |]) in
   Alcotest.check (Alcotest.array Alcotest.int) "clamped" [| 1; 4; 9 |] out
-
-let test_pool_propagates_exception () =
-  Alcotest.check_raises "first failing job wins" (Failure "job 3") (fun () ->
-      ignore
-        (Pool.run ~workers:2
-           (fun i -> if i >= 3 then failwith (Printf.sprintf "job %d" i) else i)
-           [| 0; 1; 2; 3; 4; 5 |]))
 
 let test_pool_default_workers () =
   checkb "at least one worker" true (Pool.default_workers () >= 1)
@@ -222,8 +349,14 @@ let small_jobs protocol =
     ~family:(Sweep.Ring_of_cliques { size = 6; bridge_latency = 4 })
     ~n:48 ~protocol ~trials:4 ~base_seed:1 ~max_rounds:100_000 ()
 
+(* The outcomes of a sweep none of whose jobs failed. *)
+let run_clean ?domains ~workers jobs =
+  let report = Sweep.run_ft ?domains ~workers jobs in
+  checki "no failed jobs" 0 (List.length report.Sweep.failed);
+  report.Sweep.completed
+
 let test_sweep_runs_and_completes () =
-  let outcomes = Sweep.run ~workers:2 (small_jobs Wheel.Push_pull) in
+  let outcomes = run_clean ~workers:2 (small_jobs Runner.Push_pull) in
   checki "all trials" 4 (List.length outcomes);
   List.iter
     (fun o ->
@@ -234,16 +367,16 @@ let test_sweep_runs_and_completes () =
 
 let test_sweep_deterministic_across_workers () =
   let rounds outcomes = List.map (fun (o : Sweep.outcome) -> o.Sweep.rounds) outcomes in
-  let sequential = Sweep.run ~workers:1 (small_jobs Wheel.Push_pull) in
-  let parallel = Sweep.run ~workers:3 (small_jobs Wheel.Push_pull) in
+  let sequential = run_clean ~workers:1 (small_jobs Runner.Push_pull) in
+  let parallel = run_clean ~workers:3 (small_jobs Runner.Push_pull) in
   Alcotest.check
     (Alcotest.list (Alcotest.option Alcotest.int))
     "same rounds regardless of pool size" (rounds sequential) (rounds parallel)
 
 let test_sweep_summarize () =
   let outcomes =
-    Sweep.run ~workers:2
-      (small_jobs Wheel.Push_pull @ small_jobs Wheel.Flood)
+    run_clean ~workers:2
+      (small_jobs Runner.Push_pull @ small_jobs Runner.Flood)
   in
   match Sweep.summarize outcomes with
   | [ pp; flood ] ->
@@ -261,9 +394,9 @@ let test_sweep_capped_run () =
   (* A one-round cap cannot finish a 48-node broadcast: the summary
      must report zero completions and no stats. *)
   let jobs =
-    List.map (fun j -> { j with Sweep.max_rounds = 1 }) (small_jobs Wheel.Push_pull)
+    List.map (fun j -> { j with Sweep.max_rounds = 1 }) (small_jobs Runner.Push_pull)
   in
-  let outcomes = Sweep.run ~workers:2 jobs in
+  let outcomes = run_clean ~workers:2 jobs in
   List.iter (fun (o : Sweep.outcome) -> checkb "capped" true (o.Sweep.rounds = None)) outcomes;
   match Sweep.summarize outcomes with
   | [ s ] ->
@@ -275,16 +408,16 @@ let test_sweep_latency_override () =
   let jobs =
     Sweep.make_jobs
       ~family:(Sweep.Barabasi_albert { attach = 2 })
-      ~n:64 ~protocol:Wheel.Push_pull ~trials:2 ~base_seed:5 ~max_rounds:100_000
+      ~n:64 ~protocol:Runner.Push_pull ~trials:2 ~base_seed:5 ~max_rounds:100_000
       ~latency:(Gossip_graph.Gen.Uniform (2, 5))
       ()
   in
   List.iter
     (fun (o : Sweep.outcome) -> checkb "completes with latencies" true (o.Sweep.rounds <> None))
-    (Sweep.run ~workers:2 jobs)
+    (run_clean ~workers:2 jobs)
 
 let test_sweep_json_shape () =
-  let outcomes = Sweep.run ~workers:2 (small_jobs Wheel.Push_pull) in
+  let outcomes = run_clean ~workers:2 (small_jobs Runner.Push_pull) in
   let s = Json.to_string (Sweep.to_json ~meta:[ ("tool", Json.String "test") ] outcomes) in
   let contains needle =
     let nl = String.length needle and sl = String.length s in
@@ -312,16 +445,16 @@ let test_sweep_summarize_realized_n () =
   let jobs =
     Sweep.make_jobs
       ~family:(Sweep.Ring_of_cliques { size = 6; bridge_latency = 4 })
-      ~n:50 ~protocol:Wheel.Push_pull ~trials:2 ~base_seed:3 ~max_rounds:100_000 ()
+      ~n:50 ~protocol:Runner.Push_pull ~trials:2 ~base_seed:3 ~max_rounds:100_000 ()
   in
-  match Sweep.summarize (Sweep.run ~workers:2 jobs) with
+  match Sweep.summarize (run_clean ~workers:2 jobs) with
   | [ s ] ->
       checki "summary keyed by realized n" 48 s.Sweep.n;
       checki "both trials in one group" 2 s.Sweep.trials
   | groups -> Alcotest.failf "expected one group, got %d" (List.length groups)
 
 let test_sweep_run_ft_inject () =
-  let jobs = small_jobs Wheel.Push_pull in
+  let jobs = small_jobs Runner.Push_pull in
   let crash_seed = (List.nth jobs 1).Sweep.seed in
   let inject (j : Sweep.job) =
     if j.Sweep.seed = crash_seed then failwith "injected crash"
@@ -343,7 +476,7 @@ let test_sweep_run_ft_inject () =
   | groups -> Alcotest.failf "expected one group, got %d" (List.length groups)
 
 let test_sweep_run_ft_retry_recovers () =
-  let jobs = small_jobs Wheel.Push_pull in
+  let jobs = small_jobs Runner.Push_pull in
   let crash_seed = (List.nth jobs 2).Sweep.seed in
   let tries = ref 0 in
   let inject (j : Sweep.job) =
@@ -364,7 +497,7 @@ let test_sweep_run_ft_retry_recovers () =
   | l -> Alcotest.failf "expected one retry record, got %d" (List.length l));
   (* The recovered run is indistinguishable from an untroubled one. *)
   let rounds r = List.map (fun (o : Sweep.outcome) -> o.Sweep.rounds) r in
-  let clean = Sweep.run ~workers:1 jobs in
+  let clean = run_clean ~workers:1 jobs in
   Alcotest.check
     (Alcotest.list (Alcotest.option Alcotest.int))
     "retry leaves trajectories untouched" (rounds clean)
@@ -377,7 +510,7 @@ let with_temp_file f =
 
 let test_sweep_checkpoint_roundtrip () =
   with_temp_file (fun path ->
-      let jobs = small_jobs Wheel.Push_pull in
+      let jobs = small_jobs Runner.Push_pull in
       let report = Sweep.run_ft ~workers:1 ~checkpoint:path jobs in
       checki "all completed" 4 (List.length report.Sweep.completed);
       let entries = Sweep.read_checkpoint path in
@@ -396,7 +529,7 @@ let test_sweep_checkpoint_roundtrip () =
 
 let test_sweep_resume_skips_recorded () =
   with_temp_file (fun path ->
-      let jobs = small_jobs Wheel.Push_pull in
+      let jobs = small_jobs Runner.Push_pull in
       let full = Sweep.run_ft ~workers:1 ~checkpoint:path jobs in
       (* Simulate a kill after two jobs: truncate the checkpoint, with
          a torn third line as a process killed mid-write would leave. *)
@@ -433,7 +566,7 @@ let test_sweep_resume_skips_recorded () =
 
 let test_sweep_checkpoint_records_failures () =
   with_temp_file (fun path ->
-      let jobs = small_jobs Wheel.Push_pull in
+      let jobs = small_jobs Runner.Push_pull in
       let crash_seed = (List.hd jobs).Sweep.seed in
       let inject (j : Sweep.job) =
         if j.Sweep.seed = crash_seed then failwith "injected crash"
@@ -477,15 +610,15 @@ let test_pool_budget_workers () =
 let test_sweep_sharded_jobs_deterministic () =
   (* Per-job engine sharding must not change any outcome: domains:2
      through the sweep equals the plain sequential sweep. *)
-  let jobs = small_jobs Wheel.Push_pull in
+  let jobs = small_jobs Runner.Push_pull in
   let shape r =
     List.map
       (fun (o : Sweep.outcome) ->
         (o.Sweep.rounds, o.Sweep.metrics.Engine.initiations, o.Sweep.metrics.Engine.deliveries))
       r
   in
-  let sequential = Sweep.run ~workers:2 jobs in
-  let sharded = Sweep.run ~workers:2 ~domains:2 jobs in
+  let sequential = run_clean ~workers:2 jobs in
+  let sharded = run_clean ~workers:2 ~domains:2 jobs in
   checkb "sharded jobs match sequential" true (shape sequential = shape sharded);
   let ft = Sweep.run_ft ~workers:1 ~domains:2 jobs in
   checki "run_ft all complete" 4 (List.length ft.Sweep.completed);
@@ -501,7 +634,7 @@ let test_sweep_pool_exhausted_failure_path () =
     let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
     go 0
   in
-  let jobs = small_jobs Wheel.Push_pull in
+  let jobs = small_jobs Runner.Push_pull in
   let report = Sweep.run_ft ~workers:1 ~pool_capacity:2 jobs in
   checki "no job completes" 0 (List.length report.Sweep.completed);
   checki "every job fails structured" 4 (List.length report.Sweep.failed);
@@ -511,7 +644,7 @@ let test_sweep_pool_exhausted_failure_path () =
       checkb "live-slot count printed" true (contains f.Sweep.message "2 live exchanges");
       checki "single attempt" 1 f.Sweep.attempts)
     report.Sweep.failed;
-  (* The same cap reaches run/run_job too: fail-fast semantics. *)
+  (* The same cap reaches run_job, which raises. *)
   (match Sweep.run_job ~pool_capacity:2 (List.hd jobs) with
   | _ -> Alcotest.fail "expected Pool_exhausted"
   | exception Wheel.Pool_exhausted { used; round } ->
@@ -533,7 +666,7 @@ let test_sweep_on_round_every_route () =
   List.iter
     (fun entry ->
       let name = List.hd (String.split_on_char '[' entry) in
-      let protocol = Option.get (Wheel.protocol_of_string name) in
+      let protocol = Option.get (Runner.protocol_of_string name) in
       let job = List.hd (small_jobs protocol) in
       let calls = ref 0 in
       let on_round ~round ~informed:_ =
@@ -543,7 +676,7 @@ let test_sweep_on_round_every_route () =
       let o = Sweep.run_job ~on_round job in
       let rounds = o.Sweep.metrics.Engine.rounds in
       (match protocol with
-      | Wheel.Unified ->
+      | Runner.Unified ->
           (* push-pull's rounds, then the chain's; metrics are the winner's *)
           checkb (name ^ ": both branches watched") true (!calls > rounds)
       | _ -> checki (name ^ ": one call per engine round") rounds !calls);
@@ -551,13 +684,13 @@ let test_sweep_on_round_every_route () =
       match Sweep.run_job ~on_round:stop job with
       | _ -> Alcotest.failf "%s: a hook raising at round 3 did not abort the job" name
       | exception Stop_at_3 -> ())
-    Wheel.known_protocols
+    Runner.known_protocols
 
 let test_sweep_resume_requires_checkpoint () =
   Alcotest.check_raises "resume without checkpoint"
     (Invalid_argument "Sweep.run_ft: ~resume:true requires a checkpoint path")
     (fun () ->
-      ignore (Sweep.run_ft ~resume:true (small_jobs Wheel.Push_pull)))
+      ignore (Sweep.run_ft ~resume:true (small_jobs Runner.Push_pull)))
 
 let () =
   Alcotest.run "gossip_sweep"
@@ -569,11 +702,16 @@ let () =
           Alcotest.test_case "nesting" `Quick test_json_nesting;
           Alcotest.test_case "write file" `Quick test_json_write;
         ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "name round-trip" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "auto parameters" `Quick test_protocol_auto_parameters;
+          QCheck_alcotest.to_alcotest prop_protocol_roundtrip;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "order preserved" `Quick test_pool_order_preserved;
           Alcotest.test_case "empty and clamp" `Quick test_pool_empty_and_clamp;
-          Alcotest.test_case "exception propagation" `Quick test_pool_propagates_exception;
           Alcotest.test_case "default workers" `Quick test_pool_default_workers;
           Alcotest.test_case "outcomes capture failures" `Quick test_pool_outcomes_capture;
           Alcotest.test_case "retry recovers" `Quick test_pool_retry_recovers;
