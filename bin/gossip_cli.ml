@@ -305,6 +305,7 @@ let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~s
     with
     | o -> o
     | exception Gossip_dyn.Scenario.Invalid_scenario msg -> die "--scenario: %s" msg
+    | exception Runner.Invalid_protocol msg -> die "--protocol %s" msg
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let r = o.Runner.result in

@@ -69,7 +69,7 @@ type scale_result = {
   b_metrics : Gossip_sim.Engine.metrics;
 }
 
-let broadcast_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng csr
+let broadcast_scale ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng csr
     ~source ~max_rounds () =
   let pp_rng = Rng.split rng in
   let eid_rng = Rng.split rng in
@@ -86,8 +86,8 @@ let broadcast_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on
         Some (fun ~round ~informed -> f ~round:(after + round) ~informed)
   in
   let eid =
-    Eid.run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round
-      eid_rng csr ~source ()
+    Eid.run_unknown_scale ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round eid_rng
+      csr ~source ()
   in
   let winner, rounds, informed, metrics =
     match pp.Scale_wheel.rounds with

@@ -68,7 +68,6 @@ type scale_result = {
     then the chain's numbered on from push-pull's last, so the
     rounds strictly increase over the whole race. *)
 val broadcast_scale :
-  ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?env:Gossip_scale.Wheel_engine.env ->

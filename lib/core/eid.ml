@@ -92,12 +92,11 @@ type scale_result = {
   scale_success : bool;
 }
 
-let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~source () =
+let run_known_diameter_scale ?domains rng csr ~d ~source () =
   if d < 1 then invalid_arg "Eid.run_known_diameter_scale: need d >= 1";
   let n = Scale_csr.n csr in
-  let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = Spanner.ceil_log2 n_hat in
-  let session = Scale_wheel.session ?telemetry ?domains csr in
+  let lg = Spanner.ceil_log2 n in
+  let session = Scale_wheel.session ?domains csr in
   (* Phase 1: k-DTG local broadcast over the latency-<= d subgraph,
      budgeted at the discovery phase's 2·d·⌈log n̂⌉² rounds (the
      single-rumor shadow of the O(log n) DTG repetitions). *)
@@ -113,18 +112,14 @@ let run_known_diameter_scale ?n_hat ?domains ?telemetry ?max_rounds rng csr ~d ~
      set. *)
   let gd = Graph.subgraph_le (Scale_csr.to_graph csr) d in
   let k_spanner = lg in
-  let spanner = Spanner.build rng gd ~k:k_spanner ~n_hat () in
+  let spanner = Spanner.build rng gd ~k:k_spanner ~n_hat:n () in
   let oriented =
     Scale_csr.of_oriented_spanner
       ~out_degree_bound:(Spanner.out_degree_bound ~n ~k:k_spanner)
       spanner.Spanner.out_edges
   in
   let k_rr = d * ((2 * k_spanner) - 1) in
-  let rr_cap =
-    match max_rounds with
-    | Some m -> m
-    | None -> (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr)
-  in
+  let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
   let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
   let rr_res =
     Scale_wheel.phase session ~informed:dtg_res.Scale_wheel.informed rng csr ~kernel:rr_kernel
@@ -197,15 +192,14 @@ let count_informed informed =
   Bytes.iter (fun ch -> if ch <> '\000' then incr c) informed;
   !c
 
-let run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng
-    csr ~source () =
+let run_unknown_scale ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round rng csr
+    ~source () =
   let n = Scale_csr.n csr in
   let session =
     Scale_wheel.session ?env ?wheel_latency ?deadline ?on_round ?telemetry ?domains csr
   in
   let clock () = Scale_wheel.session_rounds session in
-  let n_hat = match n_hat with Some h -> max h n | None -> n in
-  let lg = Spanner.ceil_log2 n_hat in
+  let lg = Spanner.ceil_log2 n in
   (* Harness guard on the doubling loop, from the TRUE latencies (the
      protocol never reads them): a guess beyond twice the latency sum
      cannot be beaten by any larger guess on a connected input. *)
@@ -225,7 +219,7 @@ let run_unknown_scale ?n_hat ?domains ?telemetry ?env ?wheel_latency ?deadline ?
     let sched = Path_discovery.run_schedule_scale session ?informed rng gk ~k ~source in
     let sched_rounds = clock () - sched_start in
     let k_spanner = lg in
-    let spanner = Spanner.build rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat () in
+    let spanner = Spanner.build rng (Scale_csr.to_graph gk) ~k:k_spanner ~n_hat:n () in
     let oriented =
       Scale_csr.of_oriented_spanner
         ~out_degree_bound:(Spanner.out_degree_bound ~n ~k:k_spanner)

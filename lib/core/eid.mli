@@ -72,17 +72,14 @@ type scale_result = {
 }
 
 (** [run_known_diameter_scale rng csr ~d ~source ()] runs the known-[d]
-    pipeline above from [source].  [max_rounds] caps the RR phase
-    (default: Lemma 15's [k_rr · Δ_out + k_rr] plus response slack).
-    The two phases run in one {!Gossip_scale.Wheel_engine.session}
-    opened with [domains] and [telemetry].
+    pipeline above from [source], with n̂ = n.  The RR phase is capped
+    at Lemma 15's [k_rr · Δ_out + k_rr] plus response slack.  The two
+    phases run in one {!Gossip_scale.Wheel_engine.session} opened with
+    [domains].
     @raise Invalid_argument on [d < 1], a bad [source], or a spanner
     orientation violating the Lemma 15 bound. *)
 val run_known_diameter_scale :
-  ?n_hat:int ->
   ?domains:int ->
-  ?telemetry:Gossip_obs.Registry.t ->
-  ?max_rounds:int ->
   Gossip_util.Rng.t ->
   Gossip_scale.Csr.t ->
   d:int ->
@@ -128,7 +125,8 @@ type unknown_result = {
   u_metrics : Gossip_sim.Engine.metrics;  (** summed over every phase *)
 }
 
-(** [run_unknown_scale rng csr ~source ()] runs the chain above as one
+(** [run_unknown_scale rng csr ~source ()] runs the chain above, with
+    n̂ = n, as one
     {!Gossip_scale.Wheel_engine.session} opened at round 0 with the
     optional arguments, so every phase of every attempt shares them
     and one round clock: a scenario [env] unfolds once over the whole
@@ -138,7 +136,6 @@ type unknown_result = {
     passed as [~env:(Wheel_engine.env_of_faults plan)].  An exception
     [on_round] raises aborts the chain and propagates. *)
 val run_unknown_scale :
-  ?n_hat:int ->
   ?domains:int ->
   ?telemetry:Gossip_obs.Registry.t ->
   ?env:Gossip_scale.Wheel_engine.env ->

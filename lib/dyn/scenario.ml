@@ -359,19 +359,19 @@ let load path =
 
 (* splitmix64 finalizer — the deterministic hash behind per-edge trace
    offsets and per-(edge, round) adversary jitter. *)
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let hash3 seed a b =
+let[@inline] hash3 seed a b =
   let open Int64 in
   let z = mix64 (add (of_int seed) (mul (of_int (a + 1)) 0x9e3779b97f4a7c15L)) in
   let z = mix64 (add z (mul (of_int (b + 1)) 0xc2b2ae3d27d4eb4fL)) in
   to_int (logand z 0x3fffffffffffffffL)
 
-let hash4 seed a b c =
+let[@inline] hash4 seed a b c =
   let open Int64 in
   let z = mix64 (add (of_int (hash3 seed a b)) (mul (of_int (c + 1)) 0x9e3779b97f4a7c15L)) in
   to_int (logand z 0x3fffffffffffffffL)
@@ -385,7 +385,7 @@ let matches filter ~u ~v ~latency =
   | Lat_le l -> latency <= l
   | Endpoint_mod { modulus; residue } -> min u v mod modulus = residue
 
-let rule_factor ~seed idx { schedule; filter } ~u ~v ~latency ~round =
+let[@inline] rule_factor ~seed idx { schedule; filter } ~u ~v ~latency ~round =
   if not (matches filter ~u ~v ~latency) then 1.0
   else
     match schedule with
@@ -461,6 +461,16 @@ let churn_intervals s ~n ~source =
   Array.iteri (fun v l -> intervals.(v) <- List.rev l) intervals;
   intervals
 
+(* The two churn queries as top-level scans over a node's intervals,
+   so an engine query allocates no closure. *)
+let rec away_at ~round = function
+  | [] -> false
+  | (l, r) :: rest -> (l <= round && round < r) || away_at ~round rest
+
+let rec away_during ~since ~round = function
+  | [] -> false
+  | (l, r) :: rest -> (l <= round && r > since) || away_during ~since ~round rest
+
 let compile ?oriented s ~csr ~source =
   let n = Gossip_scale.Csr.n csr in
   let intervals = churn_intervals s ~n ~source in
@@ -493,11 +503,9 @@ let compile ?oriented s ~csr ~source =
             done;
             Some (edges, budget))
   in
-  let env_alive ~node ~round =
-    List.for_all (fun (l, r) -> round < l || round >= r) intervals.(node)
-  in
+  let env_alive ~node ~round = not (away_at ~round intervals.(node)) in
   let env_present_since ~node ~since ~round =
-    List.for_all (fun (l, r) -> l > round || r <= since) intervals.(node)
+    not (away_during ~since ~round intervals.(node))
   in
   let env_latency ~u ~v ~latency ~round =
     let f = ref 1.0 in

@@ -66,8 +66,9 @@ let () =
              elapsed_s round)
     | _ -> None)
 
-(* The asserted ceiling for [wheel.minor_words_per_round] on static
-   runs: the round loop is allocation-free by construction (no
+(* The asserted ceiling for [wheel.minor_words_per_round], with or
+   without a compiled scenario environment: the round loop and the
+   scenario's queries are allocation-free by construction (no
    per-round closures, refs that escape, or boxed ints), and the only
    amortized allocations left — pool growth, history doubling — stay
    far below this once a run is more than a handful of rounds long.

@@ -123,12 +123,15 @@ exception Deadline_exceeded of { round : int; elapsed_s : float }
     as a structured failure instead of an opaque [Failure _]. *)
 exception Pool_exhausted of { used : int; round : int }
 
-(** The asserted ceiling for the ["wheel.minor_words_per_round"] gauge
-    on static (fault-free closure-free) runs: the round loop allocates
-    nothing per round, and the amortized leftovers (pool growth,
+(** The asserted ceiling for the ["wheel.minor_words_per_round"]
+    gauge, on runs without an environment and on runs under one
+    compiled by [Gossip_dyn.Scenario.compile] (schedules, churn,
+    adversary): neither the round loop nor the scenario's queries
+    allocate per round, and the amortized leftovers (pool growth,
     history doubling) stay far below this once a run spans more than a
-    handful of rounds.  Exported so the tests and bench e18 assert the
-    same number. *)
+    handful of rounds.  An environment of hand-written closures is
+    only as allocation-free as its closures.  Exported so the tests
+    and bench e18 assert the same number. *)
 val minor_words_budget : int
 
 (** [gauge_of_minor_words ~total ~rounds] is the per-round

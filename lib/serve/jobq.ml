@@ -1,13 +1,14 @@
-module Json = Gossip_util.Json
 module Sweep = Gossip_sweep.Sweep
 
 type entry = {
   e_id : string;
   e_spec : Protocol.spec;
   e_jobs : Sweep.job array;
-  e_ok : bool array;  (* trial finished successfully *)
-  e_done : bool array;  (* trial finished (either way) *)
-  e_rows : Json.t option array;
+  e_trials : Sweep.checkpoint_entry option array;  (* one record per finished trial *)
+  mutable e_cursor : int;  (* records below it are taken or restored *)
+  mutable e_progress : Protocol.progress option;  (* newest sample, not yet taken *)
+  mutable e_closed : bool;  (* terminal state reached, not yet taken *)
+  mutable e_dirty : bool;  (* in [t.dirty] *)
   mutable e_state : Protocol.job_state;
   mutable e_cancel : bool;
 }
@@ -18,6 +19,7 @@ type t = {
   cap : int;
   entries : (string, entry) Hashtbl.t;
   queue : string Queue.t;
+  dirty : entry Queue.t;  (* entries with something for {!take}, oldest change first *)
   mutable seq : int;
   mutable released : bool;
 }
@@ -30,6 +32,7 @@ let create ?(capacity = 64) () =
     cap = capacity;
     entries = Hashtbl.create 16;
     queue = Queue.create ();
+    dirty = Queue.create ();
     seq = 0;
     released = false;
   }
@@ -83,9 +86,11 @@ let submit t ?id spec =
             e_id = id;
             e_spec = spec;
             e_jobs = jobs;
-            e_ok = Array.make trials false;
-            e_done = Array.make trials false;
-            e_rows = Array.make trials None;
+            e_trials = Array.make trials None;
+            e_cursor = 0;
+            e_progress = None;
+            e_closed = false;
+            e_dirty = false;
             e_state = Protocol.Queued;
             e_cancel = false;
           }
@@ -99,20 +104,46 @@ let submit t ?id spec =
 
 let find t id = Hashtbl.find_opt t.entries id
 
-let mark_trial t ~id ~trial ~ok ?row () =
+let touch t e =
+  if not e.e_dirty then begin
+    e.e_dirty <- true;
+    Queue.push e t.dirty
+  end
+
+let with_trial t ~id ~trial f =
   locked t (fun () ->
       match find t id with
-      | Some e when trial >= 0 && trial < Array.length e.e_done ->
-          e.e_done.(trial) <- true;
-          e.e_ok.(trial) <- ok;
-          e.e_rows.(trial) <- row
+      | Some e when trial >= 0 && trial < Array.length e.e_trials -> f e
       | _ -> ())
+
+let record t ~id ~trial entry =
+  with_trial t ~id ~trial (fun e ->
+      e.e_trials.(trial) <- Some entry;
+      touch t e)
+
+(* A restored record was journaled by an earlier daemon: the cursor
+   steps over the ones it reaches, so they are not journaled twice. *)
+let restore t ~id ~trial entry =
+  with_trial t ~id ~trial (fun e ->
+      e.e_trials.(trial) <- Some entry;
+      while e.e_cursor < Array.length e.e_trials && e.e_trials.(e.e_cursor) <> None do
+        e.e_cursor <- e.e_cursor + 1
+      done)
 
 let trial_done t ~id ~trial =
   locked t (fun () ->
       match find t id with
-      | Some e when trial >= 0 && trial < Array.length e.e_done -> e.e_done.(trial)
+      | Some e when trial >= 0 && trial < Array.length e.e_trials -> e.e_trials.(trial) <> None
       | _ -> false)
+
+let progress t (p : Protocol.progress) =
+  locked t (fun () ->
+      match find t p.Protocol.p_job with
+      | Some e ->
+          e.e_progress <- Some p;
+          touch t e;
+          e.e_cancel
+      | None -> false)
 
 let rec pop_queued t =
   match Queue.take_opt t.queue with
@@ -149,23 +180,28 @@ let work t id =
   locked t (fun () ->
       match find t id with Some e -> Some (e.e_spec, e.e_jobs) | None -> None)
 
-let count_done e pred =
-  let c = ref 0 in
-  Array.iteri (fun i d -> if d && pred e.e_ok.(i) then incr c) e.e_done;
-  !c
+let count_done e ok =
+  Array.fold_left
+    (fun c r ->
+      match r with
+      | Some (Sweep.Ckpt_done _) when ok -> c + 1
+      | Some (Sweep.Ckpt_failed _) when not ok -> c + 1
+      | _ -> c)
+    0 e.e_trials
 
 let finish t id =
   locked t (fun () ->
       match find t id with
       | None -> None
       | Some e ->
-          let failed = count_done e not in
           let state =
             if e.e_cancel then Protocol.Cancelled
-            else if failed > 0 then Protocol.Failed
+            else if count_done e false > 0 then Protocol.Failed
             else Protocol.Done
           in
           e.e_state <- state;
+          e.e_closed <- true;
+          touch t e;
           Some state)
 
 let requeue t id =
@@ -215,8 +251,8 @@ let status_of t e =
     Protocol.s_job = e.e_id;
     s_state = e.e_state;
     s_trials = Array.length e.e_jobs;
-    s_completed = count_done e Fun.id;
-    s_failed = count_done e not;
+    s_completed = count_done e true;
+    s_failed = count_done e false;
     s_position = (if e.e_state = Protocol.Queued then queue_position t e.e_id else None);
   }
 
@@ -227,7 +263,47 @@ let rows t id =
   locked t (fun () ->
       match find t id with
       | None -> []
-      | Some e -> Array.to_list e.e_rows |> List.filter_map Fun.id)
+      | Some e ->
+          Array.to_list e.e_trials
+          |> List.filter_map (function
+               | Some (Sweep.Ckpt_done o) -> Some (Sweep.outcome_json o)
+               | _ -> None))
+
+type update = {
+  job : string;
+  trials : int;
+  finished : (int * Sweep.checkpoint_entry) list;
+  progress : Protocol.progress option;
+  closed : Protocol.status option;
+}
+
+(* The worker records trials in trial order, so the records past the
+   cursor up to the first gap are exactly the new ones. *)
+let take_update t e =
+  let rec finished acc =
+    match if e.e_cursor < Array.length e.e_trials then e.e_trials.(e.e_cursor) else None with
+    | Some r ->
+        let i = e.e_cursor in
+        e.e_cursor <- i + 1;
+        finished ((i, r) :: acc)
+    | None -> List.rev acc
+  in
+  let finished = finished [] in
+  let progress = e.e_progress in
+  let closed = if e.e_closed then Some (status_of t e) else None in
+  e.e_progress <- None;
+  e.e_closed <- false;
+  e.e_dirty <- false;
+  { job = e.e_id; trials = Array.length e.e_jobs; finished; progress; closed }
+
+let take t =
+  locked t (fun () ->
+      let rec go acc =
+        match Queue.take_opt t.dirty with
+        | Some e -> go (take_update t e :: acc)
+        | None -> List.rev acc
+      in
+      go [])
 
 let incomplete t =
   locked t (fun () ->

@@ -71,8 +71,10 @@ type status = {
   s_position : int option;
 }
 
-(** One live progress sample of a running trial, published from the
-    engine's between-round observer. *)
+(** One live progress sample of a running trial, taken by the
+    engine's between-round observer.  A watcher gets the newest sample
+    of each job at most once per tick of the daemon's socket loop, not
+    one per round. *)
 type progress = {
   p_job : string;
   p_trial : int;  (** trial index within the spec *)

@@ -1,6 +1,5 @@
 module Json = Gossip_util.Json
 module Sweep = Gossip_sweep.Sweep
-module Live = Gossip_obs.Live
 module Registry = Gossip_obs.Registry
 module Sink = Gossip_obs.Sink
 
@@ -35,24 +34,6 @@ let default ~socket_path =
     before_job = None;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Cross-thread events: worker -> socket loop *)
-
-type trial_ev = {
-  t_job : string;
-  t_trial : int;
-  t_trials : int;
-  t_seed : int;
-  t_rounds : int option;
-  t_ok : bool;
-  t_entry : Sweep.checkpoint_entry;
-}
-
-type event =
-  | Ev_progress of Protocol.progress
-  | Ev_trial of trial_ev
-  | Ev_done of { d_job : string; d_state : Protocol.job_state }
-
 type conn = {
   fd : Unix.file_descr;
   reader : Frame.reader;
@@ -64,7 +45,6 @@ type conn = {
 type state = {
   cfg : config;
   q : Jobq.t;
-  events : event Live.t;
   stopping : bool Atomic.t;
   worker_done : bool Atomic.t;
   mutable conns : conn list;
@@ -86,68 +66,39 @@ let run_trials st id spec (jobs : Sweep.job array) =
         if Atomic.get st.stopping then raise (Abort_job `Drain);
         if Jobq.cancel_requested st.q id then raise (Abort_job `Cancel);
         let on_round ~round ~informed =
-          Live.publish st.events
-            (Ev_progress
-               {
-                 Protocol.p_job = id;
-                 p_trial = i;
-                 p_trials = trials;
-                 p_seed = job.Sweep.seed;
-                 p_round = round;
-                 p_informed = informed;
-                 p_n = n_real;
-               });
-          if Jobq.cancel_requested st.q id then raise (Abort_job `Cancel);
+          let cancel =
+            Jobq.progress st.q
+              {
+                Protocol.p_job = id;
+                p_trial = i;
+                p_trials = trials;
+                p_seed = job.Sweep.seed;
+                p_round = round;
+                p_informed = informed;
+                p_n = n_real;
+              }
+          in
+          if cancel then raise (Abort_job `Cancel);
           if Atomic.get st.stopping then raise (Abort_job `Drain)
         in
         let rec attempt k =
           match Sweep.run_job ?timeout_s:st.cfg.timeout_s ~on_round job with
-          | outcome -> Ok outcome
+          | outcome -> Sweep.Ckpt_done outcome
           | exception (Abort_job _ as e) -> raise e
-          | exception e -> if k < st.cfg.retries then attempt (k + 1) else Error (e, k + 1)
+          | exception e ->
+              if k < st.cfg.retries then attempt (k + 1)
+              else
+                Sweep.Ckpt_failed
+                  {
+                    Sweep.failed_job = job;
+                    message = Printexc.to_string e;
+                    backtrace = "";
+                    attempts = k + 1;
+                  }
         in
-        match attempt 0 with
-        | Ok o ->
-            Jobq.mark_trial st.q ~id ~trial:i ~ok:true ~row:(Sweep.outcome_json o) ();
-            Live.publish st.events
-              (Ev_trial
-                 {
-                   t_job = id;
-                   t_trial = i;
-                   t_trials = trials;
-                   t_seed = job.Sweep.seed;
-                   t_rounds = o.Sweep.rounds;
-                   t_ok = true;
-                   t_entry = Sweep.Ckpt_done o;
-                 })
-        | Error (e, attempts) ->
-            let failure =
-              {
-                Sweep.failed_job = job;
-                message = Printexc.to_string e;
-                backtrace = "";
-                attempts;
-              }
-            in
-            Jobq.mark_trial st.q ~id ~trial:i ~ok:false ();
-            Live.publish st.events
-              (Ev_trial
-                 {
-                   t_job = id;
-                   t_trial = i;
-                   t_trials = trials;
-                   t_seed = job.Sweep.seed;
-                   t_rounds = None;
-                   t_ok = false;
-                   t_entry = Sweep.Ckpt_failed failure;
-                 })
+        Jobq.record st.q ~id ~trial:i (attempt 0)
       end)
     jobs
-
-let finish_job st id =
-  match Jobq.finish st.q id with
-  | Some state -> Live.publish st.events (Ev_done { d_job = id; d_state = state })
-  | None -> ()
 
 let run_entry st id =
   (match st.cfg.before_job with Some f -> f id | None -> ());
@@ -155,8 +106,7 @@ let run_entry st id =
   | None -> ()
   | Some (spec, jobs) -> (
       match run_trials st id spec jobs with
-      | () -> finish_job st id
-      | exception Abort_job `Cancel -> finish_job st id
+      | () | (exception Abort_job `Cancel) -> ignore (Jobq.finish st.q id)
       | exception Abort_job `Drain -> Jobq.requeue st.q id)
 
 let worker st =
@@ -192,10 +142,9 @@ let journal_submit st id spec =
       ("spec", Protocol.spec_to_json spec);
     ]
 
-let journal_trial st (t : trial_ev) =
+let journal_trial st job trial entry =
   journal_event st
-    (Sweep.checkpoint_event t.t_entry
-    @ [ ("job", Json.String t.t_job); ("trial", Json.Int t.t_trial) ])
+    (Sweep.checkpoint_event entry @ [ ("job", Json.String job); ("trial", Json.Int trial) ])
 
 let journal_close st id state =
   journal_event st
@@ -258,10 +207,7 @@ let replay_journal q path =
               | None -> ())
         | Some ("ckpt_job" | "ckpt_fail"), Some id when not (Hashtbl.mem closed id) -> (
             match (int j "trial", Sweep.entry_of_json j) with
-            | Some trial, Some (Sweep.Ckpt_done o) ->
-                Jobq.mark_trial q ~id ~trial ~ok:true ~row:(Sweep.outcome_json o) ()
-            | Some trial, Some (Sweep.Ckpt_failed _) ->
-                Jobq.mark_trial q ~id ~trial ~ok:false ()
+            | Some trial, Some entry -> Jobq.restore q ~id ~trial entry
             | _ -> ())
         | _ -> ())
       parsed
@@ -411,38 +357,36 @@ let accept_ready st lfd =
 
 let watchers st job = List.filter (fun c -> List.mem job c.watching) st.conns
 
-let route_event st = function
-  | Ev_progress p ->
-      List.iter (fun c -> send c (Protocol.Progress p)) (watchers st p.Protocol.p_job)
-  | Ev_trial t ->
-      journal_trial st t;
-      count st (if t.t_ok then "serve.trials.ok" else "serve.trials.failed");
+(* Journal, count and fan out one entry's changes: trial records in
+   trial order, then the newest progress sample, then the close. *)
+let apply_update st (u : Jobq.update) =
+  let watching = watchers st u.Jobq.job in
+  let fan resp = List.iter (fun c -> send c resp) watching in
+  List.iter
+    (fun (trial, entry) ->
+      journal_trial st u.Jobq.job trial entry;
+      let ok, seed, rounds =
+        match entry with
+        | Sweep.Ckpt_done o -> (true, o.Sweep.job.Sweep.seed, o.Sweep.rounds)
+        | Sweep.Ckpt_failed f -> (false, f.Sweep.failed_job.Sweep.seed, None)
+      in
+      count st (if ok then "serve.trials.ok" else "serve.trials.failed");
+      fan
+        (Protocol.Trial_done
+           { job = u.Jobq.job; trial; trials = u.Jobq.trials; seed; rounds; ok }))
+    u.Jobq.finished;
+  Option.iter (fun p -> fan (Protocol.Progress p)) u.Jobq.progress;
+  Option.iter
+    (fun (s : Protocol.status) ->
+      journal_close st u.Jobq.job s.Protocol.s_state;
+      count st ("serve.jobs." ^ Protocol.job_state_label s.Protocol.s_state);
+      fan (Protocol.Job_done s);
       List.iter
-        (fun c ->
-          send c
-            (Protocol.Trial_done
-               {
-                 job = t.t_job;
-                 trial = t.t_trial;
-                 trials = t.t_trials;
-                 seed = t.t_seed;
-                 rounds = t.t_rounds;
-                 ok = t.t_ok;
-               }))
-        (watchers st t.t_job)
-  | Ev_done { d_job; d_state } -> (
-      journal_close st d_job d_state;
-      count st ("serve.jobs." ^ Protocol.job_state_label d_state);
-      match Jobq.status st.q d_job with
-      | None -> ()
-      | Some s ->
-          List.iter
-            (fun c ->
-              send c (Protocol.Job_done s);
-              c.watching <- List.filter (fun j -> j <> d_job) c.watching)
-            (watchers st d_job))
+        (fun c -> c.watching <- List.filter (fun j -> j <> u.Jobq.job) c.watching)
+        watching)
+    u.Jobq.closed
 
-let drain_events st = List.iter (route_event st) (Live.drain st.events)
+let take_updates st = List.iter (apply_update st) (Jobq.take st.q)
 
 let select_loop st lfd =
   let released = ref false in
@@ -466,14 +410,14 @@ let select_loop st lfd =
     List.iter
       (fun c -> if c.alive && List.mem c.fd readable then read_conn st c)
       st.conns;
-    drain_events st;
+    take_updates st;
     note_depth st (Jobq.depth st.q);
     List.iter
       (fun c -> if c.alive && List.mem c.fd writable then flush_conn st c)
       st.conns;
     if !released && Atomic.get st.worker_done then begin
-      (* worker is gone: one last drain, then best-effort flush *)
-      drain_events st;
+      (* worker is gone: one last take, then best-effort flush *)
+      take_updates st;
       List.iter (fun c -> flush_conn st c) st.conns;
       finished := true
     end
@@ -493,7 +437,6 @@ let run cfg =
     {
       cfg;
       q = Jobq.create ~capacity:cfg.capacity ();
-      events = Live.create ();
       stopping = Atomic.make false;
       worker_done = Atomic.make false;
       conns = [];

@@ -7,12 +7,16 @@
     through {!Frame}, and answers from the shared {!Jobq}.  The
     {e worker thread} claims queued jobs one at a time and runs their
     trials through [Sweep.run_job] — per-trial retries, cooperative
-    wall-clock budget, and a between-round observer that publishes
-    progress into a {!Gossip_obs.Live} mailbox.  The mailbox is the
-    only channel between the two: the socket loop drains it each tick
-    and fans events out to [watch] subscribers, journals finished
-    trials, and bumps the [serve.*] telemetry — so the registry and
-    the journal sink are touched by one thread only.
+    wall-clock budget, and a between-round observer that writes the
+    trial's progress sample into the job table.  The table ({!Jobq})
+    is the only channel between the two: the worker records each
+    finished trial there, and the socket loop takes the changes each
+    tick, journals the new trial records in trial order, bumps the
+    [serve.*] telemetry and fans frames out to [watch] subscribers —
+    so the registry and the journal sink are touched by one thread
+    only.  A record stays in the table until it is taken, so every
+    finished trial is journaled, counted and announced; a watcher gets
+    the newest progress sample, at most one per job per tick.
 
     {2 Durability}
 

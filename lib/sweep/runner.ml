@@ -7,6 +7,13 @@ module Eid = Gossip_core.Eid
 module Dissemination = Gossip_core.Dissemination
 module Rng = Gossip_util.Rng
 
+exception Invalid_protocol of string
+
+let () =
+  Printexc.register_printer (function
+    | Invalid_protocol msg -> Some ("Runner.Invalid_protocol: " ^ msg)
+    | _ -> None)
+
 type protocol =
   | Push_pull
   | Flood
@@ -137,11 +144,20 @@ let build_spanner csr ~stretch_k ~seed =
       build_s = Unix.gettimeofday () -. t0;
     } )
 
+let invalid protocol fmt =
+  Printf.ksprintf
+    (fun msg -> raise (Invalid_protocol (protocol_name protocol ^ ": " ^ msg)))
+    fmt
+
 (* The auto parameters of the rumor-state descriptors (see the
    interface): a modest rumor count that still exercises multi-word
    budgets, and a 4-word message budget; algebraic's auto budget is the
-   minimum that fits [k] coefficient bits. *)
-let rumor_k csr k = if k = 0 then min (Csr.n csr) 16 else k
+   minimum that fits [k] coefficient bits.  An explicit count above n
+   is refused here, before the kernel constructor sees it. *)
+let rumor_k csr protocol k =
+  let n = Csr.n csr in
+  if k > n then invalid protocol "%d rumors on an n = %d graph (need k <= n)" k n;
+  if k = 0 then min n 16 else k
 
 let rumor_budget b = if b = 0 then 4 else b
 
@@ -189,14 +205,19 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr pro
       let ell = if ell = 0 then Csr.max_latency csr else ell in
       kernel_run Kernel_run (Kernel.dtg_local ~ell csr)
   | K_rumor { k; budget } ->
-      let r = Kernel.k_rumor_push_pull ~k:(rumor_k csr k) ~budget:(rumor_budget budget) csr in
+      let k = rumor_k csr protocol k in
+      let r = Kernel.k_rumor_push_pull ~k ~budget:(rumor_budget budget) csr in
       kernel_run Kernel_run r.Kernel.rum_kernel
   | Rumor_rotation { k; budget } ->
-      let r = Kernel.rumor_rotation ~k:(rumor_k csr k) ~budget:(rumor_budget budget) csr in
+      let k = rumor_k csr protocol k in
+      let r = Kernel.rumor_rotation ~k ~budget:(rumor_budget budget) csr in
       kernel_run Kernel_run r.Kernel.rum_kernel
   | Algebraic { k; budget } ->
-      let k = rumor_k csr k in
+      let k = rumor_k csr protocol k in
       let words = (k + Kernel.coeff_bits - 1) / Kernel.coeff_bits in
+      if budget <> 0 && budget < words then
+        invalid protocol "budget %d cannot carry k = %d coefficients (need >= %d words)"
+          budget k words;
       let a = Kernel.algebraic ~k ~budget:(if budget = 0 then words else budget) csr in
       kernel_run Kernel_run a.Kernel.alg_kernel
   | Rr_spanner { stretch_k } ->

@@ -134,6 +134,11 @@ val known_protocols : string list
 
 (** {1 Running a descriptor} *)
 
+(** A descriptor parameter that does not fit the graph: a rumor count
+    above [n], or an algebraic budget below [⌈k/30⌉] words.  The
+    message starts with the descriptor's name. *)
+exception Invalid_protocol of string
+
 (** The set-up of an rr-spanner run. *)
 type spanner = {
   k : int;  (** spanner parameter (stretch [2k − 1]) *)
@@ -165,9 +170,10 @@ type outcome = {
     [csr] from [source].
     @raise Gossip_dyn.Scenario.Invalid_scenario when [scenario] does
     not compile against [csr].
-    @raise Invalid_argument on a bad descriptor parameter (a rumor
-    count above [n], an algebraic budget below [⌈k/30⌉]) or an
-    orientation over the Lemma 15 out-degree bound.  Engine exceptions
+    @raise Invalid_protocol on a descriptor parameter that does not
+    fit [csr], before any engine work.
+    @raise Invalid_argument on an orientation over the Lemma 15
+    out-degree bound.  Engine exceptions
     ([Deadline_exceeded], [Pool_exhausted], [Jitter_overflow]) and
     [on_round]'s propagate. *)
 val run :

@@ -290,57 +290,6 @@ let family_of_json j =
       | _ -> None)
   | _ -> None
 
-(* A job spec as one standalone JSON object — the serialization the
-   serve daemon journals at submit time, so a killed daemon can
-   re-enqueue exactly the jobs it accepted.  Unlike the checkpoint
-   records above, the latency redraw spec {e is} persisted: a pending
-   job must rebuild its graph byte-identically when re-run. *)
-let job_to_json j =
-  Json.Obj
-    ([
-       ("family", family_json j.family);
-       ("n", Json.Int j.n);
-       ("seed", Json.Int j.seed);
-       ("protocol", Json.String (Runner.protocol_name j.protocol));
-       ("max_rounds", Json.Int j.max_rounds);
-     ]
-    @ (match j.latency with None -> [] | Some spec -> [ ("latency", latency_json spec) ])
-    @
-    match j.scenario with
-    | None -> []
-    | Some s -> [ ("scenario", Gossip_dyn.Scenario.to_json s) ])
-
-let job_of_json j =
-  let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
-  let int name = match field name with Some (Json.Int i) -> Some i | _ -> None in
-  let str name = match field name with Some (Json.String s) -> Some s | _ -> None in
-  match (field "family", int "n", int "seed", str "protocol", int "max_rounds") with
-  | Some fj, Some n, Some seed, Some pname, Some max_rounds -> (
-      match (family_of_json fj, Runner.protocol_of_string pname) with
-      | Some family, Some protocol -> (
-          let latency =
-            match field "latency" with
-            | None | Some Json.Null -> Some None
-            | Some lj -> (
-                match latency_of_json lj with
-                | Some spec -> Some (Some spec)
-                | None -> None)
-          in
-          let scenario =
-            match field "scenario" with
-            | None | Some Json.Null -> Some None
-            | Some sj -> (
-                match Gossip_dyn.Scenario.of_json sj with
-                | s -> Some (Some s)
-                | exception Gossip_dyn.Scenario.Invalid_scenario _ -> None)
-          in
-          match (latency, scenario) with
-          | Some latency, Some scenario ->
-              Some { family; n; seed; protocol; latency; scenario; max_rounds }
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
 let entry_of_json j =
   let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
   let int name = match field name with Some (Json.Int i) -> Some i | _ -> None in

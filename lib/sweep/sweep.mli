@@ -88,19 +88,6 @@ val latency_json : Gossip_graph.Gen.latency_spec -> Gossip_util.Json.t
 
 val latency_of_json : Gossip_util.Json.t -> Gossip_graph.Gen.latency_spec option
 
-(** [job_to_json job] is the job spec as one standalone JSON object —
-    family, requested [n], seed, protocol, round cap, {e and} the
-    latency redraw and scenario specs (unlike checkpoint records,
-    which only report executed results, a persisted spec must rebuild
-    its graph and environment byte-identically when re-run).  The
-    serve daemon journals this at submit time so a killed daemon
-    re-enqueues exactly the jobs it accepted. *)
-val job_to_json : job -> Gossip_util.Json.t
-
-(** [job_of_json j] inverts {!job_to_json}; [None] on any missing or
-    malformed field (including a present-but-undecodable latency). *)
-val job_of_json : Gossip_util.Json.t -> job option
-
 type outcome = {
   job : job;
   n_actual : int;  (** realized node count *)

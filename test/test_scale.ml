@@ -571,9 +571,10 @@ let test_sharded_telemetry () =
 
 (* The round loop is allocation-free by construction; the
    wheel.minor_words_per_round gauge is the enforced witness.  One
-   domain and three must both come in under the exported budget — a
-   regression that reintroduces a per-round closure or boxed int shows
-   up here as a gauge in the hundreds. *)
+   domain and three must both come in under the exported budget, with
+   and without a scenario environment — a regression that reintroduces
+   a per-round closure or boxed int shows up here as a gauge in the
+   hundreds. *)
 let test_minor_words_gauge () =
   (* Long enough (ring diameter ⇒ 100+ rounds) to amortize the
      fixed-cost allocations inside the measured window (history
@@ -592,7 +593,60 @@ let test_minor_words_gauge () =
   if one > Wheel.minor_words_budget then
     Alcotest.failf "one-domain gauge %d over budget %d" one Wheel.minor_words_budget;
   if sharded > Wheel.minor_words_budget then
-    Alcotest.failf "sharded gauge %d over budget %d" sharded Wheel.minor_words_budget
+    Alcotest.failf "sharded gauge %d over budget %d" sharded Wheel.minor_words_budget;
+  (* A scenario environment answers every engine query without
+     allocating too: all four schedule kinds, explicit and random
+     churn, and an adversary on RR over a Baswana–Sen orientation. *)
+  let module Scenario = Gossip_dyn.Scenario in
+  let module Spanner = Gossip_core.Spanner in
+  let n = Csr.n c in
+  let k = Spanner.ceil_log2 n in
+  let sp = Spanner.build (Rng.of_int 29) (Csr.to_graph c) ~k ~n_hat:n () in
+  let oriented =
+    Csr.of_oriented_spanner ~out_degree_bound:(Spanner.out_degree_bound ~n ~k)
+      sp.Spanner.out_edges
+  in
+  let rule schedule filter = { Scenario.schedule; filter } in
+  let scenario =
+    {
+      Scenario.static with
+      Scenario.seed = 5;
+      rules =
+        [
+          rule (Scenario.Linear { rate = 0.05; cap = 2.0 }) (Scenario.Lat_ge 4);
+          rule (Scenario.Diurnal { amplitude = 0.5; period = 16; phase = 3 }) Scenario.All;
+          rule (Scenario.Step { at = 20; factor = 1.5 }) (Scenario.Lat_le 1);
+          rule
+            (Scenario.Trace { multipliers = [| 1.0; 1.25; 2.0 |]; dilate = 4 })
+            (Scenario.Endpoint_mod { modulus = 3; residue = 1 });
+        ];
+      churn =
+        [
+          Scenario.Leave { node = 9; leave = 5; rejoin = Some 30 };
+          Scenario.Random_churn { fraction = 0.05; leave = 10; down = 20; period = 7 };
+        ];
+      adversary = Some { Scenario.budget = 2 };
+    }
+  in
+  let compiled = Scenario.compile ~oriented scenario ~csr:c ~source:0 in
+  let kernel = Kernel.rr_broadcast ~k:(Csr.oriented_max_latency oriented) oriented in
+  let scenario_words d =
+    let reg = Registry.create () in
+    let r =
+      Wheel.broadcast_kernel ~env:compiled.Scenario.env
+        ~wheel_latency:compiled.Scenario.wheel_latency ~telemetry:reg ~domains:d
+        (Rng.of_int 6) c ~kernel ~source:0 ~max_rounds:10_000
+    in
+    checkb "scenario run completes" true (r.Wheel.rounds <> None);
+    Registry.gauge_value (Registry.gauge reg "wheel.minor_words_per_round")
+  in
+  List.iter
+    (fun d ->
+      let w = scenario_words d in
+      if w > Wheel.minor_words_budget then
+        Alcotest.failf "scenario gauge %d at domains %d over budget %d" w d
+          Wheel.minor_words_budget)
+    [ 1; 3 ]
 
 (* Regression for the gauge truncation fix: int_of_float alone rounded
    7.9 words/round down to 7 — the same bug class PR 3 fixed in busy_us

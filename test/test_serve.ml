@@ -12,7 +12,6 @@ module P = Gossip_serve.Protocol
 module Jobq = Gossip_serve.Jobq
 module Server = Gossip_serve.Server
 module Client = Gossip_serve.Client
-module Live = Gossip_obs.Live
 module Sweep = Gossip_sweep.Sweep
 module Runner = Gossip_sweep.Runner
 module Lat = Gossip_graph.Gen
@@ -58,16 +57,6 @@ let test_frame_oversized () =
   let lines = Frame.feed_string r (String.make 100 'x' ^ "\n{\"ok\":1}\n") in
   Alcotest.(check (list string)) "oversized frame dropped" [ "{\"ok\":1}" ] lines;
   Alcotest.(check int) "drop counted" 1 (Frame.oversized r)
-
-(* ------------------------------------------------------------------ *)
-(* Live mailbox *)
-
-let test_live_mailbox () =
-  let m = Live.create ~capacity:3 () in
-  List.iter (Live.publish m) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "two evicted" 2 (Live.dropped m);
-  Alcotest.(check (list int)) "oldest evicted first" [ 3; 4; 5 ] (Live.drain m);
-  Alcotest.(check int) "drained" 0 (Live.pending m)
 
 (* ------------------------------------------------------------------ *)
 (* Codec round-trips through torn frames (qcheck) *)
@@ -278,6 +267,19 @@ let small_spec ?latency ?scenario ?(trials = 2) ?(seed = 42) () =
     scenario;
   }
 
+(* Checkpoint records for the table tests: trial 0 of [spec] run for
+   real, and a recorded failure of it. *)
+let done_entry spec = Sweep.Ckpt_done (Sweep.run_job (List.hd (P.jobs_of_spec spec)))
+
+let failed_entry spec =
+  Sweep.Ckpt_failed
+    {
+      Sweep.failed_job = List.hd (P.jobs_of_spec spec);
+      message = "boom";
+      backtrace = "";
+      attempts = 1;
+    }
+
 let test_jobq_lifecycle () =
   let q = Jobq.create ~capacity:4 () in
   let sub = Result.get_ok (Jobq.submit q (small_spec ())) in
@@ -292,8 +294,8 @@ let test_jobq_lifecycle () =
   Alcotest.(check string) "claimed oldest" "job-1" id;
   Alcotest.(check bool) "running" true
     ((Option.get (Jobq.status q id)).P.s_state = P.Running);
-  Jobq.mark_trial q ~id ~trial:0 ~ok:true ~row:(Json.Obj [ ("seed", Json.Int 42) ]) ();
-  Jobq.mark_trial q ~id ~trial:1 ~ok:false ();
+  Jobq.record q ~id ~trial:0 (done_entry (small_spec ()));
+  Jobq.record q ~id ~trial:1 (failed_entry (small_spec ()));
   Alcotest.(check bool) "failed trials make the job Failed" true
     (Jobq.finish q id = Some P.Failed);
   let st = Option.get (Jobq.status q id) in
@@ -310,8 +312,8 @@ let test_jobq_backpressure () =
   | Ok _ -> Alcotest.fail "third submit must be rejected");
   (* a terminal entry frees its slot *)
   let id = Option.get (Jobq.next q) in
-  Jobq.mark_trial q ~id ~trial:0 ~ok:true ();
-  Jobq.mark_trial q ~id ~trial:1 ~ok:true ();
+  Jobq.record q ~id ~trial:0 (done_entry (small_spec ()));
+  Jobq.record q ~id ~trial:1 (done_entry (small_spec ()));
   ignore (Jobq.finish q id);
   match Jobq.submit q (small_spec ()) with
   | Ok sub -> Alcotest.(check int) "terminal entries leave the depth" 2 sub.Jobq.depth
@@ -328,6 +330,55 @@ let test_jobq_cancel_and_ids () =
   Jobq.absorb q "job-17";
   let b = Result.get_ok (Jobq.submit q (small_spec ())) in
   Alcotest.(check string) "absorbed ids are never reissued" "job-18" b.Jobq.id
+
+(* The table as the worker-to-loop channel: every record comes out of
+   [take] once, in trial order; progress samples coalesce to the
+   newest; the close comes once; restored records are never taken. *)
+let test_jobq_take () =
+  let q = Jobq.create () in
+  let spec = small_spec ~trials:4 () in
+  let id = (Result.get_ok (Jobq.submit q spec)).Jobq.id in
+  Jobq.restore q ~id ~trial:0 (done_entry spec);
+  Alcotest.(check bool) "restored trial is done" true (Jobq.trial_done q ~id ~trial:0);
+  Alcotest.(check int) "nothing to take after a restore" 0 (List.length (Jobq.take q));
+  ignore (Jobq.next q);
+  let sample round =
+    {
+      P.p_job = id;
+      p_trial = 1;
+      p_trials = 4;
+      p_seed = 42;
+      p_round = round;
+      p_informed = round;
+      p_n = 64;
+    }
+  in
+  Alcotest.(check bool) "no cancel requested" false (Jobq.progress q (sample 1));
+  ignore (Jobq.progress q (sample 2));
+  Jobq.record q ~id ~trial:1 (done_entry spec);
+  Jobq.record q ~id ~trial:2 (failed_entry spec);
+  (match Jobq.take q with
+  | [ { Jobq.job; trials; finished; progress; closed } ] ->
+      Alcotest.(check string) "job" id job;
+      Alcotest.(check int) "trials" 4 trials;
+      Alcotest.(check (list int)) "new records, trial order" [ 1; 2 ] (List.map fst finished);
+      Alcotest.(check (option int)) "newest sample only" (Some 2)
+        (Option.map (fun p -> p.P.p_round) progress);
+      Alcotest.(check bool) "not closed yet" true (closed = None)
+  | us -> Alcotest.failf "expected one update, got %d" (List.length us));
+  Alcotest.(check int) "taken once" 0 (List.length (Jobq.take q));
+  ignore (Jobq.cancel q id);
+  Alcotest.(check bool) "cancel reaches the worker" true (Jobq.progress q (sample 3));
+  Jobq.record q ~id ~trial:3 (done_entry spec);
+  ignore (Jobq.finish q id);
+  (match Jobq.take q with
+  | [ { Jobq.finished = [ (3, _) ]; closed = Some s; _ } ] ->
+      Alcotest.(check bool) "closed as cancelled" true (s.P.s_state = P.Cancelled);
+      Alcotest.(check (pair int int)) "counts from the records" (3, 1)
+        (s.P.s_completed, s.P.s_failed)
+  | _ -> Alcotest.fail "expected trial 3 and the close");
+  Alcotest.(check int) "close taken once" 0 (List.length (Jobq.take q));
+  Alcotest.(check int) "rows of the finished trials" 3 (List.length (Jobq.rows q id))
 
 let test_jobq_requeue_head () =
   let q = Jobq.create () in
@@ -372,13 +423,13 @@ let gate () =
   in
   (hold, release)
 
-let start_server cfg =
+let start_server ?(tick_s = 0.005) cfg =
   let m = Mutex.create () and cv = Condition.create () and ready = ref false in
   let cfg =
     {
       cfg with
       Server.install_signals = false;
-      tick_s = 0.005;
+      tick_s;
       on_listening =
         Some
           (fun () ->
@@ -669,6 +720,86 @@ let test_server_restart_resumes_queue () =
   stop_server sock th;
   Sys.remove journal
 
+(* Every finished trial reaches the journal, the counters and the
+   watchers, however many rounds run between two ticks of the socket
+   loop.  Theorem 20's unknown-latency chain runs about 2,200 rounds
+   per trial on this 64-node braided ring, and the slow tick lets
+   several trials finish between two takes. *)
+let test_server_journals_every_trial () =
+  let sock = sock_path () in
+  let journal = Filename.temp_file "gossipd-journal" ".jsonl" in
+  Sys.remove journal;
+  let spec =
+    {
+      P.family = Sweep.Braided_ring { size = 8; bridges = 3; bridge_latency = 5 };
+      n = 64;
+      protocol = Runner.Unknown_eid;
+      trials = 8;
+      base_seed = 7;
+      max_rounds = 1_000_000;
+      latency = None;
+      scenario = None;
+    }
+  in
+  let hold, release = gate () in
+  let cfg =
+    {
+      (Server.default ~socket_path:sock) with
+      Server.journal = Some journal;
+      before_job = Some hold;
+    }
+  in
+  let th = start_server ~tick_s:0.25 cfg in
+  let frames = ref [] in
+  let ok_trials =
+    Fun.protect
+      ~finally:(fun () -> stop_server sock th)
+      (fun () ->
+        let id = Client.with_connect sock (fun c -> submit_ok c spec) in
+        Alcotest.(check string) "job id" "job-1" id;
+        (* the worker holds the claimed job until the watch is on *)
+        Client.with_connect sock (fun c ->
+            Client.stream c (P.Watch id) (fun r ->
+                frames := r :: !frames;
+                match r with
+                | P.Watching _ ->
+                    release ();
+                    `Continue
+                | P.Job_done _ -> `Stop
+                | _ -> `Continue));
+        Client.with_connect sock (fun c ->
+            match Client.rpc c P.Stats with
+            | P.Server_stats { counters; _ } -> List.assoc_opt "serve.trials.ok" counters
+            | r -> Alcotest.failf "stats: %s" (Json.to_string (P.response_to_json r))))
+  in
+  Alcotest.(check (option int)) "serve.trials.ok" (Some 8) ok_trials;
+  let frames = List.rev !frames in
+  Alcotest.(check (list int))
+    "one trial_done frame per trial, in order" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    (List.filter_map (function P.Trial_done { trial; _ } -> Some trial | _ -> None) frames);
+  Alcotest.(check bool)
+    "progress frames before job_done" true
+    (List.exists (function P.Progress _ -> true | _ -> false) frames);
+  (match List.rev frames with
+  | P.Job_done s :: _ -> Alcotest.(check bool) "job done" true (s.P.s_state = P.Done)
+  | _ -> Alcotest.fail "watch stream did not end in job_done");
+  let lines =
+    In_channel.with_open_text journal In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l -> Result.to_option (Json.of_string l))
+  in
+  Sys.remove journal;
+  let field name = function Json.Obj fs -> List.assoc_opt name fs | _ -> None in
+  Alcotest.(check (list int))
+    "one ckpt_job line per trial" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    (List.filter_map
+       (fun j ->
+         match (field "ev" j, field "job" j, field "trial" j) with
+         | Some (Json.String "ckpt_job"), Some (Json.String "job-1"), Some (Json.Int t) ->
+             Some t
+         | _ -> None)
+       lines)
+
 let () =
   Alcotest.run "serve"
     [
@@ -680,7 +811,6 @@ let () =
           Alcotest.test_case "crlf and blanks" `Quick test_frame_crlf_blank;
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
         ] );
-      ("live", [ Alcotest.test_case "bounded mailbox" `Quick test_live_mailbox ]);
       ("codec", [ qtest request_roundtrip; qtest response_roundtrip ]);
       ( "jobq",
         [
@@ -688,6 +818,7 @@ let () =
           Alcotest.test_case "backpressure" `Quick test_jobq_backpressure;
           Alcotest.test_case "cancel and ids" `Quick test_jobq_cancel_and_ids;
           Alcotest.test_case "requeue head" `Quick test_jobq_requeue_head;
+          Alcotest.test_case "take" `Quick test_jobq_take;
         ] );
       ( "server",
         [
@@ -701,5 +832,7 @@ let () =
           Alcotest.test_case "scenario wire format" `Quick test_spec_scenario_wire;
           Alcotest.test_case "scenario job end to end" `Quick test_server_runs_scenario_job;
           Alcotest.test_case "restart resumes queue" `Quick test_server_restart_resumes_queue;
+          Alcotest.test_case "journal holds every trial" `Quick
+            test_server_journals_every_trial;
         ] );
     ]

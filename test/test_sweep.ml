@@ -657,6 +657,30 @@ let test_sweep_pool_exhausted_failure_path () =
     (bare.Sweep.rounds = capped.Sweep.rounds
     && bare.Sweep.metrics = capped.Sweep.metrics)
 
+(* A descriptor parameter that does not fit the graph is refused with
+   Runner's typed exception before any engine round, and a sweep records
+   it as a structured failure. *)
+let test_sweep_invalid_protocol () =
+  List.iter
+    (fun name ->
+      let protocol = Option.get (Runner.protocol_of_string name) in
+      let jobs = small_jobs protocol in
+      let no_round ~round:_ ~informed:_ = Alcotest.fail "ran a round" in
+      (match Sweep.run_job ~on_round:no_round (List.hd jobs) with
+      | _ -> Alcotest.failf "%s: expected Invalid_protocol" name
+      | exception Runner.Invalid_protocol msg ->
+          checkb (name ^ ": message names the descriptor") true
+            (String.starts_with ~prefix:(name ^ ": ") msg));
+      let report = Sweep.run_ft ~workers:1 jobs in
+      checki (name ^ ": no job completes") 0 (List.length report.Sweep.completed);
+      List.iter
+        (fun (f : Sweep.failure) ->
+          checkb (name ^ ": typed exception printed") true
+            (String.starts_with ~prefix:"Runner.Invalid_protocol: " f.Sweep.message))
+        report.Sweep.failed;
+      checki (name ^ ": every job fails structured") 4 (List.length report.Sweep.failed))
+    [ "k-rumor:49"; "rotation:70:2"; "algebraic:40:1" ]
+
 (* Every descriptor runs through Runner.run, and every engine round of
    every route reaches on_round — a chain's numbered over its phases —
    so gossipd can watch, drain and cancel any job. *)
@@ -749,5 +773,6 @@ let () =
           Alcotest.test_case "resume requires checkpoint" `Quick
             test_sweep_resume_requires_checkpoint;
           Alcotest.test_case "on_round on every route" `Quick test_sweep_on_round_every_route;
+          Alcotest.test_case "invalid protocol" `Quick test_sweep_invalid_protocol;
         ] );
     ]
