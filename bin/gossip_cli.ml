@@ -467,41 +467,31 @@ let run_cmd =
       value & opt (some string) None
       & info [ "telemetry" ] ~docv:"FILE"
           ~doc:
-            "Write engine telemetry (per-round counters, histograms, trace ring) as \
-             JSONL (plain push-pull and wheel protocol runs); inspect with \
-             $(b,gossip-cli report).")
+            "Write wheel-engine telemetry (per-round counters, histograms, trace ring) as \
+             JSONL; needs $(b,--protocol).  Inspect with $(b,gossip-cli report).")
   in
   let run args algorithm protocol rumors budget domains source max_rounds crash drop
       capacity trace telemetry scenario =
     (* A wheel run never touches the boxed graph: dispatch before
-       build_graph so --protocol works at 10^6 nodes. *)
-    (match (scenario, protocol) with
-    | Some _, None -> die "--scenario applies to wheel-engine runs only (use --protocol)"
-    | _ -> ());
-    (match (rumors, budget, protocol) with
-    | (Some _, _, None | _, Some _, None) ->
-        die
-          "--rumors/--budget apply to wheel-engine runs only (use --protocol k-rumor, \
-           rotation, or algebraic)"
-    | _ -> ());
+       build_graph so --protocol works at 10^6 nodes.  Flags only the
+       wheel honors are refused on the reference engine. *)
     match protocol with
     | Some p ->
         run_wheel_protocol args ~protocol:(with_rumor_overrides ~rumors ~budget p) ~domains
           ~source ~max_rounds ~telemetry ~scenario
     | None ->
+    if scenario <> None then die "--scenario applies to wheel-engine runs only (use --protocol)";
+    if rumors <> None || budget <> None then
+      die
+        "--rumors/--budget apply to wheel-engine runs only (use --protocol k-rumor, rotation, \
+         or algebraic)";
+    if telemetry <> None then die "--telemetry applies to wheel-engine runs only (use --protocol)";
     let g = build_graph args in
     let rng = Rng.of_int (args.seed + 17) in
     let show label = function
       | Some rounds -> Printf.printf "%s: %d rounds\n" label rounds
       | None -> Printf.printf "%s: hit the %d-round cap\n" label max_rounds
     in
-    let plain_push_pull =
-      algorithm = "push-pull" && crash = 0.0 && drop = 0.0 && capacity = None
-    in
-    (match telemetry with
-    | Some _ when not plain_push_pull ->
-        print_endline "note: --telemetry applies to plain push-pull only; ignored"
-    | _ -> ());
     match algorithm with
     | "push-pull" when crash > 0.0 || drop > 0.0 ->
         let module R = Gossip_core.Robustness in
@@ -524,18 +514,10 @@ let run_cmd =
             let r = R.pushpull_bounded_indegree rng g ~source ~capacity:c ~max_rounds in
             show "push-pull broadcast (bounded in-degree)" r.R.rounds;
             Printf.printf "rejected requests: %d\n" r.R.metrics.Gossip_sim.Engine.rejected
-        | None ->
-            let module Obs = Gossip_obs in
-            let reg =
-              match telemetry with
-              | None -> None
-              | Some _ ->
-                  let ring = Obs.Ring.create ~capacity:65536 () in
-                  Some (Obs.Registry.create ~ring ())
-            in
-            let r = Gossip_core.Push_pull.broadcast ?telemetry:reg rng g ~source ~max_rounds in
+        | None -> (
+            let r = Gossip_core.Push_pull.broadcast rng g ~source ~max_rounds in
             show "push-pull broadcast" r.Gossip_core.Push_pull.rounds;
-            (match trace with
+            match trace with
             | None -> ()
             | Some path ->
                 let t = Gossip_sim.Trace.create ~name:"informed" in
@@ -544,26 +526,7 @@ let run_cmd =
                     Gossip_sim.Trace.record t ~round (float_of_int informed))
                   r.Gossip_core.Push_pull.history;
                 Gossip_sim.Trace.write_csv path [ t ];
-                Printf.printf "trace written to %s\n" path);
-            (match (telemetry, reg) with
-            | Some path, Some reg ->
-                let module Json = Gossip_util.Json in
-                Obs.Sink.with_jsonl path (fun sink ->
-                    Obs.Sink.event sink
-                      [
-                        ("ev", Json.String "meta");
-                        ("tool", Json.String "gossip-cli run");
-                        ("algorithm", Json.String "push-pull");
-                        ("family", Json.String args.family);
-                        ("n", Json.Int (Graph.n g));
-                        ("seed", Json.Int args.seed);
-                      ];
-                    Obs.Sink.registry sink reg;
-                    match Obs.Registry.ring reg with
-                    | None -> ()
-                    | Some ring -> Obs.Sink.ring sink ring);
-                Printf.printf "telemetry written to %s\n" path
-            | _ -> ()))
+                Printf.printf "trace written to %s\n" path))
     | "push-pull-all" ->
         let r = Gossip_core.Push_pull.all_to_all rng g ~max_rounds in
         show "push-pull all-to-all" r.Gossip_core.Push_pull.rounds

@@ -67,77 +67,9 @@ let run_known_diameter rng g ~d ?n_hat () =
     unanimous = true;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Known-diameter EID on the flat CSR scale engine: the same spanner
-   route — k-DTG local spread, Baswana–Sen on G_k, RR Broadcast over
-   the orientation — but single-rumor (broadcast from [source] rather
-   than all-to-all) and run through Wheel_engine kernels, so it
-   reaches 10^6 nodes.  The spanner is computed globally (the paper
-   computes it locally from discovered neighborhoods using shared
-   public coins — same object, different mechanics), and the DTG
-   phase contributes the initial local spread plus its honest round
-   cost. *)
-
 module Scale_csr = Gossip_scale.Csr
 module Scale_kernel = Gossip_scale.Kernel
 module Scale_wheel = Gossip_scale.Wheel_engine
-
-type scale_result = {
-  scale_rounds : int;
-  scale_dtg_rounds : int;
-  scale_rr_rounds : int option;
-  scale_spanner_out_degree : int;
-  scale_spanner_edges : int;
-  scale_informed : Bytes.t;
-  scale_success : bool;
-}
-
-let run_known_diameter_scale ?domains rng csr ~d ~source () =
-  if d < 1 then invalid_arg "Eid.run_known_diameter_scale: need d >= 1";
-  let n = Scale_csr.n csr in
-  let lg = Spanner.ceil_log2 n in
-  let session = Scale_wheel.session ?domains csr in
-  (* Phase 1: k-DTG local broadcast over the latency-<= d subgraph,
-     budgeted at the discovery phase's 2·d·⌈log n̂⌉² rounds (the
-     single-rumor shadow of the O(log n) DTG repetitions). *)
-  let dtg_budget = max 64 (2 * d * lg * lg) in
-  let dtg_kernel = Scale_kernel.dtg_local ~ell:(min d (Scale_csr.max_latency csr)) csr in
-  let dtg_res =
-    Scale_wheel.phase session rng csr ~kernel:dtg_kernel ~source ~max_rounds:dtg_budget
-  in
-  let dtg_rounds = dtg_res.Scale_wheel.metrics.Gossip_sim.Engine.rounds in
-  (* Phase 2: Baswana–Sen on G_d with k = ⌈log n̂⌉, packed into an
-     oriented CSR with the Lemma 15 out-degree bound asserted at
-     construction, then RR Broadcast seeded with phase 1's informed
-     set. *)
-  let gd = Graph.subgraph_le (Scale_csr.to_graph csr) d in
-  let k_spanner = lg in
-  let spanner = Spanner.build rng gd ~k:k_spanner ~n_hat:n () in
-  let oriented =
-    Scale_csr.of_oriented_spanner
-      ~out_degree_bound:(Spanner.out_degree_bound ~n ~k:k_spanner)
-      spanner.Spanner.out_edges
-  in
-  let k_rr = d * ((2 * k_spanner) - 1) in
-  let rr_cap = (k_rr * Scale_csr.oriented_max_out_degree oriented) + (2 * k_rr) in
-  let rr_kernel = Scale_kernel.rr_broadcast ~k:k_rr oriented in
-  let rr_res =
-    Scale_wheel.phase session ~informed:dtg_res.Scale_wheel.informed rng csr ~kernel:rr_kernel
-      ~source ~max_rounds:rr_cap
-  in
-  let final_count = ref 0 in
-  Bytes.iter
-    (fun c -> if c <> '\000' then incr final_count)
-    rr_res.Scale_wheel.informed;
-  {
-    scale_rounds = Scale_wheel.session_rounds session;
-    scale_dtg_rounds = dtg_rounds;
-    scale_rr_rounds = rr_res.Scale_wheel.rounds;
-    scale_spanner_out_degree = Spanner.max_out_degree spanner;
-    scale_spanner_edges = Spanner.edge_count spanner;
-    scale_informed = rr_res.Scale_wheel.informed;
-    scale_success = !final_count = n;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* General EID with UNKNOWN latencies on the scale engine — the

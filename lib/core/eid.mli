@@ -49,44 +49,6 @@ val run_known_diameter :
     all latencies, which cannot happen on connected inputs). *)
 val run : Gossip_util.Rng.t -> Gossip_graph.Graph.t -> ?n_hat:int -> unit -> result
 
-(** {1 EID on the flat scale engine}
-
-    The same spanner route at 10^6 nodes, single-rumor: a k-DTG
-    local-broadcast kernel over the latency-[<= d] subgraph, then
-    Baswana–Sen with [⌈log n̂⌉] on [G_d] (Lemma 15 out-degree bound
-    asserted when the orientation is packed), then an RR Broadcast
-    kernel over the orientation seeded with the DTG phase's informed
-    set — all through {!Gossip_scale.Wheel_engine.broadcast_kernel}.
-    The spanner is computed globally here (the paper derives it from
-    locally discovered neighborhoods under shared public coins — the
-    same object, cheaper mechanics at this scale). *)
-
-type scale_result = {
-  scale_rounds : int;  (** wheel rounds actually executed, both phases *)
-  scale_dtg_rounds : int;
-  scale_rr_rounds : int option;  (** [None] if the RR phase hit its cap *)
-  scale_spanner_out_degree : int;
-  scale_spanner_edges : int;
-  scale_informed : Bytes.t;  (** final informed set, one byte per node *)
-  scale_success : bool;  (** every node informed *)
-}
-
-(** [run_known_diameter_scale rng csr ~d ~source ()] runs the known-[d]
-    pipeline above from [source], with n̂ = n.  The RR phase is capped
-    at Lemma 15's [k_rr · Δ_out + k_rr] plus response slack.  The two
-    phases run in one {!Gossip_scale.Wheel_engine.session} opened with
-    [domains].
-    @raise Invalid_argument on [d < 1], a bad [source], or a spanner
-    orientation violating the Lemma 15 bound. *)
-val run_known_diameter_scale :
-  ?domains:int ->
-  Gossip_util.Rng.t ->
-  Gossip_scale.Csr.t ->
-  d:int ->
-  source:int ->
-  unit ->
-  scale_result
-
 (** {1 Unknown-latency EID on the scale engine (Theorem 20)}
 
     The spanner branch of the unified algorithm with {e zero} a-priori

@@ -12,7 +12,7 @@ type result = {
 (* Single-rumor broadcast uses boolean payloads: "do I know the rumor".
    This keeps messages O(1) — push-pull's small-message property that
    Section 6 highlights. *)
-let broadcast ?telemetry rng g ~source ~max_rounds =
+let broadcast rng g ~source ~max_rounds =
   let n = Graph.n g in
   let informed = Array.make n false in
   informed.(source) <- true;
@@ -39,20 +39,13 @@ let broadcast ?telemetry rng g ~source ~max_rounds =
       on_response = (fun ~peer:_ ~round:_ payload -> if payload then mark u);
     }
   in
-  let engine = Engine.create ?telemetry g ~handlers in
-  let tel_ring = Option.bind telemetry Gossip_obs.Registry.ring in
+  let engine = Engine.create g ~handlers in
   let history = ref [ (0, !count) ] in
   let rec go () =
     if !count = n then Some (Engine.current_round engine)
     else if Engine.current_round engine >= max_rounds then None
     else begin
       Engine.step engine;
-      (match tel_ring with
-      | None -> ()
-      | Some ring ->
-          Gossip_obs.Ring.record ring
-            ~round:(Engine.current_round engine - 1)
-            ~kind:Gossip_obs.Ring.kind_informed ~node:(-1) ~value:!count);
       let _, last = List.hd !history in
       if !count <> last then history := (Engine.current_round engine, !count) :: !history;
       go ()

@@ -18,13 +18,9 @@ type result = {
           the Markov-process trajectory of Theorem 12's proof *)
 }
 
-(** [broadcast ?telemetry rng g ~source ~max_rounds] spreads a single
-    rumor from [source] until every node is informed.  [telemetry] is
-    passed through to {!Gossip_sim.Engine.create}; additionally, when
-    the registry carries a ring, the informed-set size is recorded as
-    an [informed] trace event after every round. *)
+(** [broadcast rng g ~source ~max_rounds] spreads a single rumor from
+    [source] until every node is informed. *)
 val broadcast :
-  ?telemetry:Gossip_obs.Registry.t ->
   Gossip_util.Rng.t ->
   Gossip_graph.Graph.t ->
   source:Gossip_graph.Graph.node ->

@@ -415,7 +415,6 @@ type compiled = {
   scenario : t;
   env : Gossip_scale.Wheel_engine.env;
   wheel_latency : int;
-  epoch : int;
 }
 
 (* Absence intervals per node: [(leave, stop)] means the node is away
@@ -547,7 +546,7 @@ let compile ?oriented s ~csr ~source =
   let wheel_latency =
     max lmax (int_of_float (Float.ceil (float_of_int lmax *. max_factor))) + budget
   in
-  { scenario = s; env; wheel_latency; epoch = s.epoch }
+  { scenario = s; env; wheel_latency }
 
 (* ------------------------------------------------------------------ *)
 (* Live φ_ℓ / ℓ* tracking. *)
@@ -562,7 +561,7 @@ let subsample lats k =
     let a = Array.of_list lats in
     List.init k (fun i -> a.(i * (n - 1) / (k - 1))) |> List.sort_uniq compare
 
-let probe ?(iterations = 60) c ~csr ~round =
+let probe c ~csr ~round =
   let g =
     Graph.map_latencies
       (fun u v l -> c.env.Gossip_scale.Wheel_engine.env_latency ~u ~v ~latency:l ~round)
@@ -571,9 +570,9 @@ let probe ?(iterations = 60) c ~csr ~round =
   let lats = subsample (Graph.distinct_latencies g) max_probe_lats in
   List.fold_left
     (fun acc l ->
-      let phi =
-        Gossip_conductance.Spectral.phi_ell ~iterations ~seed:c.scenario.seed g l
-      in
+      (* 60 sweep iterations: probes ride on the round loop, so they
+         trade accuracy for latency. *)
+      let phi = Gossip_conductance.Spectral.phi_ell ~iterations:60 ~seed:c.scenario.seed g l in
       if phi > 0.0 then
         let bound = float_of_int l /. phi in
         match acc with
@@ -582,14 +581,14 @@ let probe ?(iterations = 60) c ~csr ~round =
       else acc)
     None lats
 
-let observer ?iterations c ~csr ~telemetry =
+let observer c ~csr ~telemetry =
   if not c.scenario.track_phi then fun ~round:_ ~informed:_ -> ()
   else begin
     let next = ref 0 in
     let k = ref 0 in
     fun ~round ~informed:_ ->
       if !k < max_epochs && round >= !next then begin
-        (match probe ?iterations c ~csr ~round with
+        (match probe c ~csr ~round with
         | Some (ell_star, phi, bound) ->
             let open Gossip_obs.Registry in
             set (gauge telemetry (Printf.sprintf "dyn.epoch.%d.ell_star" !k)) ell_star;
@@ -601,6 +600,6 @@ let observer ?iterations c ~csr ~telemetry =
               (int_of_float (Float.ceil bound))
         | None -> ());
         incr k;
-        next := !next + c.epoch
+        next := !next + c.scenario.epoch
       end
   end

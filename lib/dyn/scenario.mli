@@ -135,7 +135,6 @@ type compiled = {
       (** upper bound on every effective latency the plan can produce
           ([ℓ_max · ∏ max-factors + budget]) — pass as the engine's
           [?wheel_latency] *)
-  epoch : int;
 }
 
 (** [compile ?oriented s ~csr ~source] resolves the plan against a
@@ -156,7 +155,7 @@ val compile : ?oriented:Gossip_scale.Csr.oriented -> t -> csr:Gossip_scale.Csr.t
 (** {1 Live φ_ℓ / ℓ* tracking}
 
     [observer c ~csr ~telemetry] is an [?on_round] hook that, every
-    [c.epoch] rounds (at most [max_epochs] times), rebuilds the
+    [c.scenario.epoch] rounds (at most [max_epochs] times), rebuilds the
     effective latency assignment at that round and probes the weighted
     conductance profile with {!Gossip_conductance.Spectral.phi_ell}:
     for each distinct effective latency [ℓ] (at most [max_probe_lats],
@@ -168,11 +167,10 @@ val compile : ?oriented:Gossip_scale.Csr.oriented -> t -> csr:Gossip_scale.Csr.t
     - [dyn.epoch.<k>.bound] — [⌈ℓ*/φ_{ℓ*}⌉], the shape of push-pull's
       round bound, the series e16 asserts grows under drift.
 
-    A no-op closure when [c.scenario.track_phi] is false.
-    [iterations] tunes the spectral sweep (default 60: probes ride on
-    the round loop, so they trade accuracy for latency). *)
+    A no-op closure when [c.scenario.track_phi] is false.  Each probe
+    runs the spectral sweep for 60 iterations: probes ride on the round
+    loop, so they trade accuracy for latency. *)
 val observer :
-  ?iterations:int ->
   compiled ->
   csr:Gossip_scale.Csr.t ->
   telemetry:Gossip_obs.Registry.t ->

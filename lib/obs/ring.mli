@@ -28,8 +28,7 @@ val kind_drops : int
 (** messages lost to faults during a round *)
 
 val kind_queue : int
-(** pending-event population at the end of a round: heap length for
-    the reference engine, in-flight exchanges for the wheel engine *)
+(** in-flight exchanges at the end of a round *)
 
 val kind_name : int -> string
 

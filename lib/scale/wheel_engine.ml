@@ -974,8 +974,6 @@ let metrics t = t.metrics
 
 let informed t u = Bytes.get t.ctx.sh_informed u <> '\000'
 
-let informed_count t = t.ctl.c_count
-
 let broadcast_kernel ?env ?wheel_latency ?deadline ?on_round ?telemetry ?pool_capacity ?informed
     ?(domains = 1) rng csr ~kernel ~source ~max_rounds =
   if domains < 1 then invalid_arg "Wheel_engine.broadcast_kernel: domains must be >= 1";

@@ -216,8 +216,6 @@ val metrics : t -> metrics
 
 val informed : t -> int -> bool
 
-val informed_count : t -> int
-
 (** [step t] executes one round (deliveries, then initiations), also
     after every node is informed.
     @raise Jitter_overflow when a jittered latency exceeds the wheel

@@ -304,19 +304,3 @@ let take t =
         | None -> List.rev acc
       in
       go [])
-
-let incomplete t =
-  locked t (fun () ->
-      let queued = ref [] in
-      Queue.iter
-        (fun qid ->
-          match find t qid with
-          | Some e when e.e_state = Protocol.Queued -> queued := qid :: !queued
-          | _ -> ())
-        t.queue;
-      let running =
-        Hashtbl.fold
-          (fun id e acc -> if e.e_state = Protocol.Running then id :: acc else acc)
-          t.entries []
-      in
-      List.rev !queued @ running)

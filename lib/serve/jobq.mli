@@ -128,8 +128,3 @@ type update = {
     entries first changed, and clears them: the socket loop's one call
     per tick. *)
 val take : t -> update list
-
-(** Ids of every incomplete entry, queued first (queue order) then the
-    running one — what a graceful shutdown leaves for the journal to
-    resurrect. *)
-val incomplete : t -> string list

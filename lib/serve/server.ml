@@ -8,11 +8,9 @@ type config = {
   journal : string option;
   telemetry : string option;
   capacity : int;
-  max_line : int;
   tick_s : float;
   retries : int;
   timeout_s : float option;
-  server_name : string;
   install_signals : bool;
   on_listening : (unit -> unit) option;
   before_job : (string -> unit) option;
@@ -24,11 +22,9 @@ let default ~socket_path =
     journal = None;
     telemetry = None;
     capacity = 64;
-    max_line = 1 lsl 20;
     tick_s = 0.05;
     retries = 0;
     timeout_s = None;
-    server_name = "gossipd";
     install_signals = true;
     on_listening = None;
     before_job = None;
@@ -259,7 +255,7 @@ let handle_request st c req =
   count st ("serve.requests." ^ request_verb req);
   match req with
   | Protocol.Ping ->
-      send c (Protocol.Pong { proto = Protocol.version; server = st.cfg.server_name })
+      send c (Protocol.Pong { proto = Protocol.version; server = "gossipd" })
   | Protocol.Submit spec -> (
       match Protocol.validate_spec spec with
       | Error message -> send c (Protocol.Error { code = Protocol.Bad_request; message })
@@ -347,7 +343,7 @@ let accept_ready st lfd =
         Unix.set_nonblock fd;
         count st "serve.connections";
         st.conns <-
-          { fd; reader = Frame.reader ~max_line:st.cfg.max_line (); out = Buffer.create 256;
+          { fd; reader = Frame.reader (); out = Buffer.create 256;
             watching = []; alive = true }
           :: st.conns;
         go ()

@@ -47,11 +47,9 @@ type config = {
       (** write a [serve.*] registry snapshot here on shutdown, in the
           format [gossip-cli report] reads *)
   capacity : int;  (** bound on incomplete jobs (queued + running) *)
-  max_line : int;  (** per-frame byte bound handed to {!Frame.reader} *)
   tick_s : float;  (** select timeout: progress fan-out latency *)
   retries : int;  (** extra attempts per failing trial *)
   timeout_s : float option;  (** cooperative per-trial wall-clock budget *)
-  server_name : string;  (** reported in [pong] frames *)
   install_signals : bool;
       (** install SIGINT/SIGTERM handlers (and ignore SIGPIPE); off
           for in-process test servers *)

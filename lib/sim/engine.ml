@@ -36,15 +36,6 @@ type 'p event =
   | Request of { initiator : node; responder : node; payload : 'p; response_due : int }
   | Response of { initiator : node; responder : node; payload : 'p }
 
-(* Telemetry handles are resolved once at creation so the per-round
-   hot path is option-match + integer stores, never a hash lookup. *)
-type tel = {
-  reg : Gossip_obs.Registry.t;
-  tel_ring : Gossip_obs.Ring.t option;
-  h_deliveries : Gossip_obs.Registry.histogram;
-  h_initiations : Gossip_obs.Registry.histogram;
-}
-
 type 'p t = {
   graph : Graph.t;
   handlers : 'p handlers array;
@@ -53,7 +44,6 @@ type 'p t = {
   faults : faults;
   in_capacity : int option;
   payload_size : 'p -> int;
-  tel : tel option;
   mutable now : int;
 }
 
@@ -68,8 +58,7 @@ let add_metrics ~into m =
   into.rejected <- into.rejected + m.rejected;
   into.dropped <- into.dropped + m.dropped
 
-let create ?(faults = no_faults) ?in_capacity ?(payload_size = fun _ -> 1) ?telemetry g
-    ~handlers =
+let create ?(faults = no_faults) ?in_capacity ?(payload_size = fun _ -> 1) g ~handlers =
   (match in_capacity with
   | Some c when c < 1 -> invalid_arg "Engine.create: in_capacity must be >= 1"
   | Some _ | None -> ());
@@ -82,16 +71,6 @@ let create ?(faults = no_faults) ?in_capacity ?(payload_size = fun _ -> 1) ?tele
     faults;
     in_capacity;
     payload_size;
-    tel =
-      Option.map
-        (fun reg ->
-          {
-            reg;
-            tel_ring = Gossip_obs.Registry.ring reg;
-            h_deliveries = Gossip_obs.Registry.histogram reg "engine.round.deliveries";
-            h_initiations = Gossip_obs.Registry.histogram reg "engine.round.initiations";
-          })
-        telemetry;
     now = 0;
   }
 
@@ -103,7 +82,6 @@ let metrics t = t.metrics
 
 let step t =
   let round = t.now in
-  let d0 = t.metrics.deliveries and i0 = t.metrics.initiations and x0 = t.metrics.dropped in
   let alive node = t.faults.alive ~node ~round in
   (* Phase 1: deliveries due this round, in three sub-phases that keep
      the classical synchronous semantics.  First every response is
@@ -230,20 +208,7 @@ let step t =
     end
   done;
   t.now <- round + 1;
-  t.metrics.rounds <- t.metrics.rounds + 1;
-  match t.tel with
-  | None -> ()
-  | Some tel ->
-      Gossip_obs.Registry.observe tel.h_deliveries (t.metrics.deliveries - d0);
-      Gossip_obs.Registry.observe tel.h_initiations (t.metrics.initiations - i0);
-      (match tel.tel_ring with
-      | None -> ()
-      | Some ring ->
-          let ev kind value = Gossip_obs.Ring.record ring ~round ~kind ~node:(-1) ~value in
-          ev Gossip_obs.Ring.kind_deliveries (t.metrics.deliveries - d0);
-          ev Gossip_obs.Ring.kind_initiations (t.metrics.initiations - i0);
-          ev Gossip_obs.Ring.kind_drops (t.metrics.dropped - x0);
-          ev Gossip_obs.Ring.kind_queue (Heap.length t.events))
+  t.metrics.rounds <- t.metrics.rounds + 1
 
 let run_until t ~max_rounds done_ =
   let start = t.now in

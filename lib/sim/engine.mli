@@ -97,21 +97,11 @@ type 'p t
     round (the restricted model of Daum et al. discussed in Section 7);
     excess requests are silently rejected and never answered.
     [payload_size] measures payloads for the [payload_words] metric
-    (default: 1 per message).
-
-    [telemetry] attaches an observability registry: every round
-    observes per-round delivery and initiation counts into the
-    ["engine.round.deliveries"] / ["engine.round.initiations"]
-    histograms, and — when the registry carries a ring — records
-    per-round [deliveries]/[initiations]/[drops]/[queue] trace events
-    ([queue] is the pending-event heap length).  Handles are resolved
-    once at creation, so the per-round overhead is a few integer
-    stores and the default (no telemetry) costs one option match. *)
+    (default: 1 per message). *)
 val create :
   ?faults:faults ->
   ?in_capacity:int ->
   ?payload_size:('p -> int) ->
-  ?telemetry:Gossip_obs.Registry.t ->
   Gossip_graph.Graph.t ->
   handlers:(node -> 'p handlers) ->
   'p t

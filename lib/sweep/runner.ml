@@ -161,8 +161,8 @@ let rumor_k csr protocol k =
 
 let rumor_budget b = if b = 0 then 4 else b
 
-let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr protocol ~seed
-    ~source ~max_rounds =
+let run ?scenario ?domains ?telemetry ?deadline ?on_round csr protocol ~seed ~source
+    ~max_rounds =
   let rng = Rng.of_int (seed + 17) in
   let compile ?oriented () =
     Option.map (fun s -> Scenario.compile ?oriented s ~csr ~source) scenario
@@ -193,7 +193,7 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round ?pool_capacity csr pro
     in
     let result =
       Wheel_engine.broadcast_kernel ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
-        ?telemetry ?pool_capacity ?domains rng csr ~kernel ~source ~max_rounds
+        ?telemetry ?domains rng csr ~kernel ~source ~max_rounds
     in
     { name = Kernel.name kernel; result; route }
   in

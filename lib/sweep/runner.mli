@@ -42,10 +42,9 @@
     [on_round] reach every engine run of every route; on a chain,
     [on_round] sees rounds counted over all phases (on unified,
     push-pull's first), so they strictly increase.  An exception
-    [on_round] raises aborts the run and propagates.  [pool_capacity]
-    applies to single-kernel and rr-spanner runs only.  [max_rounds]
-    caps those runs and unified's push-pull branch; the unknown-eid
-    chain budgets its own phases. *)
+    [on_round] raises aborts the run and propagates.  [max_rounds]
+    caps single-kernel and rr-spanner runs and unified's push-pull
+    branch; the unknown-eid chain budgets its own phases. *)
 
 (** {1 Protocol descriptors}
 
@@ -182,7 +181,6 @@ val run :
   ?telemetry:Gossip_obs.Registry.t ->
   ?deadline:float ->
   ?on_round:(round:int -> informed:int -> unit) ->
-  ?pool_capacity:int ->
   Gossip_scale.Csr.t ->
   protocol ->
   seed:int ->

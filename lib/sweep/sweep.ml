@@ -82,7 +82,7 @@ type failure = {
   attempts : int;
 }
 
-let run_job ?timeout_s ?domains ?pool_capacity ?on_round job =
+let run_job ?timeout_s ?domains ?on_round job =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun s -> started +. s) timeout_s in
   let csr = build job.family ~n:job.n ~seed:job.seed in
@@ -95,8 +95,8 @@ let run_job ?timeout_s ?domains ?pool_capacity ?on_round job =
   let source = job.seed mod n_actual in
   let source = if source < 0 then source + n_actual else source in
   let o =
-    Runner.run ?scenario:job.scenario ?domains ?deadline ?on_round ?pool_capacity csr
-      job.protocol ~seed:job.seed ~source ~max_rounds:job.max_rounds
+    Runner.run ?scenario:job.scenario ?domains ?deadline ?on_round csr job.protocol
+      ~seed:job.seed ~source ~max_rounds:job.max_rounds
   in
   {
     job;
@@ -433,8 +433,8 @@ let failure_of_pool job (pf : Pool.failure) =
     attempts = pf.Pool.attempts;
   }
 
-let run_ft ?workers ?(retries = 0) ?timeout_s ?domains ?pool_capacity ?checkpoint
-    ?(resume = false) ?inject ?telemetry jobs =
+let run_ft ?workers ?(retries = 0) ?timeout_s ?domains ?checkpoint ?(resume = false) ?inject
+    ?telemetry jobs =
   if resume && checkpoint = None then
     invalid_arg "Sweep.run_ft: ~resume:true requires a checkpoint path";
   let workers = budgeted_workers ?workers ?domains () in
@@ -456,7 +456,7 @@ let run_ft ?workers ?(retries = 0) ?timeout_s ?domains ?pool_capacity ?checkpoin
   in
   let run_one job =
     (match inject with None -> () | Some hook -> hook job);
-    run_job ?timeout_s ?domains ?pool_capacity job
+    run_job ?timeout_s ?domains job
   in
   let retried = ref [] in
   let on_retry i ~attempt e =

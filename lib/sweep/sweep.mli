@@ -105,21 +105,19 @@ type failure = {
   attempts : int;
 }
 
-(** [run_job ?timeout_s ?domains ?pool_capacity ?on_round job] executes
-    one job in the calling domain: it builds the job's graph (and
-    latency redraw, from [seed + 7]), picks the source [seed mod n],
-    and runs the job's descriptor and scenario through {!Runner.run},
-    which documents the seeds and what each route does with
-    [domains], [pool_capacity] and [on_round].  [timeout_s] is a
-    cooperative wall-clock budget, passed on as an absolute deadline
-    checked between rounds, so it never perturbs trajectories.  Under
-    {!run_ft} a scenario that does not compile (an adversary off
-    rr-spanner, say) and an exhausted pool are structured failures.
+(** [run_job ?timeout_s ?domains ?on_round job] executes one job in
+    the calling domain: it builds the job's graph (and latency redraw,
+    from [seed + 7]), picks the source [seed mod n], and runs the job's
+    descriptor and scenario through {!Runner.run}, which documents the
+    seeds and what each route does with [domains] and [on_round].
+    [timeout_s] is a cooperative wall-clock budget, passed on as an
+    absolute deadline checked between rounds, so it never perturbs
+    trajectories.  Under {!run_ft} a scenario that does not compile (an
+    adversary off rr-spanner, say) is a structured failure.
     @raise Gossip_scale.Wheel_engine.Deadline_exceeded over budget. *)
 val run_job :
   ?timeout_s:float ->
   ?domains:int ->
-  ?pool_capacity:int ->
   ?on_round:(round:int -> informed:int -> unit) ->
   job ->
   outcome
@@ -189,9 +187,6 @@ type report = {
     - [domains]: per-job engine sharding (see {!run_job}); the worker
       count is budgeted through {!Pool.budget_workers} so workers ×
       domains never oversubscribes the machine.
-    - [pool_capacity]: per-job exchange-pool bound (see {!run_job});
-      an exhausted pool records the job as a structured
-      [Pool_exhausted] failure and the campaign continues.
     - [checkpoint]: stream every outcome to this JSONL file {e as it
       finishes} (one flush per record), as [ckpt_job] / [ckpt_fail]
       events keyed by {!job_key}.
@@ -212,7 +207,6 @@ val run_ft :
   ?retries:int ->
   ?timeout_s:float ->
   ?domains:int ->
-  ?pool_capacity:int ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?inject:(job -> unit) ->

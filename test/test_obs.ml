@@ -1,6 +1,6 @@
 (* Tests for gossip_obs: Registry (counters/gauges/histograms +
    merge), Ring, Span, Sink, Report, and the ?telemetry plumbing
-   through the engines and the sweep. *)
+   through the wheel engine and the sweep. *)
 
 module Registry = Gossip_obs.Registry
 module Ring = Gossip_obs.Ring
@@ -445,38 +445,6 @@ let test_report_tolerates_garbage () =
 (* ------------------------------------------------------------------ *)
 (* Engine integration *)
 
-let test_engine_telemetry () =
-  let g =
-    Gossip_graph.Gen.erdos_renyi_connected (Rng.of_int 5) ~n:48 ~p:0.15
-  in
-  let ring = Ring.create ~capacity:1024 () in
-  let reg = Registry.create ~ring () in
-  let plain =
-    Gossip_core.Push_pull.broadcast (Rng.of_int 17) g ~source:0 ~max_rounds:10_000
-  in
-  let traced =
-    Gossip_core.Push_pull.broadcast ~telemetry:reg (Rng.of_int 17) g ~source:0
-      ~max_rounds:10_000
-  in
-  checkb "telemetry does not perturb the run" true
-    (plain.Gossip_core.Push_pull.rounds = traced.Gossip_core.Push_pull.rounds);
-  let rounds =
-    match traced.Gossip_core.Push_pull.rounds with Some r -> r | None -> Alcotest.fail "capped"
-  in
-  let h = Registry.histogram reg "engine.round.deliveries" in
-  checki "one observation per round" rounds (Registry.hist_count h);
-  checki "delivery total matches metrics" traced.Gossip_core.Push_pull.metrics.Gossip_sim.Engine.deliveries
-    (Registry.hist_sum h);
-  (* informed trace reaches n on the last round *)
-  let informed =
-    List.filter_map
-      (fun (round, kind, _, v) -> if kind = Ring.kind_informed then Some (round, v) else None)
-      (Ring.to_list ring)
-  in
-  checkb "informed trace nonempty" true (informed <> []);
-  let _, final = List.nth informed (List.length informed - 1) in
-  checki "final informed is n" (Gossip_graph.Graph.n g) final
-
 let test_wheel_telemetry () =
   let csr =
     Gossip_scale.Csr.with_latencies (Rng.of_int 8) (Gossip_graph.Gen.Uniform (1, 4))
@@ -505,7 +473,16 @@ let test_wheel_telemetry () =
     traced.Gossip_scale.Wheel_engine.metrics.Gossip_sim.Engine.deliveries
     (Registry.hist_sum h);
   checkb "in-flight high-water positive" true
-    (Registry.gauge_value (Registry.gauge reg "wheel.inflight.max") > 0)
+    (Registry.gauge_value (Registry.gauge reg "wheel.inflight.max") > 0);
+  (* informed trace reaches n on the last round *)
+  let informed =
+    List.filter_map
+      (fun (round, kind, _, v) -> if kind = Ring.kind_informed then Some (round, v) else None)
+      (Ring.to_list ring)
+  in
+  checkb "informed trace nonempty" true (informed <> []);
+  let _, final = List.nth informed (List.length informed - 1) in
+  checki "final informed is n" (Gossip_scale.Csr.n csr) final
 
 (* ------------------------------------------------------------------ *)
 (* Sweep integration *)
@@ -609,7 +586,6 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "engine telemetry" `Quick test_engine_telemetry;
           Alcotest.test_case "wheel telemetry" `Quick test_wheel_telemetry;
           Alcotest.test_case "sweep telemetry report" `Quick test_sweep_telemetry_report;
           Alcotest.test_case "pool multiworker" `Quick test_pool_telemetry_multiworker;

@@ -367,12 +367,22 @@ let test_wheel_pool_exhausted () =
   (* Clique of 20 under push-pull: round 0 initiates 20 exchanges, so a
      2-slot hard ceiling exhausts immediately with the exact fields. *)
   let c = Csr.of_graph (Gen.clique 20) in
+  let tiny () =
+    Wheel.broadcast_kernel ~pool_capacity:2 (Rng.of_int 5) c ~kernel:(Kernel.push_pull c)
+      ~source:0 ~max_rounds:10
+  in
   Alcotest.check_raises "tiny pool exhausts"
     (Wheel.Pool_exhausted { used = 2; round = 0 })
-    (fun () ->
-      ignore
-        (Wheel.broadcast_kernel ~pool_capacity:2 (Rng.of_int 5) c ~kernel:(Kernel.push_pull c)
-           ~source:0 ~max_rounds:10));
+    (fun () -> ignore (tiny ()));
+  (* The registered printer makes the failure message a sweep records
+     actionable: the typed name and the live-slot count. *)
+  (match tiny () with
+  | _ -> Alcotest.fail "expected Pool_exhausted"
+  | exception e ->
+      checkb "printer names the exception and the live slots" true
+        (String.starts_with
+           ~prefix:"Wheel_engine.Pool_exhausted: exchange pool exhausted at 2 live exchanges"
+           (Printexc.to_string e)));
   (* A capacity the run fits under never steers the trajectory. *)
   let bare =
     Wheel.broadcast_kernel (Rng.of_int 5) c ~kernel:(Kernel.push_pull c) ~source:0

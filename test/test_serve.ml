@@ -389,10 +389,11 @@ let test_jobq_requeue_head () =
   Jobq.requeue q id;
   Alcotest.(check bool) "requeued back to Queued" true
     ((Option.get (Jobq.status q id)).P.s_state = P.Queued);
-  Alcotest.(check (list string))
-    "requeued job heads the incomplete list"
-    [ a.Jobq.id; b.Jobq.id ]
-    (Jobq.incomplete q)
+  let position id = (Option.get (Jobq.status q id)).P.s_position in
+  Alcotest.(check (option int)) "requeued job heads the queue" (Some 0) (position a.Jobq.id);
+  Alcotest.(check (option int)) "the queued job moves behind it" (Some 1) (position b.Jobq.id);
+  Alcotest.(check (option string)) "requeued job claimed first" (Some a.Jobq.id) (Jobq.next q);
+  Alcotest.(check (option string)) "then the next queued one" (Some b.Jobq.id) (Jobq.next q)
 
 (* ------------------------------------------------------------------ *)
 (* In-process server harness *)

@@ -624,39 +624,6 @@ let test_sweep_sharded_jobs_deterministic () =
   checki "run_ft all complete" 4 (List.length ft.Sweep.completed);
   checkb "run_ft sharded matches too" true (shape sequential = shape ft.Sweep.completed)
 
-let test_sweep_pool_exhausted_failure_path () =
-  (* A 2-slot exchange pool cannot hold a 48-node push-pull round: every
-     job must come back as a structured Pool_exhausted failure — the
-     campaign survives — and the registered printer must make the
-     message actionable. *)
-  let contains s needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let jobs = small_jobs Runner.Push_pull in
-  let report = Sweep.run_ft ~workers:1 ~pool_capacity:2 jobs in
-  checki "no job completes" 0 (List.length report.Sweep.completed);
-  checki "every job fails structured" 4 (List.length report.Sweep.failed);
-  List.iter
-    (fun (f : Sweep.failure) ->
-      checkb "typed exception printed" true (contains f.Sweep.message "Pool_exhausted");
-      checkb "live-slot count printed" true (contains f.Sweep.message "2 live exchanges");
-      checki "single attempt" 1 f.Sweep.attempts)
-    report.Sweep.failed;
-  (* The same cap reaches run_job, which raises. *)
-  (match Sweep.run_job ~pool_capacity:2 (List.hd jobs) with
-  | _ -> Alcotest.fail "expected Pool_exhausted"
-  | exception Wheel.Pool_exhausted { used; round } ->
-      checki "used at ceiling" 2 used;
-      checki "first round" 0 round);
-  (* An adequate capacity changes nothing. *)
-  let bare = Sweep.run_job (List.hd jobs) in
-  let capped = Sweep.run_job ~pool_capacity:4096 (List.hd jobs) in
-  checkb "capacity never steers outcomes" true
-    (bare.Sweep.rounds = capped.Sweep.rounds
-    && bare.Sweep.metrics = capped.Sweep.metrics)
-
 (* A descriptor parameter that does not fit the graph is refused with
    Runner's typed exception before any engine round, and a sweep records
    it as a structured failure. *)
@@ -768,8 +735,6 @@ let () =
             test_sweep_checkpoint_records_failures;
           Alcotest.test_case "sharded jobs deterministic" `Quick
             test_sweep_sharded_jobs_deterministic;
-          Alcotest.test_case "pool exhausted failure path" `Quick
-            test_sweep_pool_exhausted_failure_path;
           Alcotest.test_case "resume requires checkpoint" `Quick
             test_sweep_resume_requires_checkpoint;
           Alcotest.test_case "on_round on every route" `Quick test_sweep_on_round_every_route;
