@@ -30,7 +30,7 @@ let time f =
    set-up: (outcome, spanner record, engine seconds). *)
 let time_rr_spanner run =
   let o, s = time run in
-  match o.Runner.route with
+  match o.Runner.record.Runner.route with
   | Runner.Spanner_run sp -> (o, sp, s -. sp.Runner.build_s)
   | _ -> invalid_arg "time_rr_spanner: not an rr-spanner run"
 
@@ -426,14 +426,14 @@ let e15 () =
             Runner.run ~domains csr (Runner.Rr_spanner { stretch_k = 0 }) ~seed ~source:0
               ~max_rounds)
       in
-      let pp = pp.Runner.result and rr = rr.Runner.result in
+      let pp = pp.Runner.record and rr = rr.Runner.record in
       let fmt_rounds = function Some r -> fmt_i r | None -> "capped" in
       let json_rounds = function
         | Some r -> Gossip_util.Json.Int r
         | None -> Gossip_util.Json.Null
       in
       let ratio =
-        match (pp.Wheel.rounds, rr.Wheel.rounds) with
+        match (pp.Runner.rounds, rr.Runner.rounds) with
         | Some p, Some r when r > 0 -> Some (float_of_int p /. float_of_int r)
         | _ -> None
       in
@@ -446,14 +446,14 @@ let e15 () =
            ("bridge_latency", Json.Int bridge);
            ("max_rounds", Json.Int max_rounds);
            ("domains", Json.Int domains);
-           ("pp_rounds", json_rounds pp.Wheel.rounds);
+           ("pp_rounds", json_rounds pp.Runner.rounds);
            ("pp_s", Json.Float pp_s);
            ("spanner_k", Json.Int sp.Runner.k);
            ("spanner_edges", Json.Int sp.Runner.edges);
            ("spanner_max_out_degree", Json.Int sp.Runner.max_out_degree);
            ("spanner_out_degree_bound", Json.Int sp.Runner.out_degree_bound);
            ("spanner_build_s", Json.Float sp.Runner.build_s);
-           ("rr_rounds", json_rounds rr.Wheel.rounds);
+           ("rr_rounds", json_rounds rr.Runner.rounds);
            ("rr_s", Json.Float rr_s);
            ( "round_ratio",
              match ratio with Some x -> Json.Float x | None -> Json.Null );
@@ -462,12 +462,12 @@ let e15 () =
       Table.add_row t
         [
           fmt_i n;
-          fmt_rounds pp.Wheel.rounds;
+          fmt_rounds pp.Runner.rounds;
           fmt_f ~d:2 pp_s;
           fmt_i sp.Runner.edges;
           fmt_i sp.Runner.max_out_degree;
           fmt_f ~d:2 sp.Runner.build_s;
-          fmt_rounds rr.Wheel.rounds;
+          fmt_rounds rr.Runner.rounds;
           fmt_f ~d:2 rr_s;
           (match ratio with Some x -> fmt_f ~d:2 x | None -> "-");
         ])
@@ -583,9 +583,9 @@ let e16 () =
             time_rr_spanner (fun () -> run (Runner.Rr_spanner { stretch_k = 0 }))
           in
           let base, base_s = time (fun () -> run (Runner.Dtg_local { ell = bridge - 1 })) in
-          let pp_r = rounds_exn pp.Runner.result.Wheel.rounds in
-          let rr_r = rounds_exn rr.Runner.result.Wheel.rounds in
-          let base_r = rounds_exn base.Runner.result.Wheel.rounds in
+          let pp_r = rounds_exn pp.Runner.record.Runner.rounds in
+          let rr_r = rounds_exn rr.Runner.record.Runner.rounds in
+          let base_r = rounds_exn base.Runner.record.Runner.rounds in
           (* Per-epoch gauge series: dyn.epoch.<k>.{ell_star,phi_ell_ppm,bound}. *)
           let epochs =
             let tbl = Hashtbl.create 8 in

@@ -280,9 +280,60 @@ let build_csr a =
       | spec -> Scsr.with_latencies (Rng.of_int a.seed) spec csr)
   | None -> Scsr.of_graph (build_graph a)
 
+(* The one printer of a run's record: the spanner set-up on
+   rr-spanner, the run line (a chain adds its route's summary and one
+   line per attempt), then the counters.  A chain reports the rounds it
+   executed even when it left a node uninformed. *)
+let print_outcome (o : Runner.outcome) ~domains ~max_rounds ~elapsed ~n =
+  let r = o.Runner.record in
+  let m = r.Runner.metrics in
+  let ran =
+    Printf.sprintf "%d rounds in %.2fs on %d nodes"
+      (Option.value r.Runner.rounds ~default:m.Gossip_sim.Engine.rounds)
+      elapsed n
+  in
+  let line =
+    match r.Runner.route with
+    | (Runner.Kernel_run | Runner.Spanner_run _) when r.Runner.rounds = None ->
+        Printf.sprintf "hit the %d-round cap (%.2fs, %d nodes)" max_rounds elapsed n
+    | Runner.Kernel_run | Runner.Spanner_run _ -> ran
+    | Runner.Eid_chain c ->
+        let k = List.length c.Runner.attempts in
+        Printf.sprintf "%s (%s, k_final=%d, %d attempt%s, unanimous=%b)" ran
+          (if r.Runner.rounds <> None then "success" else "FAILED")
+          c.Runner.k_final k
+          (if k = 1 then "" else "s")
+          c.Runner.unanimous
+    | Runner.Unified_race u ->
+        Printf.sprintf "%s (winner: %s, push-pull %s, spanner route %d)" ran
+          (match u.Runner.winner with
+          | Gossip_core.Dissemination.Scale_push_pull_won -> "push-pull"
+          | Gossip_core.Dissemination.Scale_spanner_route_won -> "spanner route")
+          (match u.Runner.pushpull_rounds with Some x -> string_of_int x | None -> "capped")
+          u.Runner.spanner_rounds
+  in
+  (match r.Runner.route with
+  | Runner.Spanner_run sp ->
+      Printf.printf "spanner (k = %d): %d directed edges, max out-degree %d, built in %.1fs\n"
+        sp.Runner.k sp.Runner.edges sp.Runner.max_out_degree sp.Runner.build_s
+  | _ -> ());
+  Printf.printf "wheel %s (domains=%d): %s\n" o.Runner.name domains line;
+  (match r.Runner.route with
+  | Runner.Eid_chain c ->
+      List.iter
+        (fun (a : Gossip_core.Eid.unknown_attempt) ->
+          Printf.printf
+            "  k=%d: discovery %d + schedule %d + rr %d + check %d rounds, %d edges known\n"
+            a.ua_k a.ua_discovery_rounds a.ua_schedule_rounds a.ua_rr_rounds a.ua_check_rounds
+            a.ua_edges_known)
+        c.Runner.attempts
+  | _ -> ());
+  Printf.printf "initiations: %d, deliveries: %d\n" m.Gossip_sim.Engine.initiations
+    m.Gossip_sim.Engine.deliveries
+
 (* One wheel-engine run through Runner.run: builds the graph, runs the
-   descriptor, prints the route's record and optionally dumps the
-   telemetry registry -- kernel-tagged counters included -- as JSONL. *)
+   descriptor, prints its record and optionally dumps the telemetry
+   registry -- kernel-tagged counters included -- as JSONL. *)
 let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~scenario =
   let module Obs = Gossip_obs in
   let module Json = Gossip_util.Json in
@@ -308,52 +359,7 @@ let run_wheel_protocol args ~protocol ~domains ~source ~max_rounds ~telemetry ~s
     | exception Runner.Invalid_protocol msg -> die "--protocol %s" msg
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let r = o.Runner.result in
-  (match o.Runner.route with
-  | Runner.Eid_chain r ->
-      let module Eid = Gossip_core.Eid in
-      Printf.printf
-        "wheel unknown-eid (domains=%d): %d rounds in %.2fs on %d nodes (%s, k_final=%d, %d \
-         attempt%s, unanimous=%b)\n"
-        domains r.Eid.u_rounds elapsed n
-        (if r.Eid.u_success then "success" else "FAILED")
-        r.Eid.u_k_final (List.length r.Eid.u_attempts)
-        (if List.length r.Eid.u_attempts = 1 then "" else "s")
-        r.Eid.u_unanimous;
-      List.iter
-        (fun a ->
-          Printf.printf
-            "  k=%d: discovery %d + schedule %d + rr %d + check %d rounds, %d edges known\n"
-            a.Eid.ua_k a.Eid.ua_discovery_rounds a.Eid.ua_schedule_rounds a.Eid.ua_rr_rounds
-            a.Eid.ua_check_rounds a.Eid.ua_edges_known)
-        r.Eid.u_attempts
-  | Runner.Unified_race r ->
-      let module D = Gossip_core.Dissemination in
-      Printf.printf
-        "wheel unified (domains=%d): %d rounds in %.2fs on %d nodes (winner: %s, push-pull \
-         %s, spanner route %d)\n"
-        domains r.D.b_rounds elapsed n
-        (match r.D.b_winner with
-        | D.Scale_push_pull_won -> "push-pull"
-        | D.Scale_spanner_route_won -> "spanner route")
-        (match r.D.b_pushpull_rounds with Some rr -> string_of_int rr | None -> "capped")
-        r.D.b_spanner_rounds
-  | (Runner.Kernel_run | Runner.Spanner_run _) as route -> (
-      (match route with
-      | Runner.Spanner_run sp ->
-          Printf.printf "spanner (k = %d): %d directed edges, max out-degree %d, built in %.1fs\n"
-            sp.Runner.k sp.Runner.edges sp.Runner.max_out_degree sp.Runner.build_s
-      | _ -> ());
-      match r.Gossip_scale.Wheel_engine.rounds with
-      | Some rounds ->
-          Printf.printf "wheel %s (domains=%d): %d rounds in %.2fs on %d nodes\n" o.Runner.name
-            domains rounds elapsed n
-      | None ->
-          Printf.printf "wheel %s (domains=%d): hit the %d-round cap (%.2fs, %d nodes)\n"
-            o.Runner.name domains max_rounds elapsed n));
-  Printf.printf "initiations: %d, deliveries: %d\n"
-    r.Gossip_scale.Wheel_engine.metrics.Gossip_sim.Engine.initiations
-    r.Gossip_scale.Wheel_engine.metrics.Gossip_sim.Engine.deliveries;
+  print_outcome o ~domains ~max_rounds ~elapsed ~n;
   match (telemetry, reg) with
   | Some path, Some reg ->
       Obs.Sink.with_jsonl path (fun sink ->
@@ -427,11 +433,11 @@ let run_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt (some int) None
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Shard a $(b,--protocol) run across D OCaml domains; the trajectory is \
-             bit-identical to --domains 1.")
+            "Shard a $(b,--protocol) run across D OCaml domains (default 1); the \
+             trajectory is bit-identical to --domains 1.")
   in
   let source =
     Arg.(value & opt int 0 & info [ "source" ] ~docv:"NODE" ~doc:"Broadcast source.")
@@ -460,7 +466,7 @@ let run_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write the informed-set trajectory as CSV (push-pull only).")
+          ~doc:"Write the informed-set trajectory as CSV (fault-free push-pull only).")
   in
   let telemetry =
     Arg.(
@@ -472,14 +478,35 @@ let run_cmd =
   in
   let run args algorithm protocol rumors budget domains source max_rounds crash drop
       capacity trace telemetry scenario =
+    (* Every flag belongs to the engine that honors it and is refused
+       elsewhere: the fault, capacity and trace flags to the reference
+       engine's push-pull, the wheel's flags to --protocol. *)
+    let faulty = crash > 0.0 || drop > 0.0 in
+    (match
+       List.find_opt snd
+         [
+           ("--crash", crash > 0.0);
+           ("--drop", drop > 0.0);
+           ("--capacity", capacity <> None);
+           ("--trace", trace <> None);
+         ]
+     with
+    | Some (flag, _) when protocol <> None ->
+        die "%s applies to --algorithm push-pull, not to --protocol runs" flag
+    | Some (flag, _) when algorithm <> "push-pull" ->
+        die "%s applies to --algorithm push-pull only" flag
+    | _ -> ());
+    if trace <> None && (faulty || capacity <> None) then
+      die "--trace records the fault-free push-pull run only (drop --crash, --drop and --capacity)";
+    if capacity <> None && faulty then die "--capacity cannot be combined with --crash or --drop";
     (* A wheel run never touches the boxed graph: dispatch before
-       build_graph so --protocol works at 10^6 nodes.  Flags only the
-       wheel honors are refused on the reference engine. *)
+       build_graph so --protocol works at 10^6 nodes. *)
     match protocol with
     | Some p ->
-        run_wheel_protocol args ~protocol:(with_rumor_overrides ~rumors ~budget p) ~domains
-          ~source ~max_rounds ~telemetry ~scenario
+        run_wheel_protocol args ~protocol:(with_rumor_overrides ~rumors ~budget p)
+          ~domains:(Option.value domains ~default:1) ~source ~max_rounds ~telemetry ~scenario
     | None ->
+    if domains <> None then die "--domains applies to wheel-engine runs only (use --protocol)";
     if scenario <> None then die "--scenario applies to wheel-engine runs only (use --protocol)";
     if rumors <> None || budget <> None then
       die
@@ -493,7 +520,7 @@ let run_cmd =
       | None -> Printf.printf "%s: hit the %d-round cap\n" label max_rounds
     in
     match algorithm with
-    | "push-pull" when crash > 0.0 || drop > 0.0 ->
+    | "push-pull" when faulty ->
         let module R = Gossip_core.Robustness in
         let plan =
           R.combine

@@ -66,6 +66,7 @@ type scale_result = {
   b_success : bool;
   b_unanimous : bool;
   b_attempts : Eid.unknown_attempt list;
+  b_k_final : int;
   b_metrics : Gossip_sim.Engine.metrics;
 }
 
@@ -105,5 +106,6 @@ let broadcast_scale ?domains ?telemetry ?env ?wheel_latency ?deadline ?on_round 
     b_success = eid.Eid.u_success || pp.Scale_wheel.rounds <> None;
     b_unanimous = eid.Eid.u_unanimous;
     b_attempts = eid.Eid.u_attempts;
+    b_k_final = eid.Eid.u_k_final;
     b_metrics = metrics;
   }

@@ -55,6 +55,7 @@ type scale_result = {
   b_success : bool;
   b_unanimous : bool;  (** the EID branch's check verdicts all agreed *)
   b_attempts : Eid.unknown_attempt list;  (** the EID branch's attempts *)
+  b_k_final : int;  (** the EID branch's estimate in force at termination *)
   b_metrics : Gossip_sim.Engine.metrics;  (** the winning branch's counters *)
 }
 

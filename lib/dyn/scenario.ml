@@ -101,9 +101,19 @@ let opt ~ctx fields k dec ~default =
   | Some j -> dec ~ctx:(ctx ^ "." ^ k) j
   | None -> default
 
-let non_negative_int ~ctx fields k ~default =
-  let v = opt ~ctx fields k dec_int ~default in
-  if v < 0 then fail "%s.%s: must be >= 0 (got %d)" ctx k v;
+(* The engine's round range.  Every round a plan names lies in it, and
+   so must every sum of them the engine forms: a sum past it wraps
+   negative, and a churn interval with a wrapped end never happens.
+   (The seed sums [seed + idx] and [seed + 7919·(i+1)] only seed hashes
+   and streams, where wrapping is harmless; a jitter draw's
+   [budget + 1] is bounded by {!compile}'s latency-range check.) *)
+let max_round = Gossip_scale.I32.max_value
+
+(* A round count or round number in [lo, max_round]. *)
+let dec_round ~lo ~ctx j =
+  let v = dec_int ~ctx j in
+  if v < lo then fail "%s: must be >= %d (got %d)" ctx lo v;
+  if v > max_round then fail "%s: %d exceeds the round range (%d)" ctx v max_round;
   v
 
 let filter_of_json ~ctx j =
@@ -152,16 +162,15 @@ let rule_of_json ~ctx j =
         Linear { rate; cap }
     | "diurnal" ->
         let amplitude = req ~ctx fields "amplitude" dec_float in
-        let period = req ~ctx fields "period" dec_int in
-        let phase = non_negative_int ~ctx fields "phase" ~default:0 in
+        let period = req ~ctx fields "period" (dec_round ~lo:1) in
+        (* the closure reads round + phase *)
+        let phase = opt ~ctx fields "phase" (dec_round ~lo:0) ~default:0 in
         if amplitude < 0.0 then
           fail "%s.amplitude: must be >= 0 (got %g)" ctx amplitude;
-        if period < 1 then fail "%s.period: must be >= 1 (got %d)" ctx period;
         Diurnal { amplitude; period; phase }
     | "step" ->
-        let at = req ~ctx fields "at" dec_int in
+        let at = req ~ctx fields "at" (dec_round ~lo:0) in
         let factor = req ~ctx fields "factor" dec_float in
-        if at < 0 then fail "%s.at: must be >= 0 (got %d)" ctx at;
         if factor <= 0.0 then fail "%s.factor: must be > 0 (got %g)" ctx factor;
         Step { at; factor }
     | "trace" ->
@@ -175,8 +184,7 @@ let rule_of_json ~ctx j =
           (fun m ->
             if m <= 0.0 then fail "%s.multipliers: must be > 0 (got %g)" ctx m)
           ms;
-        let dilate = opt ~ctx fields "dilate" dec_int ~default:1 in
-        if dilate < 1 then fail "%s.dilate: must be >= 1 (got %d)" ctx dilate;
+        let dilate = opt ~ctx fields "dilate" (dec_round ~lo:1) ~default:1 in
         Trace { multipliers = ms; dilate }
     | k ->
         fail "%s.kind: unknown schedule kind %S (want linear, diurnal, step, trace)"
@@ -189,14 +197,13 @@ let churn_of_json ~ctx j =
   | Json.Obj fields when List.mem_assoc "node" fields ->
       let fields = obj ~ctx ~keys:[ "node"; "leave"; "rejoin" ] j in
       let node = req ~ctx fields "node" dec_int in
-      let leave = req ~ctx fields "leave" dec_int in
+      let leave = req ~ctx fields "leave" (dec_round ~lo:0) in
       if node < 0 then fail "%s.node: must be >= 0 (got %d)" ctx node;
-      if leave < 0 then fail "%s.leave: must be >= 0 (got %d)" ctx leave;
       let rejoin =
         match List.assoc_opt "rejoin" fields with
         | None | Some Json.Null -> None
         | Some j ->
-            let r = dec_int ~ctx:(ctx ^ ".rejoin") j in
+            let r = dec_round ~lo:0 ~ctx:(ctx ^ ".rejoin") j in
             if r <= leave then
               fail "%s.rejoin: must be > leave round %d (got %d)" ctx leave r;
             Some r
@@ -210,14 +217,19 @@ let churn_of_json ~ctx j =
       | "random" -> ()
       | k -> fail "%s.kind: unknown churn kind %S (want random)" ctx k);
       let fraction = req ~ctx fields "fraction" dec_float in
-      let leave = req ~ctx fields "leave" dec_int in
-      let down = req ~ctx fields "down" dec_int in
-      let period = opt ~ctx fields "period" dec_int ~default:1 in
+      let leave = req ~ctx fields "leave" (dec_round ~lo:0) in
+      let down = req ~ctx fields "down" (dec_round ~lo:1) in
+      let period = opt ~ctx fields "period" (dec_round ~lo:1) ~default:1 in
       if fraction < 0.0 || fraction > 1.0 then
         fail "%s.fraction: must be in [0, 1] (got %g)" ctx fraction;
-      if leave < 0 then fail "%s.leave: must be >= 0 (got %d)" ctx leave;
-      if down < 1 then fail "%s.down: must be >= 1 (got %d)" ctx down;
-      if period < 1 then fail "%s.period: must be >= 1 (got %d)" ctx period;
+      (* The last leaver rejoins at leave + period - 1 + down; each term
+         is in range, so the sum cannot wrap here. *)
+      let last = leave + (period - 1) + down in
+      if last > max_round then
+        fail
+          "%s.down: the last rejoin (leave %d + period %d - 1 + down %d = %d) exceeds \
+           the round range (%d)"
+          ctx leave period down last max_round;
       Random_churn { fraction; leave; down; period }
   | _ -> fail "%s: expected an object" ctx
 
@@ -251,8 +263,8 @@ let of_json j =
     | None | Some Json.Null -> None
     | Some j -> Some (adversary_of_json ~ctx:"adversary" j)
   in
-  let epoch = opt ~ctx fields "epoch" dec_int ~default:default_epoch in
-  if epoch < 1 then fail "%s.epoch: must be >= 1 (got %d)" ctx epoch;
+  (* the observer steps its next probe round by epoch *)
+  let epoch = opt ~ctx fields "epoch" (dec_round ~lo:1) ~default:default_epoch in
   let track_phi = opt ~ctx fields "track-phi" dec_bool ~default:false in
   { name; seed; rules; churn; adversary; epoch; track_phi }
 

@@ -19,30 +19,17 @@ type t = {
   final_informed : (int * int) option;
 }
 
-let field name = function Json.Obj fields -> List.assoc_opt name fields | _ -> None
-
-let as_float = function
-  | Some (Json.Float x) -> Some x
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let as_int = function Some (Json.Int i) -> Some i | _ -> None
-
-let as_string = function Some (Json.String s) -> Some s | _ -> None
-
 let of_file path =
-  let ic = open_in path in
   let events = ref 0 and parse_errors = ref 0 in
   let ev_order = ref [] and ev_counts = Hashtbl.create 8 in
   let job_elapsed = ref [] and job_rounds = ref [] and failed_jobs = ref 0 in
   let counters = Hashtbl.create 8 and gauges = Hashtbl.create 8 and hists = Hashtbl.create 8 in
   let final_informed = ref None in
-  let handle line =
-    match Json.of_string line with
+  let handle = function
     | Error _ -> incr parse_errors
     | Ok j -> (
         incr events;
-        let ev = Option.value ~default:"?" (as_string (field "ev" j)) in
+        let ev = Option.value ~default:"?" (Json.string_field j "ev") in
         if not (Hashtbl.mem ev_counts ev) then begin
           ev_order := ev :: !ev_order;
           Hashtbl.add ev_counts ev 0
@@ -50,45 +37,31 @@ let of_file path =
         Hashtbl.replace ev_counts ev (Hashtbl.find ev_counts ev + 1);
         match ev with
         | "job" ->
-            (match as_float (field "elapsed_s" j) with
-            | Some x -> job_elapsed := x :: !job_elapsed
-            | None -> ());
-            (match as_int (field "rounds" j) with
-            | Some r -> job_rounds := float_of_int r :: !job_rounds
-            | None -> ())
+            let push acc v = acc := v :: !acc in
+            Option.iter (push job_elapsed) (Json.float_field j "elapsed_s");
+            Option.iter (fun r -> push job_rounds (float_of_int r)) (Json.int_field j "rounds")
         | "job_error" -> incr failed_jobs
-        | "counter" -> (
-            match (as_string (field "name" j), as_int (field "value" j)) with
-            | Some name, Some v -> Hashtbl.replace counters name v
-            | _ -> ())
-        | "gauge" -> (
-            match (as_string (field "name" j), as_int (field "value" j)) with
-            | Some name, Some v -> Hashtbl.replace gauges name v
+        | ("counter" | "gauge") as kind -> (
+            let table = if kind = "counter" then counters else gauges in
+            match (Json.string_field j "name", Json.int_field j "value") with
+            | Some name, Some v -> Hashtbl.replace table name v
             | _ -> ())
         | "hist" -> (
-            match as_string (field "name" j) with
+            match Json.string_field j "name" with
             | Some name ->
-                let get f = Option.value ~default:0 (as_int (field f j)) in
-                let mean = Option.value ~default:nan (as_float (field "mean" j)) in
+                let get f = Option.value ~default:0 (Json.int_field j f) in
+                let mean = Option.value ~default:nan (Json.float_field j "mean") in
                 Hashtbl.replace hists name
                   { hist_count = get "count"; hist_sum = get "sum"; hist_mean = mean }
             | None -> ())
         | "trace" -> (
-            match (as_string (field "kind" j), as_int (field "round" j), as_int (field "value" j)) with
+            let int = Json.int_field j in
+            match (Json.string_field j "kind", int "round", int "value") with
             | Some "informed", Some round, Some value -> final_informed := Some (round, value)
             | _ -> ())
         | _ -> ())
   in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then handle line
-     done
-   with
-  | End_of_file -> close_in ic
-  | e ->
-      close_in ic;
-      raise e);
+  List.iter handle (Json.read_lines path);
   let sorted table = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] |> List.sort compare in
   let job_elapsed_s = Array.of_list (List.rev !job_elapsed) in
   let job_rounds = Array.of_list (List.rev !job_rounds) in

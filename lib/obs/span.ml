@@ -68,8 +68,3 @@ let report_json r =
     ("promoted_words", Json.Float r.promoted_words);
     ("major_collections", Json.Int r.major_collections);
   ]
-
-let pp_report ppf r =
-  Format.fprintf ppf "%s%s: %.6fs (minor %.0fw, promoted %.0fw, major gcs %d)"
-    (String.make (2 * r.depth) ' ')
-    r.label r.elapsed_s r.minor_words r.promoted_words r.major_collections

@@ -36,5 +36,3 @@ val timed : string -> (unit -> 'a) -> 'a * report
 (** [report_json r] is the JSONL-schema rendering used by {!Sink}
     (["ev" = "span"]). *)
 val report_json : report -> (string * Gossip_util.Json.t) list
-
-val pp_report : Format.formatter -> report -> unit

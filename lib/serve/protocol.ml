@@ -113,17 +113,6 @@ type response =
   | Error of { code : error_code; message : string }
 
 (* ------------------------------------------------------------------ *)
-(* Field helpers *)
-
-let field j name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None
-
-let int_field j name = match field j name with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field j name = match field j name with Some (Json.String s) -> Some s | _ -> None
-
-let bool_field j name = match field j name with Some (Json.Bool b) -> Some b | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Spec *)
 
 let spec_to_json s =
@@ -151,20 +140,20 @@ let spec_of_json j =
     | None -> Result.Error (Printf.sprintf "spec: missing or malformed %S" name)
   in
   let ( let* ) = Result.bind in
-  let* fj = need "family" (field j "family") in
+  let* fj = need "family" (Json.field j "family") in
   let* family = need "family" (Sweep.family_of_json fj) in
-  let* n = need "n" (int_field j "n") in
-  let* pname = need "protocol" (str_field j "protocol") in
+  let* n = need "n" (Json.int_field j "n") in
+  let* pname = need "protocol" (Json.string_field j "protocol") in
   let* protocol =
     match Runner.protocol_of_string pname with
     | Some p -> Ok p
     | None -> Result.Error (Printf.sprintf "spec: unknown protocol %S" pname)
   in
-  let* trials = need "trials" (int_field j "trials") in
-  let* base_seed = need "base_seed" (int_field j "base_seed") in
-  let* max_rounds = need "max_rounds" (int_field j "max_rounds") in
+  let* trials = need "trials" (Json.int_field j "trials") in
+  let* base_seed = need "base_seed" (Json.int_field j "base_seed") in
+  let* max_rounds = need "max_rounds" (Json.int_field j "max_rounds") in
   let* latency =
-    match field j "latency" with
+    match Json.field j "latency" with
     | None | Some Json.Null -> Ok None
     | Some lj -> (
         match Sweep.latency_of_json lj with
@@ -172,7 +161,7 @@ let spec_of_json j =
         | None -> Result.Error "spec: malformed latency")
   in
   let* scenario =
-    match field j "scenario" with
+    match Json.field j "scenario" with
     | None | Some Json.Null -> Ok None
     | Some sj -> (
         match Gossip_dyn.Scenario.of_json sj with
@@ -198,21 +187,21 @@ let request_to_json r =
   | Shutdown -> Json.Obj [ v; ("req", Json.String "shutdown") ]
 
 let request_of_json j =
-  match int_field j "v" with
+  match Json.int_field j "v" with
   | None -> Result.Error (Bad_request, "missing protocol version field \"v\"")
   | Some v when v <> version ->
       Result.Error
         (Version_mismatch, Printf.sprintf "protocol version %d, server speaks %d" v version)
   | Some _ -> (
       let with_job k =
-        match str_field j "job" with
+        match Json.string_field j "job" with
         | Some job -> Ok (k job)
         | None -> Result.Error (Bad_request, "missing job id field \"job\"")
       in
-      match str_field j "req" with
+      match Json.string_field j "req" with
       | Some "ping" -> Ok Ping
       | Some "submit" -> (
-          match field j "spec" with
+          match Json.field j "spec" with
           | None -> Result.Error (Bad_request, "submit: missing \"spec\"")
           | Some sj -> (
               match spec_of_json sj with
@@ -240,30 +229,14 @@ let status_fields st =
   ]
   @ match st.s_position with None -> [] | Some p -> [ ("position", Json.Int p) ]
 
-let status_of_json j =
-  match
-    ( str_field j "job",
-      Option.bind (str_field j "state") job_state_of_label,
-      int_field j "trials",
-      int_field j "completed",
-      int_field j "failed" )
-  with
-  | Some s_job, Some s_state, Some s_trials, Some s_completed, Some s_failed ->
-      Ok { s_job; s_state; s_trials; s_completed; s_failed; s_position = int_field j "position" }
-  | _ -> Result.Error "malformed status fields"
-
 let scalar_obj kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
 
-let scalar_list name j =
-  match field j name with
-  | Some (Json.Obj fs) ->
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | (k, Json.Int v) :: rest -> go ((k, v) :: acc) rest
-        | _ -> None
-      in
-      go [] fs
-  | _ -> None
+(* An object of int fields, read under [Json.decode]. *)
+let scalar_list j name =
+  let malformed () = raise (Json.Missing name) in
+  match Json.field j name with
+  | Some (Json.Obj fs) -> List.map (function k, Json.Int v -> (k, v) | _ -> malformed ()) fs
+  | _ -> malformed ()
 
 let response_to_json r =
   let resp kind fields = Json.Obj (("resp", Json.String kind) :: fields) in
@@ -311,67 +284,50 @@ let response_to_json r =
         [ ("code", Json.String (error_code_label code)); ("message", Json.String message) ]
 
 let response_of_json j =
-  let need name = function
-    | Some v -> Ok v
-    | None -> Result.Error (Printf.sprintf "response: missing or malformed %S" name)
+  let str k = Json.need k (Json.string_field j k) and int k = Json.need k (Json.int_field j k) in
+  let label k of_label = Json.need k (Option.bind (Json.string_field j k) of_label) in
+  let status () =
+    {
+      s_job = str "job";
+      s_state = label "state" job_state_of_label;
+      s_trials = int "trials";
+      s_completed = int "completed";
+      s_failed = int "failed";
+      s_position = Json.int_field j "position";
+    }
   in
-  let ( let* ) = Result.bind in
-  match str_field j "resp" with
-  | Some "pong" ->
-      let* proto = need "proto" (int_field j "proto") in
-      let* server = need "server" (str_field j "server") in
-      Ok (Pong { proto; server })
-  | Some "submitted" ->
-      let* job = need "job" (str_field j "job") in
-      let* position = need "position" (int_field j "position") in
-      let* trials = need "trials" (int_field j "trials") in
-      Ok (Submitted { job; position; trials })
-  | Some "status" ->
-      let* st = status_of_json j in
-      Ok (Job_status st)
-  | Some "watching" ->
-      let* job = need "job" (str_field j "job") in
-      Ok (Watching { job })
-  | Some "progress" ->
-      let* p_job = need "job" (str_field j "job") in
-      let* p_trial = need "trial" (int_field j "trial") in
-      let* p_trials = need "trials" (int_field j "trials") in
-      let* p_seed = need "seed" (int_field j "seed") in
-      let* p_round = need "round" (int_field j "round") in
-      let* p_informed = need "informed" (int_field j "informed") in
-      let* p_n = need "n" (int_field j "n") in
-      Ok (Progress { p_job; p_trial; p_trials; p_seed; p_round; p_informed; p_n })
-  | Some "trial_done" ->
-      let* job = need "job" (str_field j "job") in
-      let* trial = need "trial" (int_field j "trial") in
-      let* trials = need "trials" (int_field j "trials") in
-      let* seed = need "seed" (int_field j "seed") in
-      let* ok = need "ok" (bool_field j "ok") in
-      let rounds = int_field j "rounds" in
-      Ok (Trial_done { job; trial; trials; seed; rounds; ok })
-  | Some "job_done" ->
-      let* st = status_of_json j in
-      Ok (Job_done st)
-  | Some "result" ->
-      let* job = need "job" (str_field j "job") in
-      let* row = need "row" (field j "row") in
-      Ok (Result_row { job; row })
-  | Some "results_end" ->
-      let* job = need "job" (str_field j "job") in
-      let* count = need "count" (int_field j "count") in
-      Ok (Results_end { job; count })
-  | Some "stats" ->
-      let* counters = need "counters" (scalar_list "counters" j) in
-      let* gauges = need "gauges" (scalar_list "gauges" j) in
-      Ok (Server_stats { counters; gauges })
-  | Some "cancelled" ->
-      let* job = need "job" (str_field j "job") in
-      let* state = need "state" (Option.bind (str_field j "state") job_state_of_label) in
-      Ok (Cancel_ok { job; state })
-  | Some "bye" -> Ok Bye
-  | Some "error" ->
-      let* code = need "code" (Option.bind (str_field j "code") error_code_of_label) in
-      let* message = need "message" (str_field j "message") in
-      Ok (Error { code; message })
-  | Some other -> Result.Error (Printf.sprintf "unknown response %S" other)
+  let decode kind =
+    match kind with
+    | "pong" -> Pong { proto = int "proto"; server = str "server" }
+    | "submitted" -> Submitted { job = str "job"; position = int "position"; trials = int "trials" }
+    | "status" -> Job_status (status ())
+    | "watching" -> Watching { job = str "job" }
+    | "progress" ->
+        Progress
+          {
+            p_job = str "job"; p_trial = int "trial"; p_trials = int "trials"; p_seed = int "seed";
+            p_round = int "round"; p_informed = int "informed"; p_n = int "n";
+          }
+    | "trial_done" ->
+        Trial_done
+          {
+            job = str "job"; trial = int "trial"; trials = int "trials"; seed = int "seed";
+            rounds = Json.int_field j "rounds"; ok = Json.need "ok" (Json.bool_field j "ok");
+          }
+    | "job_done" -> Job_done (status ())
+    | "result" -> Result_row { job = str "job"; row = Json.need "row" (Json.field j "row") }
+    | "results_end" -> Results_end { job = str "job"; count = int "count" }
+    | "stats" ->
+        Server_stats { counters = scalar_list j "counters"; gauges = scalar_list j "gauges" }
+    | "cancelled" -> Cancel_ok { job = str "job"; state = label "state" job_state_of_label }
+    | "bye" -> Bye
+    | "error" -> Error { code = label "code" error_code_of_label; message = str "message" }
+    | _ -> raise Not_found
+  in
+  match Json.string_field j "resp" with
   | None -> Result.Error "missing response field \"resp\""
+  | Some kind -> (
+      match Json.decode (fun () -> decode kind) with
+      | Ok r -> Ok r
+      | Result.Error name -> Result.Error (Printf.sprintf "response: missing or malformed %S" name)
+      | exception Not_found -> Result.Error (Printf.sprintf "unknown response %S" kind))

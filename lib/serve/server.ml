@@ -1,5 +1,6 @@
 module Json = Gossip_util.Json
 module Sweep = Gossip_sweep.Sweep
+module Runner = Gossip_sweep.Runner
 module Registry = Gossip_obs.Registry
 module Sink = Gossip_obs.Sink
 
@@ -156,38 +157,21 @@ let journal_close st id state =
 let replay_journal q path =
   if Sys.file_exists path then begin
     Sweep.seal_checkpoint path;
-    let lines =
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    let parsed =
-      List.filter_map (fun l -> Result.to_option (Json.of_string l)) lines
-    in
-    let field j name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
-    let str j name = match field j name with Some (Json.String s) -> Some s | _ -> None in
-    let int j name = match field j name with Some (Json.Int i) -> Some i | _ -> None in
+    let parsed = List.filter_map Result.to_option (Json.read_lines path) in
     let closed = Hashtbl.create 8 in
     List.iter
       (fun j ->
-        match (str j "ev", str j "job") with
+        match (Json.string_field j "ev", Json.string_field j "job") with
         | Some "serve_close", Some id -> Hashtbl.replace closed id ()
         | _ -> ())
       parsed;
     List.iter
       (fun j ->
-        match (str j "ev", str j "job") with
+        match (Json.string_field j "ev", Json.string_field j "job") with
         | Some "serve_submit", Some id ->
             if Hashtbl.mem closed id then Jobq.absorb q id
             else (
-              match field j "spec" with
+              match Json.field j "spec" with
               | Some sj -> (
                   match Protocol.spec_of_json sj with
                   | Ok spec -> (
@@ -202,7 +186,7 @@ let replay_journal q path =
                         msg)
               | None -> ())
         | Some ("ckpt_job" | "ckpt_fail"), Some id when not (Hashtbl.mem closed id) -> (
-            match (int j "trial", Sweep.entry_of_json j) with
+            match (Json.int_field j "trial", Sweep.entry_of_json j) with
             | Some trial, Some entry -> Jobq.restore q ~id ~trial entry
             | _ -> ())
         | _ -> ())
@@ -363,7 +347,7 @@ let apply_update st (u : Jobq.update) =
       journal_trial st u.Jobq.job trial entry;
       let ok, seed, rounds =
         match entry with
-        | Sweep.Ckpt_done o -> (true, o.Sweep.job.Sweep.seed, o.Sweep.rounds)
+        | Sweep.Ckpt_done o -> (true, o.Sweep.job.Sweep.seed, o.Sweep.record.Runner.rounds)
         | Sweep.Ckpt_failed f -> (false, f.Sweep.failed_job.Sweep.seed, None)
       in
       count st (if ok then "serve.trials.ok" else "serve.trials.failed");

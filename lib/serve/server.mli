@@ -22,8 +22,8 @@
 
     With a [journal], every accepted job is persisted as a
     [serve_submit] event (the full spec, latency included), every
-    finished trial as a PR-3 [ckpt_job] / [ckpt_fail] checkpoint
-    record tagged with its job id, and every terminal job as a
+    finished trial as a sweep checkpoint record ([ckpt_job], the row,
+    or [ckpt_fail]) tagged with its job id, and every terminal job as a
     [serve_close] event.  On start the journal is sealed
     ({!Gossip_sweep.Sweep.seal_checkpoint}) and replayed: terminal
     jobs are dropped (their ids stay retired), incomplete jobs are

@@ -6,6 +6,8 @@ module Spanner = Gossip_core.Spanner
 module Eid = Gossip_core.Eid
 module Dissemination = Gossip_core.Dissemination
 module Rng = Gossip_util.Rng
+module Json = Gossip_util.Json
+module Engine = Gossip_sim.Engine
 
 exception Invalid_protocol of string
 
@@ -118,13 +120,33 @@ type spanner = {
   build_s : float;
 }
 
+type chain = {
+  k_final : int;
+  unanimous : bool;
+  attempts : Eid.unknown_attempt list;
+}
+
+type race = {
+  winner : Dissemination.scale_winner;
+  pushpull_rounds : int option;
+  spanner_rounds : int;
+  eid : chain;
+}
+
 type route =
   | Kernel_run
   | Spanner_run of spanner
-  | Eid_chain of Eid.unknown_result
-  | Unified_race of Dissemination.scale_result
+  | Eid_chain of chain
+  | Unified_race of race
 
-type outcome = { name : string; result : Wheel_engine.result; route : route }
+type record = { rounds : int option; metrics : Wheel_engine.metrics; route : route }
+
+type outcome = {
+  name : string;
+  record : record;
+  history : (int * int) list;
+  informed : Bytes.t;
+}
 
 (* Baswana–Sen on its own stream, so the build never perturbs the
    engine's draws. *)
@@ -169,9 +191,10 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round csr protocol ~seed ~so
   in
   let env c = Option.map (fun c -> c.Scenario.env) c in
   let wheel c = Option.map (fun c -> c.Scenario.wheel_latency) c in
-  let chain ~success ~rounds ~metrics ~informed =
+  (* A chain's rounds count only when every node ended informed. *)
+  let chain name ~success ~rounds ~metrics ~informed route =
     let rounds = if success then Some rounds else None in
-    { Wheel_engine.rounds; metrics; history = []; informed }
+    { name; record = { rounds; metrics; route }; history = []; informed }
   in
   (* One engine run of a kernel already built — on [csr]'s rows, or on
      the spanner's [oriented] rows, which the scenario may then aim
@@ -191,11 +214,16 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round csr protocol ~seed ~so
                   f ~round ~informed))
       | _ -> on_round
     in
-    let result =
+    let r =
       Wheel_engine.broadcast_kernel ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
         ?telemetry ?domains rng csr ~kernel ~source ~max_rounds
     in
-    { name = Kernel.name kernel; result; route }
+    {
+      name = Kernel.name kernel;
+      record = { rounds = r.Wheel_engine.rounds; metrics = r.Wheel_engine.metrics; route };
+      history = r.Wheel_engine.history;
+      informed = r.Wheel_engine.informed;
+    }
   in
   match protocol with
   | Push_pull -> kernel_run Kernel_run (Kernel.push_pull csr)
@@ -230,23 +258,157 @@ let run ?scenario ?domains ?telemetry ?deadline ?on_round csr protocol ~seed ~so
         Eid.run_unknown_scale ?env:(env c) ?wheel_latency:(wheel c) ?deadline ?on_round
           ?telemetry ?domains rng csr ~source ()
       in
-      {
-        name = "unknown-eid";
-        result =
-          chain ~success:r.Eid.u_success ~rounds:r.Eid.u_rounds ~metrics:r.Eid.u_metrics
-            ~informed:r.Eid.u_informed;
-        route = Eid_chain r;
-      }
+      chain "unknown-eid" ~success:r.Eid.u_success ~rounds:r.Eid.u_rounds
+        ~metrics:r.Eid.u_metrics ~informed:r.Eid.u_informed
+        (Eid_chain
+           {
+             k_final = r.Eid.u_k_final;
+             unanimous = r.Eid.u_unanimous;
+             attempts = r.Eid.u_attempts;
+           })
   | Unified ->
       let c = compile () in
       let r =
         Dissemination.broadcast_scale ?env:(env c) ?wheel_latency:(wheel c) ?deadline
           ?on_round ?telemetry ?domains rng csr ~source ~max_rounds ()
       in
+      let module D = Dissemination in
+      chain "unified" ~success:r.D.b_success ~rounds:r.D.b_rounds ~metrics:r.D.b_metrics
+        ~informed:r.D.b_informed
+        (Unified_race
+           {
+             winner = r.D.b_winner;
+             pushpull_rounds = r.D.b_pushpull_rounds;
+             spanner_rounds = r.D.b_spanner_rounds;
+             eid =
+               { k_final = r.D.b_k_final; unanimous = r.D.b_unanimous; attempts = r.D.b_attempts };
+           })
+
+(* ------------------------------------------------------------------ *)
+(* The record's JSON codec *)
+
+let opt_int = function Some i -> Json.Int i | None -> Json.Null
+
+let attempt_json (a : Eid.unknown_attempt) =
+  let i k v = (k, Json.Int v) in
+  Json.Obj
+    [
+      i "k" a.ua_k; i "discovery_rounds" a.ua_discovery_rounds;
+      i "schedule_rounds" a.ua_schedule_rounds; i "rr_rounds" a.ua_rr_rounds;
+      i "check_rounds" a.ua_check_rounds; i "edges_known" a.ua_edges_known;
+      i "spanner_out_degree" a.ua_spanner_out_degree; i "spanner_edges" a.ua_spanner_edges;
+      ("failed", Json.Bool a.ua_failed); ("unanimous", Json.Bool a.ua_unanimous);
+    ]
+
+let chain_fields c =
+  [
+    ("k_final", Json.Int c.k_final);
+    ("unanimous", Json.Bool c.unanimous);
+    ("attempts", Json.List (List.map attempt_json c.attempts));
+  ]
+
+let winners =
+  [ ("push-pull", Dissemination.Scale_push_pull_won);
+    ("spanner-route", Dissemination.Scale_spanner_route_won) ]
+
+let route_fields = function
+  | Kernel_run -> []
+  | Spanner_run sp ->
+      [
+        ("kind", Json.String "spanner"); ("k", Json.Int sp.k); ("edges", Json.Int sp.edges);
+        ("max_out_degree", Json.Int sp.max_out_degree);
+        ("out_degree_bound", Json.Int sp.out_degree_bound); ("build_s", Json.Float sp.build_s);
+      ]
+  | Eid_chain c -> ("kind", Json.String "eid") :: chain_fields c
+  | Unified_race r ->
+      let winner = fst (List.find (fun (_, w) -> w = r.winner) winners) in
+      [
+        ("kind", Json.String "race"); ("winner", Json.String winner);
+        ("pushpull_rounds", opt_int r.pushpull_rounds);
+        ("spanner_rounds", Json.Int r.spanner_rounds);
+      ]
+      @ chain_fields r.eid
+
+let record_fields ?(wall = []) r =
+  let m = r.metrics in
+  [
+    ("rounds", opt_int r.rounds);
+    ("initiations", Json.Int m.Engine.initiations);
+    ("deliveries", Json.Int m.Engine.deliveries);
+    ("payload_words", Json.Int m.Engine.payload_words);
+    ("dropped", Json.Int m.Engine.dropped);
+  ]
+  @ wall
+  @ [ ("rounds_executed", Json.Int m.Engine.rounds); ("rejected", Json.Int m.Engine.rejected) ]
+  @ match route_fields r.route with [] -> [] | fs -> [ ("route", Json.Obj fs) ]
+
+(* Typed field readers for [Json.decode]: each raises [Json.Missing]
+   naming the field. *)
+let int j k = Json.need k (Json.int_field j k)
+let bool j k = Json.need k (Json.bool_field j k)
+
+(* An int field that may be null (a capped round count). *)
+let int_or_null j k = match Json.field j k with Some Json.Null -> None | _ -> Some (int j k)
+
+let attempt_of_json j =
+  let int = int j and bool = bool j in
+  {
+    Eid.ua_k = int "k"; ua_discovery_rounds = int "discovery_rounds";
+    ua_schedule_rounds = int "schedule_rounds"; ua_rr_rounds = int "rr_rounds";
+    ua_check_rounds = int "check_rounds"; ua_edges_known = int "edges_known";
+    ua_spanner_out_degree = int "spanner_out_degree"; ua_spanner_edges = int "spanner_edges";
+    ua_failed = bool "failed"; ua_unanimous = bool "unanimous";
+  }
+
+let chain_of_json j =
+  {
+    k_final = int j "k_final";
+    unanimous = bool j "unanimous";
+    attempts =
+      (match Json.field j "attempts" with
+      | Some (Json.List l) -> List.map attempt_of_json l
+      | _ -> raise (Json.Missing "attempts"));
+  }
+
+(* The route [protocol] runs, read from a row's [route] object; a
+   route that does not match the descriptor's route kind (kernel
+   descriptors carry none) is malformed. *)
+let route_of_json protocol route =
+  let kind = Option.bind route (fun j -> Json.string_field j "kind") in
+  match (protocol, route, kind) with
+  | Rr_spanner _, Some j, Some "spanner" ->
+      let int = int j in
+      Spanner_run
+        {
+          k = int "k"; edges = int "edges"; max_out_degree = int "max_out_degree";
+          out_degree_bound = int "out_degree_bound";
+          build_s = Json.need "build_s" (Json.float_field j "build_s");
+        }
+  | Unknown_eid, Some j, Some "eid" -> Eid_chain (chain_of_json j)
+  | Unified, Some j, Some "race" ->
+      Unified_race
+        {
+          winner =
+            Json.need "winner"
+              (Option.bind (Json.string_field j "winner") (fun w -> List.assoc_opt w winners));
+          pushpull_rounds = int_or_null j "pushpull_rounds";
+          spanner_rounds = int j "spanner_rounds";
+          eid = chain_of_json j;
+        }
+  | (Rr_spanner _ | Unknown_eid | Unified), _, _ | _, Some _, _ -> raise (Json.Missing "route")
+  | _, None, _ -> Kernel_run
+
+let record_of_json protocol j =
+  let int = int j in
+  Json.decode (fun () ->
       {
-        name = "unified";
-        result =
-          chain ~success:r.Dissemination.b_success ~rounds:r.Dissemination.b_rounds
-            ~metrics:r.Dissemination.b_metrics ~informed:r.Dissemination.b_informed;
-        route = Unified_race r;
-      }
+        rounds = int_or_null j "rounds";
+        metrics =
+          {
+            Engine.rounds = int "rounds_executed"; initiations = int "initiations";
+            deliveries = int "deliveries"; payload_words = int "payload_words";
+            rejected = int "rejected"; dropped = int "dropped";
+          };
+        route = route_of_json protocol (Json.field j "route");
+      })
+  |> Result.to_option

@@ -31,12 +31,9 @@
     where an adversary is refused.  With [telemetry], single-kernel
     and rr-spanner runs also attach {!Gossip_dyn.Scenario.observer}
     ahead of [on_round], so a [track-phi] scenario's [dyn.epoch.*]
-    gauges land in the registry.  Chains get no observer.  Their phases
-    share one scenario clock, so the rounds [on_round] sees are the
-    scenario's, but the phases run on the discovered graph and its
-    spanner rather than on [csr]: an epoch probe of [csr] would
-    describe a graph no phase runs on, and which graph a chain's
-    epochs should describe is left to a per-phase outcome.
+    gauges land in the registry.  Chains get no observer: their phases
+    run on the discovered graph and its spanner, not on [csr], and
+    which graph a chain's epochs should describe is left open.
 
     {b Options by route.}  [domains], [telemetry], [deadline] and
     [on_round] reach every engine run of every route; on a chain,
@@ -44,7 +41,12 @@
     push-pull's first), so they strictly increase.  An exception
     [on_round] raises aborts the run and propagates.  [max_rounds]
     caps single-kernel and rr-spanner runs and unified's push-pull
-    branch; the unknown-eid chain budgets its own phases. *)
+    branch; the unknown-eid chain budgets its own phases.
+
+    {b The record.}  Every route ends in one {!record}: rounds, metrics
+    and what the route adds.  Its one JSON codec ({!record_fields},
+    {!record_of_json}) is what sweep rows, checkpoints, telemetry
+    [job] events and gossipd [result] rows carry. *)
 
 (** {1 Protocol descriptors}
 
@@ -147,22 +149,50 @@ type spanner = {
   build_s : float;  (** wall-clock seconds: graph conversion, build, packing *)
 }
 
-(** What a route adds to the engine-shaped result. *)
+(** What the unknown-eid chain reports beyond its rounds and metrics. *)
+type chain = {
+  k_final : int;  (** the estimate in force at termination *)
+  unanimous : bool;  (** every attempt's verdict was unanimous (Lemma 18) *)
+  attempts : Gossip_core.Eid.unknown_attempt list;  (** in execution order *)
+}
+
+(** What Theorem 20's race reports beyond its rounds and metrics. *)
+type race = {
+  winner : Gossip_core.Dissemination.scale_winner;
+  pushpull_rounds : int option;  (** [None] when push-pull hit the cap *)
+  spanner_rounds : int;  (** the chain's total, discovery included *)
+  eid : chain;  (** the spanner route's chain *)
+}
+
+(** What a route adds to the rounds and metrics. *)
 type route =
   | Kernel_run
   | Spanner_run of spanner
-  | Eid_chain of Gossip_core.Eid.unknown_result
-  | Unified_race of Gossip_core.Dissemination.scale_result
+  | Eid_chain of chain
+  | Unified_race of race
+
+(** The record of a finished run.  Sweep rows, checkpoint lines,
+    telemetry [job] events, gossipd [result] rows and the CLI's
+    [run --protocol] printer all carry it, through {!record_fields}
+    and {!record_of_json}. *)
+type record = {
+  rounds : int option;
+      (** completion round; [None] when capped or when a chain left a
+          node uninformed *)
+  metrics : Gossip_scale.Wheel_engine.metrics;
+      (** a chain's are summed over its phases (unified: the winning
+          branch's), so [metrics.rounds] is the rounds it executed *)
+  route : route;
+}
 
 type outcome = {
   name : string;
       (** the kernel's name (as in [wheel.kernel.<name>.*] telemetry),
           or ["unknown-eid"] / ["unified"] *)
-  result : Gossip_scale.Wheel_engine.result;
-      (** [rounds] is [None] when capped or when a chain left a node
-          uninformed; a chain's [metrics] are summed over its phases
-          (unified: the winning branch's) and its [history] is empty *)
-  route : route;
+  record : record;
+  history : (int * int) list;
+      (** the engine's informed-count trajectory; empty on chains *)
+  informed : Bytes.t;  (** the final completion set, one byte per node *)
 }
 
 (** [run csr protocol ~seed ~source ~max_rounds] runs [protocol] on
@@ -187,3 +217,24 @@ val run :
   source:int ->
   max_rounds:int ->
   outcome
+
+(** {1 The record's JSON codec} *)
+
+(** [record_fields ?wall r] is [r] as the fields of a row, in row
+    order: [rounds] (null when [None]), [initiations], [deliveries],
+    [payload_words], [dropped], the caller's [wall] fields (so rows
+    keep the field order of older checkpoints), [rounds_executed],
+    [rejected] and, on every route but [Kernel_run], a [route] object
+    keyed by ["kind"]: ["spanner"], ["eid"] or ["race"], field for
+    field as in {!spanner}, {!chain} and {!race}, a race writing its
+    chain's fields in place of [eid] (DESIGN.md tables them).  The
+    spanner's [build_s] is wall-clock. *)
+val record_fields :
+  ?wall:(string * Gossip_util.Json.t) list -> record -> (string * Gossip_util.Json.t) list
+
+(** [record_of_json protocol j] reads back, exactly, a record
+    {!record_fields} wrote into the object [j], ignoring other fields.
+    [None] when a field is missing or malformed, or when the [route]
+    does not match the route kind [protocol] runs (a kernel descriptor
+    with one, or a chain or rr-spanner row without its own). *)
+val record_of_json : protocol -> Gossip_util.Json.t -> record option

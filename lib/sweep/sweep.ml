@@ -1,5 +1,4 @@
 module Csr = Gossip_scale.Csr
-module Wheel_engine = Gossip_scale.Wheel_engine
 module Rng = Gossip_util.Rng
 module Stats = Gossip_util.Stats
 module Json = Gossip_util.Json
@@ -62,16 +61,11 @@ let make_jobs ~family ~n ~protocol ~trials ~base_seed ~max_rounds ?latency ?scen
         max_rounds;
       })
 
-type job_key = string * int * int * string
-
-let job_key j = (family_name j.family, j.n, j.seed, Runner.protocol_name j.protocol)
-
 type outcome = {
   job : job;
   n_actual : int;
   edges : int;
-  rounds : int option;
-  metrics : Wheel_engine.metrics;
+  record : Runner.record;
   elapsed_s : float;
 }
 
@@ -102,8 +96,7 @@ let run_job ?timeout_s ?domains ?on_round job =
     job;
     n_actual;
     edges = Csr.m csr;
-    rounds = o.Runner.result.Wheel_engine.rounds;
-    metrics = o.Runner.result.Wheel_engine.metrics;
+    record = o.Runner.record;
     elapsed_s = Unix.gettimeofday () -. started;
   }
 
@@ -119,282 +112,171 @@ let budgeted_workers ?workers ?domains () =
 (* ------------------------------------------------------------------ *)
 (* JSON serialization *)
 
-let family_json = function
-  | Ring_of_cliques { size; bridge_latency } ->
-      Json.Obj
-        [
-          ("kind", Json.String "ring-of-cliques");
-          ("size", Json.Int size);
-          ("bridge_latency", Json.Int bridge_latency);
-        ]
-  | Braided_ring { size; bridges; bridge_latency } ->
-      Json.Obj
-        [
-          ("kind", Json.String "braided-ring");
-          ("size", Json.Int size);
-          ("bridges", Json.Int bridges);
-          ("bridge_latency", Json.Int bridge_latency);
-        ]
-  | Barabasi_albert { attach } ->
-      Json.Obj [ ("kind", Json.String "barabasi-albert"); ("attach", Json.Int attach) ]
-  | Watts_strogatz { k; beta } ->
-      Json.Obj
-        [ ("kind", Json.String "watts-strogatz"); ("k", Json.Int k); ("beta", Json.Float beta) ]
+let family_json f =
+  let i k v = (k, Json.Int v) in
+  let params =
+    match f with
+    | Ring_of_cliques { size; bridge_latency } ->
+        [ i "size" size; i "bridge_latency" bridge_latency ]
+    | Braided_ring { size; bridges; bridge_latency } ->
+        [ i "size" size; i "bridges" bridges; i "bridge_latency" bridge_latency ]
+    | Barabasi_albert { attach } -> [ i "attach" attach ]
+    | Watts_strogatz { k; beta } -> [ i "k" k; ("beta", Json.Float beta) ]
+  in
+  Json.Obj (("kind", Json.String (family_name f)) :: params)
 
-let latency_json = function
-  | Gen.Unit -> Json.Obj [ ("kind", Json.String "unit") ]
-  | Gen.Fixed k -> Json.Obj [ ("kind", Json.String "fixed"); ("latency", Json.Int k) ]
-  | Gen.Uniform (lo, hi) ->
-      Json.Obj [ ("kind", Json.String "uniform"); ("lo", Json.Int lo); ("hi", Json.Int hi) ]
-  | Gen.Bimodal { fast; slow; p_fast } ->
-      Json.Obj
+let latency_json spec =
+  let i k v = (k, Json.Int v) and kind k = ("kind", Json.String k) in
+  Json.Obj
+    (match spec with
+    | Gen.Unit -> [ kind "unit" ]
+    | Gen.Fixed k -> [ kind "fixed"; i "latency" k ]
+    | Gen.Uniform (lo, hi) -> [ kind "uniform"; i "lo" lo; i "hi" hi ]
+    | Gen.Bimodal { fast; slow; p_fast } ->
+        [ kind "bimodal"; i "fast" fast; i "slow" slow; ("p_fast", Json.Float p_fast) ]
+    | Gen.Power_law { min_latency; max_latency; exponent } ->
         [
-          ("kind", Json.String "bimodal");
-          ("fast", Json.Int fast);
-          ("slow", Json.Int slow);
-          ("p_fast", Json.Float p_fast);
-        ]
-  | Gen.Power_law { min_latency; max_latency; exponent } ->
-      Json.Obj
-        [
-          ("kind", Json.String "powerlaw");
-          ("min", Json.Int min_latency);
-          ("max", Json.Int max_latency);
+          kind "powerlaw"; i "min" min_latency; i "max" max_latency;
           ("exponent", Json.Float exponent);
-        ]
+        ])
+
+(* The codecs' decoders: [None] on any missing or malformed field. *)
+let decode f = Result.to_option (Json.decode f)
 
 let latency_of_json j =
-  let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
-  let int name = match field name with Some (Json.Int i) -> Some i | _ -> None in
-  let flt name =
-    match field name with
-    | Some (Json.Float x) -> Some x
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  match field "kind" with
-  | Some (Json.String "unit") -> Some Gen.Unit
-  | Some (Json.String "fixed") -> Option.map (fun k -> Gen.Fixed k) (int "latency")
-  | Some (Json.String "uniform") -> (
-      match (int "lo", int "hi") with
-      | Some lo, Some hi -> Some (Gen.Uniform (lo, hi))
-      | _ -> None)
-  | Some (Json.String "bimodal") -> (
-      match (int "fast", int "slow", flt "p_fast") with
-      | Some fast, Some slow, Some p_fast -> Some (Gen.Bimodal { fast; slow; p_fast })
-      | _ -> None)
-  | Some (Json.String "powerlaw") -> (
-      match (int "min", int "max", flt "exponent") with
-      | Some min_latency, Some max_latency, Some exponent ->
-          Some (Gen.Power_law { min_latency; max_latency; exponent })
-      | _ -> None)
-  | _ -> None
+  let int k = Json.need k (Json.int_field j k) and flt k = Json.need k (Json.float_field j k) in
+  decode (fun () ->
+      match Json.string_field j "kind" with
+      | Some "unit" -> Gen.Unit
+      | Some "fixed" -> Gen.Fixed (int "latency")
+      | Some "uniform" -> Gen.Uniform (int "lo", int "hi")
+      | Some "bimodal" ->
+          Gen.Bimodal { fast = int "fast"; slow = int "slow"; p_fast = flt "p_fast" }
+      | Some "powerlaw" ->
+          Gen.Power_law
+            { min_latency = int "min"; max_latency = int "max"; exponent = flt "exponent" }
+      | _ -> raise (Json.Missing "kind"))
 
-let outcome_json o =
-  Json.Obj
-    [
-      ("family", family_json o.job.family);
-      ("n_requested", Json.Int o.job.n);
-      ("n", Json.Int o.n_actual);
-      ("edges", Json.Int o.edges);
-      ("seed", Json.Int o.job.seed);
-      ("protocol", Json.String (Runner.protocol_name o.job.protocol));
-      ("max_rounds", Json.Int o.job.max_rounds);
-      ("rounds", match o.rounds with Some r -> Json.Int r | None -> Json.Null);
-      ("initiations", Json.Int o.metrics.Engine.initiations);
-      ("deliveries", Json.Int o.metrics.Engine.deliveries);
-      ("payload_words", Json.Int o.metrics.Engine.payload_words);
-      ("dropped", Json.Int o.metrics.Engine.dropped);
-      ("elapsed_s", Json.Float o.elapsed_s);
-    ]
+(* A job's identity, as every row, checkpoint line and event writes it;
+   a row adds the realized graph's [n] and [edges] after [n_requested],
+   and rows and checkpoint lines add [max_rounds] after it. *)
+let job_fields ?(realized = []) j =
+  [ ("family", family_json j.family); ("n_requested", Json.Int j.n) ]
+  @ realized
+  @ [ ("seed", Json.Int j.seed); ("protocol", Json.String (Runner.protocol_name j.protocol)) ]
 
-let failure_json i (f : failure) =
-  [
-    ("ev", Json.String "job_error");
-    ("id", Json.Int i);
-    ("family", Json.String (family_name f.failed_job.family));
-    ("n", Json.Int f.failed_job.n);
-    ("seed", Json.Int f.failed_job.seed);
-    ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
-    ("error", Json.String f.message);
-    ("attempts", Json.Int f.attempts);
-  ]
+let cap_field j = ("max_rounds", Json.Int j.max_rounds)
+
+(* What resume keys a job on: its identity and cap as checkpoints
+   write them. *)
+let job_key j = Json.to_string (Json.Obj (job_fields j @ [ cap_field j ]))
+
+(* The one row of a finished job: sweep results, checkpoint lines,
+   telemetry [job] events and gossipd [result] frames all carry it. *)
+let row o =
+  let wall = [ ("elapsed_s", Json.Float o.elapsed_s) ] in
+  job_fields ~realized:[ ("n", Json.Int o.n_actual); ("edges", Json.Int o.edges) ] o.job
+  @ (cap_field o.job :: Runner.record_fields ~wall o.record)
+
+let outcome_json o = Json.Obj (row o)
+
+let job_event i o = ("ev", Json.String "job") :: ("id", Json.Int i) :: row o
+
+(* A failed job, as the report's [errors] and [job_error] events write it. *)
+let failure_fields (f : failure) =
+  job_fields f.failed_job @ [ ("error", Json.String f.message); ("attempts", Json.Int f.attempts) ]
+
+let failure_json i f = ("ev", Json.String "job_error") :: ("id", Json.Int i) :: failure_fields f
 
 let retry_json i (job, attempt, message) =
-  [
-    ("ev", Json.String "retry");
-    ("id", Json.Int i);
-    ("family", Json.String (family_name job.family));
-    ("n", Json.Int job.n);
-    ("seed", Json.Int job.seed);
-    ("protocol", Json.String (Runner.protocol_name job.protocol));
-    ("attempt", Json.Int attempt);
-    ("error", Json.String message);
-  ]
+  (("ev", Json.String "retry") :: ("id", Json.Int i) :: job_fields job)
+  @ [ ("attempt", Json.Int attempt); ("error", Json.String message) ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints *)
 
 type checkpoint_entry = Ckpt_done of outcome | Ckpt_failed of failure
 
-(* A [ckpt_job] line is the outcome's JSON plus the metric fields the
-   public result format omits, so resume can rebuild a byte-identical
+(* A [ckpt_job] line is the row, so resume rebuilds a byte-identical
    report without re-running the job. *)
-let ckpt_job_event o =
-  let fields = match outcome_json o with Json.Obj fs -> fs | _ -> assert false in
-  (("ev", Json.String "ckpt_job") :: fields)
-  @ [
-      ("rounds_executed", Json.Int o.metrics.Engine.rounds);
-      ("rejected", Json.Int o.metrics.Engine.rejected);
-    ]
-
-let ckpt_fail_event (f : failure) =
-  [
-    ("ev", Json.String "ckpt_fail");
-    ("family", family_json f.failed_job.family);
-    ("n_requested", Json.Int f.failed_job.n);
-    ("seed", Json.Int f.failed_job.seed);
-    ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
-    ("max_rounds", Json.Int f.failed_job.max_rounds);
-    ("error", Json.String f.message);
-    ("backtrace", Json.String f.backtrace);
-    ("attempts", Json.Int f.attempts);
-  ]
+let checkpoint_event = function
+  | Ckpt_done o -> ("ev", Json.String "ckpt_job") :: row o
+  | Ckpt_failed f ->
+      (("ev", Json.String "ckpt_fail") :: job_fields f.failed_job)
+      @ [
+          cap_field f.failed_job;
+          ("error", Json.String f.message);
+          ("backtrace", Json.String f.backtrace);
+          ("attempts", Json.Int f.attempts);
+        ]
 
 let family_of_json j =
-  let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
-  let int name = match field name with Some (Json.Int i) -> Some i | _ -> None in
-  let flt name =
-    match field name with
-    | Some (Json.Float x) -> Some x
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  match field "kind" with
-  | Some (Json.String "ring-of-cliques") -> (
-      match (int "size", int "bridge_latency") with
-      | Some size, Some bridge_latency -> Some (Ring_of_cliques { size; bridge_latency })
-      | _ -> None)
-  | Some (Json.String "braided-ring") -> (
-      match (int "size", int "bridges", int "bridge_latency") with
-      | Some size, Some bridges, Some bridge_latency ->
-          Some (Braided_ring { size; bridges; bridge_latency })
-      | _ -> None)
-  | Some (Json.String "barabasi-albert") -> (
-      match int "attach" with
-      | Some attach -> Some (Barabasi_albert { attach })
-      | None -> None)
-  | Some (Json.String "watts-strogatz") -> (
-      match (int "k", flt "beta") with
-      | Some k, Some beta -> Some (Watts_strogatz { k; beta })
-      | _ -> None)
-  | _ -> None
+  let int k = Json.need k (Json.int_field j k) in
+  decode (fun () ->
+      match Json.string_field j "kind" with
+      | Some "ring-of-cliques" ->
+          Ring_of_cliques { size = int "size"; bridge_latency = int "bridge_latency" }
+      | Some "braided-ring" ->
+          Braided_ring
+            { size = int "size"; bridges = int "bridges"; bridge_latency = int "bridge_latency" }
+      | Some "barabasi-albert" -> Barabasi_albert { attach = int "attach" }
+      | Some "watts-strogatz" ->
+          Watts_strogatz { k = int "k"; beta = Json.need "beta" (Json.float_field j "beta") }
+      | _ -> raise (Json.Missing "kind"))
+
+(* The latency redraw and scenario specs only steer execution; every
+   reported field is in the row, so they are not persisted. *)
+let job_of_json j =
+  let int k = Json.need k (Json.int_field j k) in
+  {
+    family = Json.need "family" (Option.bind (Json.field j "family") family_of_json);
+    n = int "n_requested";
+    seed = int "seed";
+    protocol =
+      Json.need "protocol" (Option.bind (Json.string_field j "protocol") Runner.protocol_of_string);
+    latency = None;
+    scenario = None;
+    max_rounds = int "max_rounds";
+  }
 
 let entry_of_json j =
-  let field name = match j with Json.Obj fs -> List.assoc_opt name fs | _ -> None in
-  let int name = match field name with Some (Json.Int i) -> Some i | _ -> None in
-  let str name = match field name with Some (Json.String s) -> Some s | _ -> None in
-  let flt name =
-    match field name with
-    | Some (Json.Float x) -> Some x
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let parse_job () =
-    match (field "family", int "n_requested", int "seed", str "protocol", int "max_rounds") with
-    | Some fj, Some n, Some seed, Some pname, Some max_rounds -> (
-        match (family_of_json fj, Runner.protocol_of_string pname) with
-        | Some family, Some protocol ->
-            (* The latency redraw and scenario specs only steer
-               execution; every reported field is checkpointed, so they
-               are not persisted. *)
-            Some { family; n; seed; protocol; latency = None; scenario = None; max_rounds }
-        | _ -> None)
-    | _ -> None
-  in
-  match str "ev" with
-  | Some "ckpt_job" -> (
-      match (parse_job (), int "n", int "edges") with
-      | Some job, Some n_actual, Some edges ->
-          let g name = Option.value ~default:0 (int name) in
-          Some
-            (Ckpt_done
-               {
-                 job;
-                 n_actual;
-                 edges;
-                 rounds = int "rounds";
-                 metrics =
-                   {
-                     Engine.rounds = g "rounds_executed";
-                     initiations = g "initiations";
-                     deliveries = g "deliveries";
-                     payload_words = g "payload_words";
-                     rejected = g "rejected";
-                     dropped = g "dropped";
-                   };
-                 elapsed_s = Option.value ~default:0.0 (flt "elapsed_s");
-               })
-      | _ -> None)
-  | Some "ckpt_fail" -> (
-      match parse_job () with
-      | Some job ->
-          Some
-            (Ckpt_failed
-               {
-                 failed_job = job;
-                 message = Option.value ~default:"unknown error" (str "error");
-                 backtrace = Option.value ~default:"" (str "backtrace");
-                 attempts = Option.value ~default:1 (int "attempts");
-               })
-      | None -> None)
-  | _ -> None
+  decode (fun () ->
+      let job = job_of_json j in
+      match Json.string_field j "ev" with
+      | Some "ckpt_job" ->
+          Ckpt_done
+            {
+              job;
+              n_actual = Json.need "n" (Json.int_field j "n");
+              edges = Json.need "edges" (Json.int_field j "edges");
+              record = Json.need "record" (Runner.record_of_json job.protocol j);
+              elapsed_s = Json.need "elapsed_s" (Json.float_field j "elapsed_s");
+            }
+      | Some "ckpt_fail" ->
+          Ckpt_failed
+            {
+              failed_job = job;
+              message = Option.value ~default:"unknown error" (Json.string_field j "error");
+              backtrace = Option.value ~default:"" (Json.string_field j "backtrace");
+              attempts = Option.value ~default:1 (Json.int_field j "attempts");
+            }
+      | _ -> raise (Json.Missing "ev"))
 
 let checkpoint_key = function
   | Ckpt_done o -> job_key o.job
   | Ckpt_failed f -> job_key f.failed_job
 
-let checkpoint_event = function
-  | Ckpt_done o -> ckpt_job_event o
-  | Ckpt_failed f -> ckpt_fail_event f
-
+(* A torn final line (the process was killed mid-write) or a foreign
+   event is skipped, not fatal: the checkpoint must be readable after
+   any crash. *)
 let read_checkpoint path =
-  let ic = open_in path in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         (* A torn final line (the process was killed mid-write) or a
-            foreign event is skipped, not fatal: the checkpoint must be
-            readable after any crash. *)
-         match Json.of_string line with
-         | Error _ -> ()
-         | Ok j -> (
-             match entry_of_json j with
-             | Some e -> entries := e :: !entries
-             | None -> ())
-     done
-   with
-  | End_of_file -> close_in ic
-  | e ->
-      close_in ic;
-      raise e);
-  List.rev !entries
-
-let resume path jobs =
-  if not (Sys.file_exists path) then jobs
-  else begin
-    let recorded = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace recorded (checkpoint_key e) ()) (read_checkpoint path);
-    List.filter (fun j -> not (Hashtbl.mem recorded (job_key j))) jobs
-  end
+  List.filter_map (fun l -> Option.bind (Result.to_option l) entry_of_json) (Json.read_lines path)
 
 (* A process killed mid-write leaves the checkpoint's last line torn,
    with no trailing newline; appending straight after it would weld the
    first new record onto the torn fragment and corrupt both.  Seal the
    file with a newline before reopening it for append. *)
-let seal_torn_line path =
+let seal_checkpoint path =
   if Sys.file_exists path then begin
     let ic = open_in_bin path in
     let len = in_channel_length ic in
@@ -412,8 +294,6 @@ let seal_torn_line path =
       close_out oc
     end
   end
-
-let seal_checkpoint = seal_torn_line
 
 (* ------------------------------------------------------------------ *)
 (* Fault-tolerant runner *)
@@ -451,7 +331,7 @@ let run_ft ?workers ?(retries = 0) ?timeout_s ?domains ?checkpoint ?(resume = fa
     | None -> None
     | Some path ->
         let append = resume && Sys.file_exists path in
-        if append then seal_torn_line path;
+        if append then seal_checkpoint path;
         Some (Sink.jsonl ~append path)
   in
   let run_one job =
@@ -467,8 +347,9 @@ let run_ft ?workers ?(retries = 0) ?timeout_s ?domains ?checkpoint ?(resume = fa
     | None -> ()
     | Some sink ->
         (match r with
-        | Pool.Ok o -> Sink.event sink (ckpt_job_event o)
-        | Pool.Failed pf -> Sink.event sink (ckpt_fail_event (failure_of_pool todo.(i) pf)));
+        | Pool.Ok o -> Sink.event sink (checkpoint_event (Ckpt_done o))
+        | Pool.Failed pf ->
+            Sink.event sink (checkpoint_event (Ckpt_failed (failure_of_pool todo.(i) pf))));
         (* One flush per job: a killed or OOM'd sweep loses at most the
            record being written, and resume replays only that job. *)
         Sink.flush sink
@@ -537,29 +418,17 @@ let summarize ?(failures = []) outcomes =
       realized_n f.failed_job.family ~n:f.failed_job.n,
       Runner.protocol_name f.failed_job.protocol )
   in
-  let order = ref [] in
-  let groups = Hashtbl.create 16 in
-  let fail_counts = Hashtbl.create 16 in
-  let touch k =
-    if not (Hashtbl.mem groups k || Hashtbl.mem fail_counts k) then order := k :: !order
+  (* Groups in first-appearance order, outcomes before failures. *)
+  let keys =
+    List.fold_left
+      (fun acc k -> if List.mem k acc then acc else k :: acc)
+      [] (List.map okey outcomes @ List.map fkey failures)
   in
-  List.iter
-    (fun o ->
-      let k = okey o in
-      touch k;
-      Hashtbl.replace groups k (o :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
-    outcomes;
-  List.iter
-    (fun f ->
-      let k = fkey f in
-      touch k;
-      Hashtbl.replace fail_counts k (1 + Option.value ~default:0 (Hashtbl.find_opt fail_counts k)))
-    failures;
   List.rev_map
     (fun ((family, n, protocol) as k) ->
-      let members = List.rev (Option.value ~default:[] (Hashtbl.find_opt groups k)) in
-      let failed = Option.value ~default:0 (Hashtbl.find_opt fail_counts k) in
-      let finished = List.filter_map (fun (o : outcome) -> o.rounds) members in
+      let members = List.filter (fun o -> okey o = k) outcomes in
+      let failed = List.length (List.filter (fun f -> fkey f = k) failures) in
+      let finished = List.filter_map (fun (o : outcome) -> o.record.Runner.rounds) members in
       let sum f = List.fold_left (fun acc o -> acc + f o) 0 members in
       {
         family;
@@ -574,9 +443,9 @@ let summarize ?(failures = []) outcomes =
           | _ ->
               Some
                 (Stats.summarize (Array.of_list (List.map float_of_int finished))));
-        total_initiations = sum (fun o -> o.metrics.Engine.initiations);
-        total_deliveries = sum (fun o -> o.metrics.Engine.deliveries);
-        total_dropped = sum (fun o -> o.metrics.Engine.dropped);
+        total_initiations = sum (fun o -> o.record.Runner.metrics.Engine.initiations);
+        total_deliveries = sum (fun o -> o.record.Runner.metrics.Engine.deliveries);
+        total_dropped = sum (fun o -> o.record.Runner.metrics.Engine.dropped);
         mean_elapsed_s =
           (match members with
           | [] -> 0.0
@@ -584,7 +453,7 @@ let summarize ?(failures = []) outcomes =
               List.fold_left (fun acc o -> acc +. o.elapsed_s) 0.0 members
               /. float_of_int (List.length members));
       })
-    !order
+    keys
 
 let stats_json (s : Stats.summary) =
   Json.Obj
@@ -616,17 +485,6 @@ let summary_json s =
       ("mean_elapsed_s", Json.Float s.mean_elapsed_s);
     ]
 
-let error_json (f : failure) =
-  Json.Obj
-    [
-      ("family", family_json f.failed_job.family);
-      ("n_requested", Json.Int f.failed_job.n);
-      ("seed", Json.Int f.failed_job.seed);
-      ("protocol", Json.String (Runner.protocol_name f.failed_job.protocol));
-      ("error", Json.String f.message);
-      ("attempts", Json.Int f.attempts);
-    ]
-
 let to_json ?(meta = []) ?(failures = []) outcomes =
   Json.Obj
     ([
@@ -634,40 +492,23 @@ let to_json ?(meta = []) ?(failures = []) outcomes =
        ("results", Json.List (List.map outcome_json outcomes));
        ("summaries", Json.List (List.map summary_json (summarize ~failures outcomes)));
      ]
-    @ if failures = [] then [] else [ ("errors", Json.List (List.map error_json failures)) ])
+    @
+    if failures = [] then []
+    else [ ("errors", Json.List (List.map (fun f -> Json.Obj (failure_fields f)) failures)) ])
 
 let write_json path ?meta ?failures outcomes = Json.write path (to_json ?meta ?failures outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
 
-let job_event i o =
-  [
-    ("ev", Json.String "job");
-    ("id", Json.Int i);
-    ("family", Json.String (family_name o.job.family));
-    ("n", Json.Int o.n_actual);
-    ("edges", Json.Int o.edges);
-    ("seed", Json.Int o.job.seed);
-    ("protocol", Json.String (Runner.protocol_name o.job.protocol));
-    ("max_rounds", Json.Int o.job.max_rounds);
-    ("rounds", (match o.rounds with Some r -> Json.Int r | None -> Json.Null));
-    ("initiations", Json.Int o.metrics.Engine.initiations);
-    ("deliveries", Json.Int o.metrics.Engine.deliveries);
-    ("dropped", Json.Int o.metrics.Engine.dropped);
-    ("elapsed_s", Json.Float o.elapsed_s);
-  ]
-
 let write_telemetry path ?(meta = []) ?registry ?(failures = []) ?(retries = []) outcomes =
-  Gossip_obs.Sink.with_jsonl path (fun sink ->
-      Gossip_obs.Sink.event sink (("ev", Json.String "meta") :: meta);
-      List.iteri (fun i o -> Gossip_obs.Sink.event sink (job_event i o)) outcomes;
-      List.iteri (fun i r -> Gossip_obs.Sink.event sink (retry_json i r)) retries;
-      List.iteri (fun i f -> Gossip_obs.Sink.event sink (failure_json i f)) failures;
+  Sink.with_jsonl path (fun sink ->
+      Sink.event sink (("ev", Json.String "meta") :: meta);
+      List.iteri (fun i o -> Sink.event sink (job_event i o)) outcomes;
+      List.iteri (fun i r -> Sink.event sink (retry_json i r)) retries;
+      List.iteri (fun i f -> Sink.event sink (failure_json i f)) failures;
       match registry with
       | None -> ()
-      | Some reg ->
-          Gossip_obs.Sink.registry sink reg;
-          (match Gossip_obs.Registry.ring reg with
-          | None -> ()
-          | Some r -> Gossip_obs.Sink.ring sink r))
+      | Some reg -> (
+          Sink.registry sink reg;
+          match Gossip_obs.Registry.ring reg with None -> () | Some r -> Sink.ring sink r))

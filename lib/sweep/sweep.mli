@@ -13,7 +13,7 @@
     per-job wall-clock budget, and returns structured failures instead
     of aborting the campaign — so one crashing job out of thousands
     costs one result, not the run, and a killed sweep restarts where
-    it left off via {!resume}. *)
+    it left off ([run_ft ~resume:true]). *)
 
 (** Large-graph families, built directly in CSR form. *)
 type family =
@@ -70,12 +70,6 @@ val make_jobs :
   unit ->
   job list
 
-(** The identity a checkpoint records per job:
-    [(family name, requested n, seed, protocol name)]. *)
-type job_key = string * int * int * string
-
-val job_key : job -> job_key
-
 (** [family_json f] serializes a family descriptor as a JSON object
     keyed by ["kind"]; {!family_of_json} inverts it. *)
 val family_json : family -> Gossip_util.Json.t
@@ -88,12 +82,12 @@ val latency_json : Gossip_graph.Gen.latency_spec -> Gossip_util.Json.t
 
 val latency_of_json : Gossip_util.Json.t -> Gossip_graph.Gen.latency_spec option
 
+(** A finished job: the runner's record plus what a sweep adds. *)
 type outcome = {
   job : job;
   n_actual : int;  (** realized node count *)
   edges : int;  (** realized undirected edge count *)
-  rounds : int option;  (** completion rounds, [None] when capped *)
-  metrics : Gossip_scale.Wheel_engine.metrics;
+  record : Runner.record;  (** rounds, metrics and route of the run *)
   elapsed_s : float;  (** wall-clock build + run time of this job *)
 }
 
@@ -125,24 +119,25 @@ val run_job :
 (** One checkpoint record: a finished job or a recorded failure. *)
 type checkpoint_entry = Ckpt_done of outcome | Ckpt_failed of failure
 
-val checkpoint_key : checkpoint_entry -> job_key
-
-(** [outcome_json o] is the result row the sweep's JSON report carries
-    for one finished job (deterministic fields plus wall-clock
-    [elapsed_s]) — exposed so the serve daemon's [results] frames are
-    byte-identical to a direct sweep's rows. *)
+(** [outcome_json o] is the one row of a finished job: [family] (an
+    object), [n_requested], the realized [n] and [edges], [seed],
+    [protocol], [max_rounds], then {!Runner.record_fields} with
+    [elapsed_s] after [dropped].  Sweep [results], [ckpt_job] lines
+    (plus ["ev"]), telemetry [job] events (plus ["ev"], ["id"]) and
+    gossipd [result] frames all carry it. *)
 val outcome_json : outcome -> Gossip_util.Json.t
 
 (** [checkpoint_event e] is the JSONL event ([ckpt_job] / [ckpt_fail])
-    {!run_ft} streams for [e] — the PR-3 checkpoint format, exposed so
-    other runtimes (the serve daemon's job journal) persist through
-    the same schema.  Extra fields appended by a caller are ignored by
-    {!entry_of_json}. *)
+    {!run_ft} streams for [e], exposed so other runtimes (the serve
+    daemon's job journal) persist through the same schema.  Extra
+    fields appended by a caller are ignored by {!entry_of_json}. *)
 val checkpoint_event : checkpoint_entry -> (string * Gossip_util.Json.t) list
 
-(** [entry_of_json j] parses one checkpoint event; [None] for foreign
-    or malformed events (never an exception — checkpoints must be
-    readable after any crash). *)
+(** [entry_of_json j] parses one checkpoint event through the row's
+    codec; [None] for foreign or malformed events (never an exception:
+    checkpoints must be readable after any crash), and for a
+    [ckpt_job] line whose [route] does not match its descriptor's route
+    kind, so resume re-runs an older line of a chain or rr-spanner. *)
 val entry_of_json : Gossip_util.Json.t -> checkpoint_entry option
 
 (** [seal_checkpoint path] terminates a torn final line (a process
@@ -154,12 +149,6 @@ val seal_checkpoint : string -> unit
     Torn lines (a process killed mid-write) and foreign events are
     skipped, never fatal. *)
 val read_checkpoint : string -> checkpoint_entry list
-
-(** [resume path jobs] drops every job whose {!job_key} is already
-    recorded in the checkpoint at [path] (finished {e or} failed); a
-    missing file leaves [jobs] untouched.  The surviving jobs are
-    exactly what a restarted sweep still has to run. *)
-val resume : string -> job list -> job list
 
 (** What {!run_ft} hands back: [completed] and [failed] partition the
     submitted jobs (both in submission order, checkpointed entries
@@ -189,7 +178,9 @@ type report = {
       domains never oversubscribes the machine.
     - [checkpoint]: stream every outcome to this JSONL file {e as it
       finishes} (one flush per record), as [ckpt_job] / [ckpt_fail]
-      events keyed by {!job_key}.
+      events keyed by the job's identity fields as rows write them
+      (the family with its parameters, [n_requested], [seed],
+      [protocol], [max_rounds]; not the latency redraw or scenario).
     - [resume] (default false; requires [checkpoint]): load the
       existing checkpoint, skip recorded jobs, and append new records
       instead of truncating — re-running only unfinished jobs with
@@ -257,9 +248,10 @@ val write_json :
 (** [write_telemetry path ?meta ?registry ?failures ?retries outcomes]
     writes the sweep's telemetry as JSONL through {!Gossip_obs.Sink}:
     one ["meta"] event carrying [meta], one ["job"] event per outcome
-    (id, family, n, edges, seed, protocol, rounds, counters,
-    elapsed_s), one ["retry"] event per retried attempt, one
-    ["job_error"] event per ultimate failure, then — when [registry]
+    ([ev], [id], then the {!outcome_json} row), one ["retry"] event
+    per retried attempt and one ["job_error"] event per ultimate
+    failure (each [ev], [id], the job's identity as the row writes
+    it, then the attempt and error), then — when [registry]
     is given — a registry snapshot and, if the registry carries a
     ring, its trace events.  The file is readable back with
     {!Gossip_obs.Report.of_file}. *)

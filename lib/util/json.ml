@@ -286,6 +286,18 @@ let of_string s =
   | v -> Ok v
   | exception Parse_error msg -> Error msg
 
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (if String.trim line = "" then acc else of_string line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
 let write path j =
   let oc = open_out path in
   (try
@@ -295,3 +307,23 @@ let write path j =
      close_out oc;
      raise e);
   close_out oc
+
+let field j name = match j with Obj fields -> List.assoc_opt name fields | _ -> None
+
+let int_field j name = match field j name with Some (Int i) -> Some i | _ -> None
+
+let float_field j name =
+  match field j name with
+  | Some (Float x) -> Some x
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None
+
+let string_field j name = match field j name with Some (String s) -> Some s | _ -> None
+
+let bool_field j name = match field j name with Some (Bool b) -> Some b | _ -> None
+
+exception Missing of string
+
+let need name = function Some v -> v | None -> raise (Missing name)
+
+let decode f = match f () with v -> Ok v | exception Missing name -> Error name

@@ -70,11 +70,6 @@ let summarize a =
     max = sorted.(n - 1);
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.2f sd=%.2f min=%.2f p25=%.2f med=%.2f p75=%.2f p95=%.2f max=%.2f"
-    s.n s.mean s.stddev s.min s.p25 s.median s.p75 s.p95 s.max
-
 type fit = { slope : float; intercept : float; r2 : float }
 
 let linear_fit xs ys =

@@ -36,8 +36,6 @@ val median : float array -> float
     Raises [Invalid_argument] on an empty or NaN-containing sample. *)
 val summarize : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Least-squares line fit.  [r2] is the coefficient of determination. *)
 type fit = { slope : float; intercept : float; r2 : float }
 

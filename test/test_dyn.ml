@@ -47,6 +47,46 @@ let test_validation_rejects () =
   expect_invalid "negative budget" {|{"adversary": {"budget": -1}}|};
   expect_invalid "zero epoch" {|{"epoch": 0}|}
 
+(* A round past the engine's round range, or a churn sum past it, is
+   refused with the field's path: the sum used to wrap, so a churn entry
+   with a huge [down] silently never rejoined (or never left). *)
+let test_validation_round_range () =
+  let expect_path name path s =
+    match Scenario.of_string s with
+    | _ -> Alcotest.failf "%s: out-of-range scenario accepted" name
+    | exception Scenario.Invalid_scenario msg ->
+        if not (String.starts_with ~prefix:(path ^ ": ") msg) then
+          Alcotest.failf "%s: message %S does not name %s" name msg path
+  in
+  let big = "4611686018427387903" (* max_int *) in
+  let random ?(period = 1) ~leave down =
+    Printf.sprintf
+      {|{"churn": [{"kind": "random", "fraction": 0.5, "leave": %s, "down": %s, "period": %d}]}|}
+      leave down period
+  in
+  expect_path "down = max_int" "churn[0].down" (random ~leave:"1" big);
+  expect_path "down = max_int - 3" "churn[0].down" (random ~leave:"1" "4611686018427387900");
+  expect_path "leave + period - 1 + down past the range" "churn[0].down"
+    (random ~period:100 ~leave:"2147483000" "600");
+  expect_path "random leave" "churn[0].leave" (random ~leave:big "2");
+  expect_path "leave" "churn[0].leave"
+    (Printf.sprintf {|{"churn": [{"node": 2, "leave": %s}]}|} big);
+  expect_path "rejoin" "churn[0].rejoin"
+    (Printf.sprintf {|{"churn": [{"node": 2, "leave": 1, "rejoin": %s}]}|} big);
+  expect_path "diurnal phase" "schedules[0].phase"
+    (Printf.sprintf
+       {|{"schedules": [{"kind": "diurnal", "amplitude": 1, "period": 8, "phase": %s}]}|} big);
+  expect_path "step time" "schedules[0].at"
+    (Printf.sprintf {|{"schedules": [{"kind": "step", "at": %s, "factor": 2}]}|} big);
+  expect_path "trace dilation" "schedules[0].dilate"
+    (Printf.sprintf {|{"schedules": [{"kind": "trace", "multipliers": [1, 2], "dilate": %s}]}|}
+       big);
+  expect_path "epoch" "scenario.epoch" (Printf.sprintf {|{"epoch": %s}|} big);
+  (* The range itself is usable: the last churned node may rejoin at
+     exactly the largest round. *)
+  ignore (Scenario.of_string (random ~period:4 ~leave:"2147483000" "644"));
+  ignore (Scenario.of_string {|{"churn": [{"node": 2, "leave": 1, "rejoin": 2147483647}]}|})
+
 let test_compile_rejects () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:3 in
   let expect name s ~source =
@@ -504,6 +544,8 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "malformed scenarios rejected" `Quick test_validation_rejects;
+          Alcotest.test_case "rounds within the engine's range" `Quick
+            test_validation_round_range;
           Alcotest.test_case "compile-time rejections" `Quick test_compile_rejects;
           Alcotest.test_case "out-of-range latency bound" `Quick
             test_compile_rejects_out_of_range_bound;

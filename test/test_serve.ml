@@ -490,9 +490,15 @@ let fetch_rows c job =
       | r -> Alcotest.failf "results: unexpected %s" (Json.to_string (P.response_to_json r)));
   List.rev !rows
 
-(* Wall-clock fields are the one nondeterministic part of a result row. *)
-let strip_elapsed = function
-  | Json.Obj fs -> Json.Obj (List.filter (fun (k, _) -> k <> "elapsed_s") fs)
+(* Wall-clock fields are the one nondeterministic part of a result row:
+   the job's [elapsed_s] and an rr-spanner route's [build_s]. *)
+let rec strip_elapsed = function
+  | Json.Obj fs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k = "elapsed_s" || k = "build_s" then None else Some (k, strip_elapsed v))
+           fs)
   | j -> j
 
 let row_strings rows = List.map (fun r -> Json.to_string (strip_elapsed r)) rows
@@ -680,6 +686,43 @@ let test_server_runs_scenario_job () =
           let s = wait_terminal c id in
           Alcotest.(check bool) "scenario job done" true (s.P.s_state = P.Done)))
 
+(* A chain job's result rows carry its route: each row reads back to
+   the record of a direct Runner.run on the same job's graph, seed and
+   source, attempts included. *)
+let test_server_rows_carry_route () =
+  let spec =
+    {
+      (small_spec ()) with
+      P.family = Sweep.Braided_ring { size = 8; bridges = 3; bridge_latency = 5 };
+      protocol = Runner.Unknown_eid;
+      max_rounds = 1_000_000;
+    }
+  in
+  with_server (fun sock ->
+      Client.with_connect sock (fun c ->
+          let id = submit_ok c spec in
+          Alcotest.(check bool) "job done" true ((wait_terminal c id).P.s_state = P.Done);
+          let rows = fetch_rows c id in
+          Alcotest.(check int) "one row per trial" 2 (List.length rows);
+          List.iter2
+            (fun row (job : Sweep.job) ->
+              let csr = Sweep.build job.Sweep.family ~n:job.Sweep.n ~seed:job.Sweep.seed in
+              let direct =
+                Runner.run csr job.Sweep.protocol ~seed:job.Sweep.seed
+                  ~source:(job.Sweep.seed mod Gossip_scale.Csr.n csr)
+                  ~max_rounds:job.Sweep.max_rounds
+              in
+              (match direct.Runner.record.Runner.route with
+              | Runner.Eid_chain ch ->
+                  Alcotest.(check bool) "direct run made attempts" true (ch.Runner.attempts <> [])
+              | _ -> Alcotest.fail "unknown-eid ran no chain");
+              (match Option.bind (Json.field row "route") (fun r -> Json.string_field r "kind") with
+              | Some "eid" -> ()
+              | _ -> Alcotest.failf "row without an eid route: %s" (Json.to_string row));
+              Alcotest.(check bool) "row = direct record" true
+                (Runner.record_of_json Runner.Unknown_eid row = Some direct.Runner.record))
+            rows (P.jobs_of_spec spec)))
+
 let test_server_validates_spec () =
   with_server (fun sock ->
       Client.with_connect sock (fun c ->
@@ -830,6 +873,7 @@ let () =
           Alcotest.test_case "typed backpressure" `Quick test_server_backpressure_typed;
           Alcotest.test_case "cancel running job" `Quick test_server_cancel_running;
           Alcotest.test_case "spec validation" `Quick test_server_validates_spec;
+          Alcotest.test_case "chain rows carry the route" `Quick test_server_rows_carry_route;
           Alcotest.test_case "scenario wire format" `Quick test_spec_scenario_wire;
           Alcotest.test_case "scenario job end to end" `Quick test_server_runs_scenario_job;
           Alcotest.test_case "restart resumes queue" `Quick test_server_restart_resumes_queue;

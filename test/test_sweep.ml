@@ -9,6 +9,8 @@ module Sweep = Gossip_sweep.Sweep
 module Csr = Gossip_scale.Csr
 module Wheel = Gossip_scale.Wheel_engine
 module Engine = Gossip_sim.Engine
+module Eid = Gossip_core.Eid
+module D = Gossip_core.Dissemination
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -106,13 +108,12 @@ let test_protocol_roundtrip () =
 (* The runner's auto parameters: a descriptor whose parameter is 0 (or
    absent) runs exactly what the explicit descriptor names. *)
 let test_protocol_auto_parameters () =
-  let same label a b =
-    let a = a.Runner.result and b = b.Runner.result in
+  let same label (a : Runner.outcome) (b : Runner.outcome) =
     checkb label true
-      (a.Wheel.rounds = b.Wheel.rounds
-      && a.Wheel.history = b.Wheel.history
-      && a.Wheel.metrics = b.Wheel.metrics
-      && Bytes.equal a.Wheel.informed b.Wheel.informed)
+      (a.Runner.record.Runner.rounds = b.Runner.record.Runner.rounds
+      && a.Runner.history = b.Runner.history
+      && a.Runner.record.Runner.metrics = b.Runner.record.Runner.metrics
+      && Bytes.equal a.Runner.informed b.Runner.informed)
   in
   (* dtg:0 is dtg at l_max, which is flooding. *)
   let grng = Gossip_util.Rng.of_int 123 in
@@ -147,7 +148,7 @@ let test_protocol_auto_parameters () =
   let csr = Csr.ring_of_cliques ~cliques:5 ~size:4 ~bridge_latency:3 in
   let run p = Runner.run csr p ~seed:5 ~source:0 ~max_rounds:100_000 in
   let auto = run (Runner.Rr_spanner { stretch_k = 0 }) in
-  (match auto.Runner.route with
+  (match auto.Runner.record.Runner.route with
   | Runner.Spanner_run sp -> checki "rr-spanner k" 5 sp.Runner.k
   | _ -> Alcotest.fail "rr-spanner ran no spanner");
   same "rr-spanner:0 = rr-spanner:5" auto (run (Runner.Rr_spanner { stretch_k = 5 }))
@@ -361,12 +362,12 @@ let test_sweep_runs_and_completes () =
   List.iter
     (fun o ->
       checki "actual n" 48 o.Sweep.n_actual;
-      checkb "completed" true (o.Sweep.rounds <> None);
+      checkb "completed" true (o.Sweep.record.Runner.rounds <> None);
       checkb "timed" true (o.Sweep.elapsed_s >= 0.0))
     outcomes
 
 let test_sweep_deterministic_across_workers () =
-  let rounds outcomes = List.map (fun (o : Sweep.outcome) -> o.Sweep.rounds) outcomes in
+  let rounds = List.map (fun (o : Sweep.outcome) -> o.Sweep.record.Runner.rounds) in
   let sequential = run_clean ~workers:1 (small_jobs Runner.Push_pull) in
   let parallel = run_clean ~workers:3 (small_jobs Runner.Push_pull) in
   Alcotest.check
@@ -397,7 +398,9 @@ let test_sweep_capped_run () =
     List.map (fun j -> { j with Sweep.max_rounds = 1 }) (small_jobs Runner.Push_pull)
   in
   let outcomes = run_clean ~workers:2 jobs in
-  List.iter (fun (o : Sweep.outcome) -> checkb "capped" true (o.Sweep.rounds = None)) outcomes;
+  List.iter
+    (fun (o : Sweep.outcome) -> checkb "capped" true (o.Sweep.record.Runner.rounds = None))
+    outcomes;
   match Sweep.summarize outcomes with
   | [ s ] ->
       checki "none completed" 0 s.Sweep.completed;
@@ -413,7 +416,8 @@ let test_sweep_latency_override () =
       ()
   in
   List.iter
-    (fun (o : Sweep.outcome) -> checkb "completes with latencies" true (o.Sweep.rounds <> None))
+    (fun (o : Sweep.outcome) ->
+      checkb "completes with latencies" true (o.Sweep.record.Runner.rounds <> None))
     (run_clean ~workers:2 jobs)
 
 let test_sweep_json_shape () =
@@ -496,7 +500,7 @@ let test_sweep_run_ft_retry_recovers () =
       checks "retry message" {|Failure("transient")|} msg
   | l -> Alcotest.failf "expected one retry record, got %d" (List.length l));
   (* The recovered run is indistinguishable from an untroubled one. *)
-  let rounds r = List.map (fun (o : Sweep.outcome) -> o.Sweep.rounds) r in
+  let rounds r = List.map (fun (o : Sweep.outcome) -> o.Sweep.record.Runner.rounds) r in
   let clean = run_clean ~workers:1 jobs in
   Alcotest.check
     (Alcotest.list (Alcotest.option Alcotest.int))
@@ -517,15 +521,16 @@ let test_sweep_checkpoint_roundtrip () =
       checki "one record per job" 4 (List.length entries);
       List.iter2
         (fun job entry ->
-          checkb "key matches" true (Sweep.checkpoint_key entry = Sweep.job_key job);
           match entry with
           | Sweep.Ckpt_done o ->
+              checkb "job persisted" true (o.Sweep.job = job);
               checki "realized n persisted" 48 o.Sweep.n_actual;
-              checkb "rounds persisted" true (o.Sweep.rounds <> None)
+              checkb "rounds persisted" true (o.Sweep.record.Runner.rounds <> None)
           | Sweep.Ckpt_failed _ -> Alcotest.fail "no failures expected")
         jobs entries;
       (* A fully recorded checkpoint leaves nothing to resume. *)
-      checki "resume drops everything" 0 (List.length (Sweep.resume path jobs)))
+      let again = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true jobs in
+      checki "resume skips everything" 4 again.Sweep.skipped)
 
 let test_sweep_resume_skips_recorded () =
   with_temp_file (fun path ->
@@ -543,7 +548,6 @@ let test_sweep_resume_skips_recorded () =
         (String.sub l3 0 (String.length l3 / 2));
       close_out oc;
       checki "torn line dropped" 2 (List.length (Sweep.read_checkpoint path));
-      checki "two jobs left to run" 2 (List.length (Sweep.resume path jobs));
       let resumed = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true jobs in
       checki "skipped from checkpoint" 2 resumed.Sweep.skipped;
       checki "all four present" 4 (List.length resumed.Sweep.completed);
@@ -552,14 +556,14 @@ let test_sweep_resume_skips_recorded () =
          every deterministic field (elapsed_s is wall-clock). *)
       List.iter2
         (fun (a : Sweep.outcome) (b : Sweep.outcome) ->
-          checkb "same key" true (Sweep.job_key a.Sweep.job = Sweep.job_key b.Sweep.job);
+          checkb "same job" true (a.Sweep.job = b.Sweep.job);
           checki "same n_actual" a.Sweep.n_actual b.Sweep.n_actual;
           checki "same edges" a.Sweep.edges b.Sweep.edges;
-          checkb "same rounds" true (a.Sweep.rounds = b.Sweep.rounds);
-          checki "same deliveries" a.Sweep.metrics.Engine.deliveries
-            b.Sweep.metrics.Engine.deliveries;
-          checki "same initiations" a.Sweep.metrics.Engine.initiations
-            b.Sweep.metrics.Engine.initiations)
+          checkb "same record" true (a.Sweep.record = b.Sweep.record);
+          checki "same deliveries" a.Sweep.record.Runner.metrics.Engine.deliveries
+            b.Sweep.record.Runner.metrics.Engine.deliveries;
+          checki "same initiations" a.Sweep.record.Runner.metrics.Engine.initiations
+            b.Sweep.record.Runner.metrics.Engine.initiations)
         full.Sweep.completed resumed.Sweep.completed;
       (* The checkpoint now carries all four records again. *)
       checki "checkpoint repopulated" 4 (List.length (Sweep.read_checkpoint path)))
@@ -584,7 +588,9 @@ let test_sweep_checkpoint_records_failures () =
           checks "message persisted" {|Failure("injected crash")|} f.Sweep.message
       | _ -> Alcotest.fail "expected exactly one ckpt_fail record");
       (* A recorded failure is not retried on resume. *)
-      checki "failure counts as recorded" 0 (List.length (Sweep.resume path jobs)))
+      let again = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true ~inject jobs in
+      checki "failure counts as recorded" 4 again.Sweep.skipped;
+      checki "failure kept" 1 (List.length again.Sweep.failed))
 
 let test_pool_budget_workers () =
   let rec_count = Domain.recommended_domain_count () in
@@ -614,7 +620,8 @@ let test_sweep_sharded_jobs_deterministic () =
   let shape r =
     List.map
       (fun (o : Sweep.outcome) ->
-        (o.Sweep.rounds, o.Sweep.metrics.Engine.initiations, o.Sweep.metrics.Engine.deliveries))
+        let m = o.Sweep.record.Runner.metrics in
+        (o.Sweep.record.Runner.rounds, m.Engine.initiations, m.Engine.deliveries))
       r
   in
   let sequential = run_clean ~workers:2 jobs in
@@ -665,7 +672,7 @@ let test_sweep_on_round_every_route () =
         if round <> !calls then Alcotest.failf "%s: round %d at call %d" name round !calls
       in
       let o = Sweep.run_job ~on_round job in
-      let rounds = o.Sweep.metrics.Engine.rounds in
+      let rounds = o.Sweep.record.Runner.metrics.Engine.rounds in
       (match protocol with
       | Runner.Unified ->
           (* push-pull's rounds, then the chain's; metrics are the winner's *)
@@ -682,6 +689,330 @@ let test_sweep_resume_requires_checkpoint () =
     (Invalid_argument "Sweep.run_ft: ~resume:true requires a checkpoint path")
     (fun () ->
       ignore (Sweep.run_ft ~resume:true (small_jobs Runner.Push_pull)))
+
+(* ------------------------------------------------------------------ *)
+(* The record's codec *)
+
+let attempt_gen =
+  let open QCheck.Gen in
+  let r = int_range 0 5_000 in
+  let* ua_k = int_range 1 64 in
+  let* ua_discovery_rounds = r in
+  let* ua_schedule_rounds = r in
+  let* ua_rr_rounds = r in
+  let* ua_check_rounds = r in
+  let* ua_edges_known = r in
+  let* ua_spanner_out_degree = int_range 0 64 in
+  let* ua_spanner_edges = r in
+  let* ua_failed = bool in
+  let+ ua_unanimous = bool in
+  {
+    Eid.ua_k;
+    ua_discovery_rounds;
+    ua_schedule_rounds;
+    ua_rr_rounds;
+    ua_check_rounds;
+    ua_edges_known;
+    ua_spanner_out_degree;
+    ua_spanner_edges;
+    ua_failed;
+    ua_unanimous;
+  }
+
+(* Chains of zero to four attempts: a decoded row never assumes the
+   attempt list is non-empty. *)
+let chain_gen =
+  let open QCheck.Gen in
+  let* k_final = int_range 1 64 in
+  let* unanimous = bool in
+  let+ attempts = list_size (int_range 0 4) attempt_gen in
+  { Runner.k_final; unanimous; attempts }
+
+(* The route a descriptor runs.  Half the spanner build times are
+   whole seconds, which the emitter writes without a fraction. *)
+let route_gen protocol =
+  let open QCheck.Gen in
+  match protocol with
+  | Runner.Rr_spanner _ ->
+      let* k = int_range 1 20 in
+      let* edges = int_range 0 100_000 in
+      let* max_out_degree = int_range 0 64 in
+      let* out_degree_bound = int_range 0 64 in
+      let+ build_s = oneof [ map float_of_int (int_range 0 5); float_range 0.0 100.0 ] in
+      Runner.Spanner_run { Runner.k; edges; max_out_degree; out_degree_bound; build_s }
+  | Runner.Unknown_eid -> map (fun c -> Runner.Eid_chain c) chain_gen
+  | Runner.Unified ->
+      let* winner = oneofl [ D.Scale_push_pull_won; D.Scale_spanner_route_won ] in
+      let* pushpull_rounds = opt (int_range 0 100_000) in
+      let* spanner_rounds = int_range 0 100_000 in
+      let+ eid = chain_gen in
+      Runner.Unified_race { Runner.winner; pushpull_rounds; spanner_rounds; eid }
+  | _ -> return Runner.Kernel_run
+
+let row_gen =
+  let open QCheck.Gen in
+  let c = int_range 0 1_000_000 in
+  let* protocol =
+    oneof
+      [
+        protocol_gen;
+        oneofl [ Runner.Rr_spanner { stretch_k = 0 }; Runner.Unknown_eid; Runner.Unified ];
+      ]
+  in
+  let* rounds = opt c in
+  let* m_rounds = c in
+  let* initiations = c in
+  let* deliveries = c in
+  let* payload_words = c in
+  let* rejected = c in
+  let* dropped = c in
+  let* route = route_gen protocol in
+  let* seed = int_range 0 100_000 in
+  let+ elapsed_s = float_range 0.0 10.0 in
+  let metrics =
+    { Engine.rounds = m_rounds; initiations; deliveries; payload_words; rejected; dropped }
+  in
+  ( protocol,
+    {
+      Sweep.job =
+        {
+          Sweep.family = Sweep.Braided_ring { size = 8; bridges = 3; bridge_latency = 5 };
+          n = 256;
+          seed;
+          protocol;
+          latency = None;
+          scenario = None;
+          max_rounds = 1_000_000;
+        };
+      n_actual = 256;
+      edges = 992;
+      record = { Runner.rounds; metrics; route };
+      elapsed_s;
+    } )
+
+let through_text fields =
+  match Json.of_string (Json.to_string (Json.Obj fields)) with
+  | Ok j -> j
+  | Error e -> QCheck.Test.fail_reportf "emitted JSON does not parse: %s" e
+
+(* The codec reads back exactly what it wrote, through the text, for
+   every route: as a bare record, as a checkpoint line, and refused
+   under a descriptor of another route kind. *)
+let prop_record_roundtrip =
+  QCheck.Test.make ~name:"record codec round-trips every route" ~count:500
+    (QCheck.make row_gen ~print:(fun (_, o) -> Json.to_string (Sweep.outcome_json o)))
+    (fun (protocol, o) ->
+      let r = o.Sweep.record in
+      let other =
+        match r.Runner.route with
+        | Runner.Kernel_run -> Runner.Unknown_eid
+        | _ -> Runner.Push_pull
+      in
+      Runner.record_of_json protocol (through_text (Runner.record_fields r)) = Some r
+      && Runner.record_of_json other (through_text (Runner.record_fields r)) = None
+      && Sweep.entry_of_json (through_text (Sweep.checkpoint_event (Sweep.Ckpt_done o)))
+         = Some (Sweep.Ckpt_done o))
+
+(* A checkpoint line that has been tampered with decodes to [None] or
+   to an entry, never to an exception: drop a field, or replace one
+   (top level or inside the route) with a value of another type. *)
+let prop_tampered_rows_never_raise =
+  let junk = QCheck.Gen.oneofl Json.[ Null; Bool true; Int (-1); Float 0.5; String "x"; List [] ] in
+  QCheck.Test.make ~name:"tampered checkpoint lines never raise" ~count:3000
+    (QCheck.make
+       QCheck.Gen.(triple row_gen (int_bound 1_000) (pair bool junk))
+       ~print:(fun ((_, o), _, _) -> Json.to_string (Sweep.outcome_json o)))
+    (fun ((_, o), pick, (drop, v)) ->
+      let tamper fields =
+        let i = pick mod List.length fields in
+        List.concat
+          (List.mapi
+             (fun k (name, x) ->
+               if k <> i then [ (name, x) ] else if drop then [] else [ (name, v) ])
+             fields)
+      in
+      let fields = Sweep.checkpoint_event (Sweep.Ckpt_done o) in
+      let nested =
+        List.map
+          (function
+            | "route", Json.Obj r -> ("route", Json.Obj (tamper r)) | f -> f)
+          fields
+      in
+      List.for_all
+        (fun fs ->
+          match Sweep.entry_of_json (Json.Obj fs) with _ -> true | exception _ -> false)
+        [ tamper fields; nested ])
+
+(* The corners the property must not leave to chance. *)
+let test_record_corners () =
+  let metrics =
+    {
+      Engine.rounds = 7;
+      initiations = 1;
+      deliveries = 2;
+      payload_words = 2;
+      rejected = 0;
+      dropped = 0;
+    }
+  in
+  let roundtrip label protocol route rounds =
+    let r = { Runner.rounds; metrics; route } in
+    match Json.of_string (Json.to_string (Json.Obj (Runner.record_fields r))) with
+    | Ok j -> checkb label true (Runner.record_of_json protocol j = Some r)
+    | Error e -> Alcotest.failf "%s: %s" label e
+  in
+  let chain attempts = { Runner.k_final = 4; unanimous = true; attempts } in
+  let attempt k =
+    {
+      Eid.ua_k = k;
+      ua_discovery_rounds = 10;
+      ua_schedule_rounds = 72;
+      ua_rr_rounds = 77;
+      ua_check_rounds = 154;
+      ua_edges_known = 224;
+      ua_spanner_out_degree = 8;
+      ua_spanner_edges = 171;
+      ua_failed = k < 4;
+      ua_unanimous = k = 4;
+    }
+  in
+  roundtrip "capped kernel run" Runner.Flood Runner.Kernel_run None;
+  roundtrip "whole-second build_s" (Runner.Rr_spanner { stretch_k = 0 })
+    (Runner.Spanner_run
+       { Runner.k = 6; edges = 171; max_out_degree = 8; out_degree_bound = 9; build_s = 0.0 })
+    (Some 21);
+  roundtrip "empty chain" Runner.Unknown_eid (Runner.Eid_chain (chain [])) None;
+  roundtrip "multi-attempt chain" Runner.Unknown_eid
+    (Runner.Eid_chain (chain [ attempt 1; attempt 2; attempt 4 ]))
+    (Some 2151);
+  roundtrip "capped push-pull branch" Runner.Unified
+    (Runner.Unified_race
+       {
+         Runner.winner = D.Scale_spanner_route_won;
+         pushpull_rounds = None;
+         spanner_rounds = 2195;
+         eid = chain [ attempt 1; attempt 2 ];
+       })
+    (Some 2195);
+  (* The route object's shape, as documented in DESIGN.md. *)
+  let fields =
+    Runner.record_fields
+      {
+        Runner.rounds = Some 25;
+        metrics;
+        route =
+          Runner.Unified_race
+            {
+              Runner.winner = D.Scale_push_pull_won;
+              pushpull_rounds = Some 25;
+              spanner_rounds = 2195;
+              eid = chain [];
+            };
+      }
+  in
+  checks "race route"
+    {|{"kind":"race","winner":"push-pull","pushpull_rounds":25,"spanner_rounds":2195,"k_final":4,"unanimous":true,"attempts":[]}|}
+    (Json.to_string (List.assoc "route" fields))
+
+(* The report of [run_ft] on [jobs], as the sweep writes it, with the
+   wall-clock fields dropped. *)
+let stripped_report (r : Sweep.report) =
+  let rec strip = function
+    | Json.Obj fs ->
+        Json.Obj
+          (List.filter_map
+             (fun (k, v) ->
+               if List.mem k [ "elapsed_s"; "mean_elapsed_s"; "build_s" ] then None
+               else Some (k, strip v))
+             fs)
+    | Json.List l -> Json.List (List.map strip l)
+    | j -> j
+  in
+  Json.to_string (strip (Sweep.to_json ~failures:r.Sweep.failed r.Sweep.completed))
+
+(* A unified sweep killed after its first trial resumes to the report
+   of the uninterrupted run, routes included. *)
+let test_sweep_resume_unified () =
+  with_temp_file (fun path ->
+      let jobs =
+        Sweep.make_jobs
+          ~family:(Sweep.Braided_ring { size = 8; bridges = 3; bridge_latency = 5 })
+          ~n:64 ~protocol:Runner.Unified ~trials:3 ~base_seed:7 ~max_rounds:1_000_000 ()
+      in
+      let full = Sweep.run_ft ~workers:1 ~checkpoint:path jobs in
+      checki "all complete" 3 (List.length full.Sweep.completed);
+      let first =
+        let ic = open_in path in
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      let oc = open_out path in
+      output_string oc (first ^ "\n");
+      close_out oc;
+      let resumed = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true jobs in
+      checki "first trial from the checkpoint" 1 resumed.Sweep.skipped;
+      List.iter
+        (fun (o : Sweep.outcome) ->
+          match o.Sweep.record.Runner.route with
+          | Runner.Unified_race _ -> ()
+          | _ -> Alcotest.fail "unified outcome without its race")
+        resumed.Sweep.completed;
+      checks "resumed report = uninterrupted" (stripped_report full) (stripped_report resumed))
+
+(* Checkpoint lines written before rows carried routes: a kernel
+   route's line is byte-identical to today's and resumes without a
+   re-run; a chain's has no route and is re-run. *)
+let test_sweep_resume_older_lines () =
+  let older =
+    [
+      {|{"ev":"ckpt_job","family":{"kind":"ring-of-cliques","size":6,"bridge_latency":4},"n_requested":48,"n":48,"edges":128,"seed":1,"protocol":"push-pull","max_rounds":100000,"rounds":26,"initiations":1248,"deliveries":2392,"payload_words":2392,"dropped":0,"elapsed_s":0.00039982795715332031,"rounds_executed":26,"rejected":0}|};
+      {|{"ev":"ckpt_job","family":{"kind":"ring-of-cliques","size":6,"bridge_latency":4},"n_requested":48,"n":48,"edges":128,"seed":1,"protocol":"unknown-eid","max_rounds":100000,"rounds":1887,"initiations":48052,"deliveries":95728,"payload_words":95728,"dropped":0,"elapsed_s":0.02425694465637207,"rounds_executed":1887,"rejected":0}|};
+    ]
+  in
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) older;
+      close_out oc;
+      let job protocol =
+        List.hd
+          (Sweep.make_jobs
+             ~family:(Sweep.Ring_of_cliques { size = 6; bridge_latency = 4 })
+             ~n:48 ~protocol ~trials:1 ~base_seed:1 ~max_rounds:100_000 ())
+      in
+      let ran = ref [] in
+      let inject (j : Sweep.job) = ran := Runner.protocol_name j.Sweep.protocol :: !ran in
+      let report =
+        Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true ~inject
+          [ job Runner.Push_pull; job Runner.Unknown_eid ]
+      in
+      checki "push-pull line resumed" 1 report.Sweep.skipped;
+      Alcotest.(check (list string)) "only the chain re-ran" [ "unknown-eid" ] !ran;
+      match report.Sweep.completed with
+      | [ pp; eid ] ->
+          checks "push-pull line written back byte for byte" (List.hd older)
+            (Json.to_string (Json.Obj (Sweep.checkpoint_event (Sweep.Ckpt_done pp))));
+          (match eid.Sweep.record.Runner.route with
+          | Runner.Eid_chain c -> checkb "attempts recorded" true (c.Runner.attempts <> [])
+          | _ -> Alcotest.fail "re-run chain without its route");
+          Alcotest.(check (option int)) "re-run is deterministic" (Some 1887)
+            eid.Sweep.record.Runner.rounds
+      | l -> Alcotest.failf "expected two outcomes, got %d" (List.length l))
+
+(* A checkpoint answers only for the jobs it recorded: the same seeds
+   on a family with other parameters are other jobs, and re-run. *)
+let test_sweep_resume_keys_on_identity () =
+  with_temp_file (fun path ->
+      let jobs size bridge_latency =
+        Sweep.make_jobs
+          ~family:(Sweep.Ring_of_cliques { size; bridge_latency })
+          ~n:96 ~protocol:Runner.Push_pull ~trials:2 ~base_seed:7 ~max_rounds:100_000 ()
+      in
+      ignore (Sweep.run_ft ~workers:1 ~checkpoint:path (jobs 6 4));
+      let other = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true (jobs 8 9) in
+      checki "nothing reused" 0 other.Sweep.skipped;
+      checks "a fresh run's report" (stripped_report (Sweep.run_ft ~workers:1 (jobs 8 9)))
+        (stripped_report other);
+      let again = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true (jobs 6 4 @ jobs 8 9) in
+      checki "both families recorded" 4 again.Sweep.skipped)
 
 let () =
   Alcotest.run "gossip_sweep"
@@ -739,5 +1070,16 @@ let () =
             test_sweep_resume_requires_checkpoint;
           Alcotest.test_case "on_round on every route" `Quick test_sweep_on_round_every_route;
           Alcotest.test_case "invalid protocol" `Quick test_sweep_invalid_protocol;
+          Alcotest.test_case "unified resumes to the uninterrupted report" `Quick
+            test_sweep_resume_unified;
+          Alcotest.test_case "older checkpoint lines" `Quick test_sweep_resume_older_lines;
+          Alcotest.test_case "resume keys on the job's identity" `Quick
+            test_sweep_resume_keys_on_identity;
+        ] );
+      ( "record",
+        [
+          QCheck_alcotest.to_alcotest prop_record_roundtrip;
+          QCheck_alcotest.to_alcotest prop_tampered_rows_never_raise;
+          Alcotest.test_case "codec corners" `Quick test_record_corners;
         ] );
     ]

@@ -1,11 +1,10 @@
 (* Unit and property tests for gossip_util: Rng, Stats, Bitset, Heap,
-   Union_find, Table. *)
+   Table. *)
 
 module Rng = Gossip_util.Rng
 module Stats = Gossip_util.Stats
 module Bitset = Gossip_util.Bitset
 module Heap = Gossip_util.Heap
-module Union_find = Gossip_util.Union_find
 module Table = Gossip_util.Table
 module Json = Gossip_util.Json
 
@@ -396,6 +395,49 @@ let test_json_deep_nesting () =
   done;
   check_roundtrip "300-deep object" !deep_obj
 
+(* The field accessors are total: a missing field, a field of another
+   type, or a non-object is [None], never an exception; a float field
+   also reads the [Int] the emitter writes for a whole float. *)
+let test_json_field_accessors () =
+  let j =
+    parse_ok {|{"i":3,"f":0.5,"w":2.0,"s":"x","b":true,"n":null,"o":{"k":1}}|}
+  in
+  check (Alcotest.option Alcotest.int) "int" (Some 3) (Json.int_field j "i");
+  check (Alcotest.option Alcotest.int) "int of a float" None (Json.int_field j "f");
+  check (Alcotest.option (Alcotest.float 0.0)) "float" (Some 0.5) (Json.float_field j "f");
+  check (Alcotest.option (Alcotest.float 0.0)) "whole float written as 2" (Some 2.0)
+    (Json.float_field j "w");
+  check (Alcotest.option (Alcotest.float 0.0)) "int read as float" (Some 3.0)
+    (Json.float_field j "i");
+  check (Alcotest.option Alcotest.string) "string" (Some "x") (Json.string_field j "s");
+  check (Alcotest.option Alcotest.bool) "bool" (Some true) (Json.bool_field j "b");
+  checkb "null is not a string" true (Json.string_field j "n" = None);
+  checkb "missing" true (Json.field j "absent" = None);
+  checkb "non-object" true (Json.int_field (Json.List [ Json.Int 1 ]) "i" = None);
+  checkb "nested" true (Option.bind (Json.field j "o") (fun o -> Json.int_field o "k") = Some 1)
+
+(* A decoder built from [need] names the first field it cannot read. *)
+let test_json_decode () =
+  let j = parse_ok {|{"a":1,"b":"two"}|} in
+  let int k = Json.need k (Json.int_field j k) in
+  checkb "ok" true (Json.decode (fun () -> int "a") = Ok 1);
+  checkb "malformed field named" true (Json.decode (fun () -> int "a" + int "b") = Error "b");
+  checkb "missing field named" true (Json.decode (fun () -> int "c") = Error "c")
+
+(* JSONL reading: blank lines are skipped, a torn line is an [Error] in
+   its place, and the file order is kept. *)
+let test_json_read_lines () =
+  let path = Filename.temp_file "json" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc "{\"a\":1}\n\n  \n[2]\n{\"torn\":";
+      close_out oc;
+      match Json.read_lines path with
+      | [ Ok (Json.Obj [ ("a", Json.Int 1) ]); Ok (Json.List [ Json.Int 2 ]); Error _ ] -> ()
+      | l -> Alcotest.failf "read %d lines, not the expected three" (List.length l))
+
 let json_gen =
   (* integral floats render as "3" and parse back as Int, so draw
      fractional floats only; non-finite floats are covered separately *)
@@ -619,27 +661,6 @@ let prop_heap_sorted =
       out = List.sort compare l)
 
 (* ------------------------------------------------------------------ *)
-(* Union_find *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  checki "initial count" 5 (Union_find.count uf);
-  checkb "union" true (Union_find.union uf 0 1);
-  checkb "re-union" false (Union_find.union uf 0 1);
-  checkb "same" true (Union_find.same uf 0 1);
-  checkb "not same" false (Union_find.same uf 0 2);
-  checki "count" 4 (Union_find.count uf)
-
-let test_uf_transitive () =
-  let uf = Union_find.create 6 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  ignore (Union_find.union uf 3 4);
-  checkb "0~2" true (Union_find.same uf 0 2);
-  checkb "0!~3" false (Union_find.same uf 0 3);
-  checki "count" 3 (Union_find.count uf)
-
-(* ------------------------------------------------------------------ *)
 (* Table *)
 
 let test_table_render () =
@@ -736,6 +757,12 @@ let () =
           Alcotest.test_case "deep nesting" `Quick test_json_deep_nesting;
           qtest prop_json_roundtrip;
         ] );
+      ( "json-field",
+        [
+          Alcotest.test_case "accessors" `Quick test_json_field_accessors;
+          Alcotest.test_case "decode" `Quick test_json_decode;
+          Alcotest.test_case "read_lines" `Quick test_json_read_lines;
+        ] );
       ( "bitset",
         [
           Alcotest.test_case "empty" `Quick test_bitset_empty;
@@ -759,11 +786,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
           qtest prop_heap_sorted;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_uf_basic;
-          Alcotest.test_case "transitive" `Quick test_uf_transitive;
         ] );
       ( "table",
         [
