@@ -365,9 +365,11 @@ let load path =
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: resolve the declarative plan against a concrete graph
-   into pure closures.  Everything the closures capture is immutable
-   after this point (int arrays, a frozen hash table), which is what
-   makes them safe to evaluate from any domain under [?domains]. *)
+   into an environment — churn as absence intervals, drift and
+   adversary as a pure latency hook.  Everything the hook captures is
+   immutable after this point (float arrays, a frozen hash table),
+   which is what makes it safe to evaluate from any domain under
+   [?domains]. *)
 
 (* splitmix64 finalizer — the deterministic hash behind per-edge trace
    offsets and per-(edge, round) adversary jitter. *)
@@ -429,13 +431,12 @@ type compiled = {
   wheel_latency : int;
 }
 
-(* Absence intervals per node: [(leave, stop)] means the node is away
-   during rounds [leave .. stop - 1]; [stop = max_int] means forever.
-   A node that was away at any point of [since .. round] missed every
-   exchange initiated toward its previous incarnation. *)
+(* The churn plan as absence intervals [(leave, node, back)]: the node
+   is away during rounds [leave .. back - 1] and rejoins with amnesia at
+   [back] ([Presence.never]: it stays away). *)
 let churn_intervals s ~n ~source =
-  let intervals = Array.make n [] in
-  let add ~ctx node leave stop =
+  let intervals = ref [] in
+  let add ~ctx node leave back =
     if node < 0 || node >= n then
       fail "%s: node %d out of range for an n=%d graph" ctx node n;
     if node = source then
@@ -443,14 +444,14 @@ let churn_intervals s ~n ~source =
         "%s: plan churns the broadcast source (node %d); a run whose source \
          leaves is undefined"
         ctx node;
-    intervals.(node) <- (leave, stop) :: intervals.(node)
+    intervals := (leave, node, back) :: !intervals
   in
   List.iteri
     (fun i entry ->
       let ctx = Printf.sprintf "scenario.churn[%d]" i in
       match entry with
       | Leave { node; leave; rejoin } ->
-          add ~ctx node leave (Option.value rejoin ~default:max_int)
+          add ~ctx node leave (Option.value rejoin ~default:Gossip_scale.Presence.never)
       | Random_churn { fraction; leave; down; period } ->
           (* Round to nearest: truncation compiles small fractions on
              small graphs to zero churn, silently disabling the entry. *)
@@ -466,34 +467,14 @@ let churn_intervals s ~n ~source =
             |> Array.iteri (fun j node ->
                    if node <> source then
                      let l = leave + (j mod period) in
-                     intervals.(node) <- (l, l + down) :: intervals.(node))
+                     intervals := (l, node, l + down) :: !intervals)
           end)
     s.churn;
-  Array.iteri (fun v l -> intervals.(v) <- List.rev l) intervals;
-  intervals
-
-(* The two churn queries as top-level scans over a node's intervals,
-   so an engine query allocates no closure. *)
-let rec away_at ~round = function
-  | [] -> false
-  | (l, r) :: rest -> (l <= round && round < r) || away_at ~round rest
-
-let rec away_during ~since ~round = function
-  | [] -> false
-  | (l, r) :: rest -> (l <= round && r > since) || away_during ~since ~round rest
+  Array.of_list !intervals
 
 let compile ?oriented s ~csr ~source =
   let n = Gossip_scale.Csr.n csr in
-  let intervals = churn_intervals s ~n ~source in
-  (* The amnesia points as a schedule: one (round, node) entry per
-     finite rejoin, sorted, duplicates merged, so a round costs the
-     engine only the rejoins it holds. *)
-  let rejoins =
-    Array.to_list intervals
-    |> List.mapi (fun v l ->
-           List.filter_map (fun (_, r) -> if r = max_int then None else Some (r, v)) l)
-    |> List.concat |> List.sort_uniq compare |> Array.of_list
-  in
+  let absences = churn_intervals s ~n ~source in
   let rules = Array.of_list s.rules in
   let seed = s.seed in
   let adv =
@@ -514,18 +495,17 @@ let compile ?oriented s ~csr ~source =
             done;
             Some (edges, budget))
   in
-  let env_alive ~node ~round = not (away_at ~round intervals.(node)) in
-  let env_present_since ~node ~since ~round =
-    not (away_during ~since ~round intervals.(node))
-  in
-  let env_latency ~u ~v ~latency ~round =
+  let budget = match s.adversary with None -> 0 | Some { budget } -> budget in
+  let latency ~u ~v ~latency ~round =
     let f = ref 1.0 in
     for i = 0 to Array.length rules - 1 do
       f := !f *. rule_factor ~seed i rules.(i) ~u ~v ~latency ~round
     done;
     let stretched =
       if !f = 1.0 then latency
-      else max 1 (int_of_float (Float.round (float_of_int latency *. !f)))
+      else
+        let l = int_of_float (Float.round (float_of_int latency *. !f)) in
+        if l < 1 then 1 else l
     in
     match adv with
     | Some (edges, budget)
@@ -533,20 +513,21 @@ let compile ?oriented s ~csr ~source =
         stretched + (hash4 seed (min u v) (max u v) round mod (budget + 1))
     | _ -> stretched
   in
+  (* Only the hooks the plan uses: scenarios never drop, and without
+     rules or a jittering adversary every latency is the static one. *)
   let env : Gossip_scale.Wheel_engine.env =
     {
-      env_alive;
-      env_present_since;
-      env_drop = (fun ~initiator:_ ~responder:_ ~round:_ -> false);
-      env_latency;
-      env_rejoins = rejoins;
+      presence =
+        (if absences = [||] then Gossip_scale.Presence.Always
+         else Gossip_scale.Presence.absences absences);
+      drop = None;
+      latency = (if rules = [||] && budget = 0 then None else Some latency);
     }
   in
   let lmax = Gossip_scale.Csr.max_latency csr in
   let max_factor =
     List.fold_left (fun acc r -> acc *. rule_max_factor r) 1.0 s.rules
   in
-  let budget = match s.adversary with None -> 0 | Some { budget } -> budget in
   (* Sized in floating point first: an int_of_float past the int range
      is undefined, and an overflowed bound would shrink the wheel. *)
   let bound = (float_of_int lmax *. max_factor) +. float_of_int budget in
@@ -576,7 +557,7 @@ let subsample lats k =
 let probe c ~csr ~round =
   let g =
     Graph.map_latencies
-      (fun u v l -> c.env.Gossip_scale.Wheel_engine.env_latency ~u ~v ~latency:l ~round)
+      (fun u v l -> Gossip_scale.Wheel_engine.latency c.env ~u ~v ~latency:l ~round)
       (Gossip_scale.Csr.to_graph csr)
   in
   let lats = subsample (Graph.distinct_latencies g) max_probe_lats in

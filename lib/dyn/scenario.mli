@@ -13,9 +13,9 @@
     kernel runs under the same plans unchanged.
 
     A scenario with no schedules, churn, or adversary is the {e
-    trivial} scenario: its compiled environment never rewrites a
-    latency or a presence bit, and runs are bit-identical to the
-    static engine.
+    trivial} scenario: its compiled environment has no presence and no
+    hooks, so the engine makes no environment call and runs are
+    bit-identical to the static engine.
 
     {2 JSON schema}
 
@@ -130,7 +130,7 @@ val load : string -> t
 
 type compiled = {
   scenario : t;
-  env : Gossip_scale.Wheel_engine.env;  (** pure closures — safe under [?domains] *)
+  env : Gossip_scale.Wheel_engine.env;  (** data plus a pure hook — safe under [?domains] *)
   wheel_latency : int;
       (** upper bound on every effective latency the plan can produce
           ([ℓ_max · ∏ max-factors + budget]) — pass as the engine's
@@ -139,11 +139,14 @@ type compiled = {
 
 (** [compile ?oriented s ~csr ~source] resolves the plan against a
     concrete graph: samples random churn, checks explicit churn nodes
-    are in range, builds the environment closures, and lists every
-    finite rejoin as the environment's [env_rejoins] schedule (sorted
-    by round, then node, without duplicates).  [oriented] is
-    the spanner orientation the adversary targets — required when
-    [s.adversary] is set.
+    are in range, and builds the environment.  Churn becomes its
+    absence intervals ({!Gossip_scale.Presence.absences}; [Always]
+    without churn), whose rejoin schedule is derived from the same
+    intervals.  The environment has only the hooks the plan uses:
+    [drop] is always [None], and [latency] is [None] unless the plan
+    has a schedule rule or an adversary with a positive budget.
+    [oriented] is the spanner orientation the adversary targets —
+    required when [s.adversary] is set.
     @raise Invalid_scenario when the plan churns [source] (the engine
     would otherwise never complete: a broadcast whose source leaves
     before informing anyone is undefined), when a churn node is out of

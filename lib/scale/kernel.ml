@@ -42,6 +42,14 @@ let push_if_pay ~v:_ ~buf ~off = I32.get buf off = 1
 
 let mark_if_pay ~u:_ ~slot:_ ~rtt:_ ~buf ~off = I32.get buf off = 1
 
+(* The round-robin step over a contact row: [cursor.(u)] wraps at
+   [deg], which is fixed per row, so an initiation costs a compare
+   instead of a division. *)
+let[@inline] round_robin cursor u deg =
+  let i = cursor.(u) in
+  cursor.(u) <- (if i + 1 = deg then 0 else i + 1);
+  i
+
 let push_pull csr =
   {
     name = "push-pull";
@@ -68,11 +76,7 @@ let flood csr =
     on_initiate =
       (fun ~rngs:_ ~round:_ ~u ~deg ~informed ->
         if deg = 0 || not informed then -1
-        else begin
-          let i = cursor.(u) mod deg in
-          cursor.(u) <- cursor.(u) + 1;
-          i
-        end);
+        else round_robin cursor u deg);
     req_pay = req_always;
     on_deliver = deliver_informed;
     on_push = push_if_pay;
@@ -115,11 +119,7 @@ let rr_broadcast ?iterations ~k oriented =
     on_initiate =
       (fun ~rngs:_ ~round ~u ~deg ~informed:_ ->
         if round >= iterations || deg = 0 then -1
-        else begin
-          let i = cursor.(u) mod deg in
-          cursor.(u) <- cursor.(u) + 1;
-          i
-        end);
+        else round_robin cursor u deg);
     req_pay = req_informed;
     on_deliver = deliver_informed;
     on_push = push_if_pay;
@@ -139,11 +139,7 @@ let dtg_local ~ell csr =
     on_initiate =
       (fun ~rngs:_ ~round:_ ~u ~deg ~informed ->
         if deg = 0 || not informed then -1
-        else begin
-          let i = cursor.(u) mod deg in
-          cursor.(u) <- cursor.(u) + 1;
-          i
-        end);
+        else round_robin cursor u deg);
     req_pay = req_always;
     on_deliver = deliver_informed;
     on_push = push_if_pay;
@@ -540,11 +536,7 @@ let rr_cursor ~iterations n =
   let cursor = Array.make n 0 in
   fun ~rngs:_ ~round ~u ~deg ~informed:_ ->
     if round >= iterations || deg = 0 then -1
-    else begin
-      let i = cursor.(u) mod deg in
-      cursor.(u) <- cursor.(u) + 1;
-      i
-    end
+    else round_robin cursor u deg
 
 let termination_check ~iterations ~informed oriented =
   if iterations < 0 then invalid_arg "Kernel.termination_check: iterations must be >= 0";

@@ -4,24 +4,15 @@ module Engine = Gossip_sim.Engine
 type metrics = Engine.metrics
 
 (* The dynamic-network environment: a time-indexed generalization of
-   [Engine.faults].  Where [faults.jitter] sees only (latency, round),
-   the environment's latency map also sees the edge's endpoints — the
-   hook `lib/dyn` scenarios use to drift, modulate, or adversarially
-   jitter specific edges.  Churn adds two notions the static plan lacks:
-   [env_present_since] asks whether a node has been continuously
-   present over an exchange's lifetime (an exchange binds to both
-   endpoints' incarnations — a node that departed and came back must
-   not receive stale traffic from its previous life), and
-   [env_rejoins] schedules the amnesia points where a returning node
-   forgets the rumor.  The schedule is compiled ahead of the run, so a
-   round pays only for the rejoins it holds and churn-free
-   environments pay nothing. *)
+   [Engine.faults] that the round reads as data.  Presence (churn,
+   crashes) is a {!Presence.t} the round folds into one per-node
+   column; the latency map, which also sees the edge's endpoints, and
+   the drop rule are optional hooks — a [None] hook costs the round
+   one branch. *)
 type env = {
-  env_alive : node:int -> round:int -> bool;
-  env_present_since : node:int -> since:int -> round:int -> bool;
-  env_drop : initiator:int -> responder:int -> round:int -> bool;
-  env_latency : u:int -> v:int -> latency:int -> round:int -> int;
-  env_rejoins : (int * int) array;
+  presence : Presence.t;
+  drop : (initiator:int -> responder:int -> round:int -> bool) option;
+  latency : (u:int -> v:int -> latency:int -> round:int -> int) option;
 }
 
 (* A static fault plan is the trivial environment: presence over an
@@ -31,13 +22,22 @@ type env = {
    what keeps static runs bit-identical. *)
 let env_of_faults (f : Engine.faults) =
   {
-    env_alive = (fun ~node ~round -> f.Engine.alive ~node ~round);
-    env_present_since = (fun ~node ~since:_ ~round -> f.Engine.alive ~node ~round);
-    env_drop =
-      (fun ~initiator ~responder ~round -> f.Engine.drop ~initiator ~responder ~round);
-    env_latency = (fun ~u:_ ~v:_ ~latency ~round -> f.Engine.jitter ~latency ~round);
-    env_rejoins = [||];
+    presence = Presence.Alive_at f.Engine.alive;
+    drop = Some f.Engine.drop;
+    latency = Some (fun ~u:_ ~v:_ ~latency ~round -> f.Engine.jitter ~latency ~round);
   }
+
+(* The effective latency of an exchange: the hook's, clamped to >= 1
+   with an int compare (polymorphic [max] is a C call). *)
+let[@inline] effective_latency hook ~u ~v ~latency ~round =
+  let l = match hook with None -> latency | Some f -> f ~u ~v ~latency ~round in
+  if l < 1 then 1 else l
+
+let alive e ~node ~round = Presence.alive e.presence ~node ~round
+
+let present_since e ~node ~since ~round = Presence.present_since e.presence ~node ~since ~round
+
+let latency e ~u ~v ~latency ~round = effective_latency e.latency ~u ~v ~latency ~round
 
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
@@ -180,18 +180,6 @@ let check_kernel_shape ~n kernel =
     raise (Shard.Buf_overflow { need = mw; limit = Shard.Buf.max_capacity });
   mw
 
-(* Each shard walks the rejoin schedule with its own forward cursor,
-   so the schedule must be strictly ascending in (round, node): an
-   entry out of order would be skipped, a duplicate would run amnesia
-   twice. *)
-let check_rejoins ~n rejoins =
-  Array.iteri
-    (fun i ((_, v) as e) ->
-      if v < 0 || v >= n then invalid_arg "Wheel_engine.create: rejoin node out of range";
-      if i > 0 && compare rejoins.(i - 1) e >= 0 then
-        invalid_arg "Wheel_engine.create: env_rejoins not strictly ascending")
-    rejoins
-
 (* Seed the kernel's store: an optional initial informed set (EID
    chains phases by handing one kernel's result bytes to the next —
    the bytes are read, never shared) plus the broadcast source.  For
@@ -292,7 +280,8 @@ type shard = {
   mutable s_pool_used : int;
   mutable s_in_flight : int;
   mutable s_count : int;  (* informed nodes owned by this shard *)
-  mutable s_rejoin : int;  (* cursor into the environment's rejoin schedule *)
+  mutable s_absent : int;  (* cursor into the absence schedule *)
+  mutable s_rejoin : int;  (* cursor into the rejoin schedule *)
   (* run-cumulative counters, summed by the merge *)
   mutable s_deliveries : int;
   mutable s_initiations : int;
@@ -321,6 +310,8 @@ type shared = {
   sh_csr : Csr.t;
   sh_kernel : Kernel.t;  (* one instance, owner-only per-node state access *)
   sh_env : env;
+  sh_away : I32.t option;  (* the presence column; [None]: everyone, always *)
+  sh_rejoins : (int * int) array;  (* the amnesia points of the absences *)
   sh_wheel : int;
   sh_mw : int;  (* kernel msg_words: payload words per message *)
   sh_informed : Bytes.t;  (* the store's bytes; disjoint per-shard slices *)
@@ -359,6 +350,7 @@ let make_shard ctx id lo hi =
     s_pool_used = 0;
     s_in_flight = 0;
     s_count = !count;
+    s_absent = 0;
     s_rejoin = 0;
     s_deliveries = 0;
     s_initiations = 0;
@@ -419,17 +411,37 @@ let s_mark ctx sh v =
     sh.s_count <- sh.s_count + 1
   end
 
-(* Stage 1: rejoins, mailbox drain + phases 1a/1b on the responder's
-   shard.  The round loop is allocation-free: environment and kernel
-   hooks are called directly (no per-round [alive]/[present]
-   closures), loop cursors are non-escaping refs (unboxed by the
-   compiler), and every pool access goes through the int32 columns,
-   whose reads compile without boxing.  [minor_words_budget] is the
-   enforced witness. *)
+(* [slot + d] on the wheel, for an offset [0 <= d < wheel]: one
+   conditional subtraction instead of a division per exchange. *)
+let[@inline] wrap ~wheel slot d =
+  let s = slot + d in
+  if s >= wheel then s - wheel else s
+
+(* Is [v] present since round [since]?  Without a presence column
+   everyone is; with one it is a load and a compare. *)
+let[@inline] present away v ~since =
+  match away with None -> true | Some a -> Presence.present a v ~since
+
+(* Stage 1: presence, rejoins, mailbox drain + phases 1a/1b on the
+   responder's shard.  The round loop is allocation-free: kernel hooks
+   are called directly, presence is a column read, loop cursors are
+   non-escaping refs (unboxed by the compiler), and every pool access
+   goes through the int32 columns, whose reads compile without boxing.
+   [minor_words_budget] is the enforced witness. *)
 let stage1 ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
-  let slot = round mod ctx.sh_wheel in
+  let wheel = ctx.sh_wheel in
+  let slot = round mod wheel in
+  (* Phase 0 (presence): this round's view of who is here, for the
+     shard's own nodes — the only nodes whose presence it reads. *)
+  let away = ctx.sh_away in
+  (match away with
+  | None -> ()
+  | Some a ->
+      sh.s_absent <-
+        Presence.advance ctx.sh_env.presence a ~cursor:sh.s_absent ~lo:sh.s_lo ~hi:sh.s_hi
+          ~round);
   (* Phase 0 (churn): nodes scheduled to rejoin this round come back
      with amnesia — the kernel's forget hook resets their rumor state
      and the completed bit is cleared before any of this round's
@@ -440,7 +452,7 @@ let stage1 ctx sh round =
      hold partial state without being completed — and each shard acts
      only on its own nodes, so this is race-free and the merge's count
      sum stays exact. *)
-  let rejoins = ctx.sh_env.env_rejoins in
+  let rejoins = ctx.sh_rejoins in
   while sh.s_rejoin < Array.length rejoins && fst rejoins.(sh.s_rejoin) <= round do
     let r, v = rejoins.(sh.s_rejoin) in
     if r = round && v >= sh.s_lo && v < sh.s_hi then begin
@@ -494,8 +506,7 @@ let stage1 ctx sh round =
   while !e >= 0 do
     let ex = !e in
     let responder = I32.get sh.s_responder ex in
-    if ctx.sh_env.env_present_since ~node:responder ~since:(I32.get sh.s_init ex) ~round
-    then
+    if present away responder ~since:(I32.get sh.s_init ex) then
       ctx.sh_kernel.Kernel.on_deliver ~v:responder
         ~informed:(Bytes.get ctx.sh_informed responder <> '\000')
         ~buf:sh.s_resp_pay ~off:(ex * ctx.sh_mw);
@@ -511,8 +522,7 @@ let stage1 ctx sh round =
     let ex = !e in
     let next = I32.get sh.s_next ex in
     let responder = I32.get sh.s_responder ex in
-    if ctx.sh_env.env_present_since ~node:responder ~since:(I32.get sh.s_init ex) ~round
-    then begin
+    if present away responder ~since:(I32.get sh.s_init ex) then begin
       let mw = ctx.sh_mw in
       sh.s_deliveries <- sh.s_deliveries + 1;
       sh.s_payload <- sh.s_payload + mw;
@@ -520,7 +530,7 @@ let stage1 ctx sh round =
         s_mark ctx sh responder;
       let initiator = I32.get sh.s_initiator ex in
       if initiator >= sh.s_lo && initiator < sh.s_hi then begin
-        let due_slot = I32.get sh.s_due ex mod ctx.sh_wheel in
+        let due_slot = wrap ~wheel slot (I32.get sh.s_due ex - round) in
         I32.set sh.s_next ex sh.s_response.(due_slot);
         sh.s_response.(due_slot) <- ex
       end
@@ -551,7 +561,8 @@ let stage1 ctx sh round =
 let stage2_deliver ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
-  let slot = round mod ctx.sh_wheel in
+  let wheel = ctx.sh_wheel in
+  let slot = round mod wheel in
   for src = 0 to k - 1 do
     let m = ctx.sh_resp_mail.((src * k) + sh.s_id) in
     let c_initiator = m.(0)
@@ -572,7 +583,7 @@ let stage2_deliver ctx sh round =
       I32.set sh.s_due ex due;
       I32.set sh.s_init ex (Shard.Buf.unsafe_get c_init_round i);
       I32.set sh.s_slot ex (Shard.Buf.unsafe_get c_slot i);
-      let due_slot = due mod ctx.sh_wheel in
+      let due_slot = wrap ~wheel slot (due - round) in
       I32.set sh.s_next ex sh.s_response.(due_slot);
       sh.s_response.(due_slot) <- ex
     done;
@@ -586,8 +597,7 @@ let stage2_deliver ctx sh round =
     let ex = !e in
     let next = I32.get sh.s_next ex in
     let initiator = I32.get sh.s_initiator ex in
-    if ctx.sh_env.env_present_since ~node:initiator ~since:(I32.get sh.s_init ex) ~round
-    then begin
+    if present ctx.sh_away initiator ~since:(I32.get sh.s_init ex) then begin
       sh.s_deliveries <- sh.s_deliveries + 1;
       sh.s_payload <- sh.s_payload + ctx.sh_mw;
       if
@@ -611,18 +621,21 @@ let stage2_deliver ctx sh round =
    cursor, random-contact draws only when informed. *)
 let stage2_initiate ctx sh round =
   let k = ctx.sh_k in
+  let wheel = ctx.sh_wheel in
   (* Due dates [round + latency <= round + wheel - 1] must fit the
      pool's int32 cells; reject the run that could wrap rather than
      store a wrapped due round.  One compare per round. *)
-  if round > I32.max_value - ctx.sh_wheel then
-    raise (I32.Overflow { what = "exchange due round"; value = round + ctx.sh_wheel });
+  if round > I32.max_value - wheel then
+    raise (I32.Overflow { what = "exchange due round"; value = round + wheel });
+  let slot = round mod wheel in
+  let away = ctx.sh_away in
   let contact = ctx.sh_kernel.Kernel.contact in
   let row_ptr = contact.Csr.o_row_ptr
   and col = contact.Csr.o_col
   and lat = contact.Csr.o_lat in
   for u = sh.s_lo to sh.s_hi - 1 do
     sh.s_at <- u;
-    if ctx.sh_env.env_alive ~node:u ~round then begin
+    if present away u ~since:round then begin
       let base = I32.get row_ptr u in
       let deg = I32.get row_ptr (u + 1) - base in
       let informed_u = Bytes.get ctx.sh_informed u <> '\000' in
@@ -633,21 +646,24 @@ let stage2_initiate ctx sh round =
       if idx >= 0 then begin
         let peer = I32.get col (base + idx) in
         sh.s_initiations <- sh.s_initiations + 1;
-        if ctx.sh_env.env_drop ~initiator:u ~responder:peer ~round then
-          sh.s_dropped <- sh.s_dropped + 1
+        if
+          match ctx.sh_env.drop with
+          | None -> false
+          | Some drop -> drop ~initiator:u ~responder:peer ~round
+        then sh.s_dropped <- sh.s_dropped + 1
         else begin
           let latency =
-            max 1
-              (ctx.sh_env.env_latency ~u ~v:peer ~latency:(I32.get lat (base + idx)) ~round)
+            effective_latency ctx.sh_env.latency ~u ~v:peer ~latency:(I32.get lat (base + idx))
+              ~round
           in
-          if latency >= ctx.sh_wheel then
+          if latency >= wheel then
             (* An undeclared jitter overrunning the wheel is a failed
                run, not a harness crash: the typed exception lets a
                sweep record this job as [Failed] and keep going. *)
-            raise (Jitter_overflow { latency; bound = ctx.sh_wheel - 1; round });
+            raise (Jitter_overflow { latency; bound = wheel - 1; round });
           let mw = ctx.sh_mw in
           let due = round + latency in
-          let arr_slot = (round + ((latency + 1) / 2)) mod ctx.sh_wheel in
+          let arr_slot = wrap ~wheel slot ((latency + 1) / 2) in
           if peer >= sh.s_lo && peer < sh.s_hi then begin
             let ex = s_alloc ctx sh round in
             I32.set sh.s_initiator ex u;
@@ -729,7 +745,10 @@ type t = {
   bar2 : Shard.Barrier.t;
 }
 
-let prepare ~k ?(env = env_of_faults Engine.no_faults) ?wheel_latency ?deadline ?on_round
+(* Without [?env] the run makes no environment call at all. *)
+let no_env = { presence = Presence.Always; drop = None; latency = None }
+
+let prepare ~k ?(env = no_env) ?wheel_latency ?deadline ?on_round
     ?telemetry ?pool_capacity ?informed rng csr ~kernel ~source ~max_rounds =
   let n = Csr.n csr in
   if source < 0 || source >= n then invalid_arg "Wheel_engine.create: source out of range";
@@ -737,7 +756,7 @@ let prepare ~k ?(env = env_of_faults Engine.no_faults) ?wheel_latency ?deadline 
   check_contact ~bound kernel csr;
   let mw = check_kernel_shape ~n kernel in
   let pool_limit = pool_limit_of pool_capacity in
-  check_rejoins ~n env.env_rejoins;
+  Presence.check ~n env.presence;
   let store = kernel.Kernel.store in
   seed_store ?informed ~n ~source store;
   let informed = Rumor_store.bytes store in
@@ -747,6 +766,8 @@ let prepare ~k ?(env = env_of_faults Engine.no_faults) ?wheel_latency ?deadline 
       sh_csr = csr;
       sh_kernel = kernel;
       sh_env = env;
+      sh_away = Presence.column env.presence ~n;
+      sh_rejoins = Presence.rejoins env.presence;
       sh_wheel = bound + 1;
       sh_mw = mw;
       sh_informed = informed;
@@ -1014,26 +1035,21 @@ let session_rounds s = s.se_metrics.Engine.rounds
 let session_metrics s = s.se_metrics
 
 (* The environment as seen by a phase that starts at session round
-   [clock]: the closures read the session's round, and the rejoins
-   still ahead are rebased to the phase's round 0. *)
+   [clock]: presence is rebased by arithmetic, and the hooks a phase
+   has read [round + clock]. *)
 let env_from ~clock e =
   if clock = 0 then e
   else
     {
-      env_alive = (fun ~node ~round -> e.env_alive ~node ~round:(round + clock));
-      env_present_since =
-        (fun ~node ~since ~round ->
-          e.env_present_since ~node ~since:(since + clock) ~round:(round + clock));
-      env_drop =
-        (fun ~initiator ~responder ~round ->
-          e.env_drop ~initiator ~responder ~round:(round + clock));
-      env_latency =
-        (fun ~u ~v ~latency ~round -> e.env_latency ~u ~v ~latency ~round:(round + clock));
-      env_rejoins =
-        Array.of_seq
-          (Seq.filter_map
-             (fun (r, v) -> if r >= clock then Some (r - clock, v) else None)
-             (Array.to_seq e.env_rejoins));
+      presence = Presence.rebase ~clock e.presence;
+      drop =
+        Option.map
+          (fun f ~initiator ~responder ~round -> f ~initiator ~responder ~round:(round + clock))
+          e.drop;
+      latency =
+        Option.map
+          (fun f ~u ~v ~latency ~round -> f ~u ~v ~latency ~round:(round + clock))
+          e.latency;
     }
 
 (* A pinned wheel [w] for the input's ℓ_max [L] scales to a phase

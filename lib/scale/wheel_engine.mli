@@ -54,53 +54,61 @@
     with the rules that turn one into kernels. *)
 
 (** A time-indexed network environment — the generalization of the
-    reference engine's static fault plan
-    ({!Gossip_sim.Engine.faults}) that dynamic scenarios ([lib/dyn]) compile into.  Where a
-    fault plan sees only [(node, round)] or [(latency, round)], an
-    environment additionally sees {e edge identity} ([u], [v]) for
-    latency rewriting and {e presence intervals} for churn:
+    reference engine's static fault plan ({!Gossip_sim.Engine.faults})
+    that dynamic scenarios ([lib/dyn]) compile into.  The round reads
+    it as data:
 
-    - [env_alive ~node ~round]: may [node] act (initiate, respond,
-      be counted live) at [round]?
-    - [env_present_since ~node ~since ~round]: has [node] been
-      continuously present from round [since] through [round]?  An
-      in-flight exchange initiated at [since] is delivered to [node]
-      only if this holds — a node that left and rejoined mid-flight
-      missed the message (its incarnation changed).  For static plans
-      this degenerates to [env_alive ~node ~round].
-    - [env_drop ~initiator ~responder ~round]: suppress the initiation.
-    - [env_latency ~u ~v ~latency ~round]: the effective latency of
-      edge [(u, v)] (static latency [latency]) for an exchange
-      initiated at [round].  Clamped to [>= 1] by the engine; must stay
-      within the wheel bound or {!Jitter_overflow} is raised.
-    - [env_rejoins]: the churn schedule, [(round, node)] pairs in
-      strictly ascending order: [node] rejoins (with amnesia) at the
-      start of [round] — the engine clears its informed bit before any
-      deliveries, so completion still means "everyone currently
-      informed".  Each round visits only its own entries, so static
-      environments ([[||]]) pay nothing.  A schedule out of order or
-      naming a node outside the graph is refused with
-      [Invalid_argument] before the run starts.
+    - [presence] says who is present when ({!Presence.t}): a schedule
+      of absence intervals [(leave, node, back)] for churn, or a
+      static plan's liveness.  At the start of each round every shard
+      folds it into one per-node int32 column for its own nodes, so
+      each check in the round is a load and a compare: a node
+      initiates only while alive, and an exchange initiated at round
+      [since] is delivered to a node only if it has been present ever
+      since — a node that left and rejoined mid-flight missed the
+      message (its incarnation changed).  Every finite [back] is also
+      an amnesia point: the node rejoins at the start of that round
+      with its rumor state forgotten and its completed bit cleared
+      before any delivery, so completion still means "everyone
+      currently informed".  The column (4 bytes per node) exists only
+      when there is presence to track; a schedule naming a node
+      outside the graph is refused with [Invalid_argument] before the
+      run starts.
+    - [drop ~initiator ~responder ~round] suppresses an initiation.
+    - [latency ~u ~v ~latency ~round] is the effective latency of edge
+      [(u, v)] (static latency [latency]) for an exchange initiated at
+      [round].  Clamped to [>= 1] by the engine; it must stay within
+      the wheel bound or {!Jitter_overflow} is raised.
 
-    All closures must be pure (deterministic functions of their
-    arguments): under [?domains > 1] the engine may evaluate them from
-    any domain, and bit-identical parity across shard counts relies on
-    it. *)
+    A [None] hook costs the round one branch, and a run without
+    [?env] makes no environment call at all.  Hooks and an [Alive_at]
+    plan must be pure (deterministic functions of their arguments):
+    under [?domains > 1] the engine may evaluate them from any domain,
+    and bit-identical parity across shard counts relies on it. *)
 type env = {
-  env_alive : node:int -> round:int -> bool;
-  env_present_since : node:int -> since:int -> round:int -> bool;
-  env_drop : initiator:int -> responder:int -> round:int -> bool;
-  env_latency : u:int -> v:int -> latency:int -> round:int -> int;
-  env_rejoins : (int * int) array;
+  presence : Presence.t;
+  drop : (initiator:int -> responder:int -> round:int -> bool) option;
+  latency : (u:int -> v:int -> latency:int -> round:int -> int) option;
 }
 
 (** The environment is the wheel's one fault channel.  [env_of_faults
-    f] embeds a static fault plan as the trivial environment
-    ([env_present_since] ignores [since]; no rejoins), so experiment
-    plans ({!Gossip_core.Robustness}-style crash/drop/jitter closures)
-    run on either engine; a plan that jitters latencies by up to [j]
-    needs [~wheel_latency:(ℓ_max + j)]. *)
+    f] embeds a static fault plan as the trivial environment: presence
+    is [Alive_at f.alive], asked once per node per round, and both
+    hooks are set.  Experiment plans ({!Gossip_core.Robustness}-style
+    crash/drop/jitter closures) thus run on either engine; a plan that
+    jitters latencies by up to [j] needs [~wheel_latency:(ℓ_max + j)]. *)
 val env_of_faults : Gossip_sim.Engine.faults -> env
+
+(** The queries behind the round's checks, with the reference
+    semantics ({!Presence.alive}, {!Presence.present_since}) — for
+    tests and for scenario probes.  [latency] is the engine's
+    effective latency: the hook's value clamped to [>= 1], or the
+    static latency without a hook. *)
+val alive : env -> node:int -> round:int -> bool
+
+val present_since : env -> node:int -> since:int -> round:int -> bool
+
+val latency : env -> u:int -> v:int -> latency:int -> round:int -> int
 
 (** Counters are the reference engine's record, so downstream
     aggregation code needs no conversion. *)
@@ -126,11 +134,11 @@ exception Pool_exhausted of { used : int; round : int }
 (** The asserted ceiling for the ["wheel.minor_words_per_round"]
     gauge, on runs without an environment and on runs under one
     compiled by [Gossip_dyn.Scenario.compile] (schedules, churn,
-    adversary): neither the round loop nor the scenario's queries
-    allocate per round, and the amortized leftovers (pool growth,
+    adversary): neither the round loop nor the scenario's latency
+    hook allocates per round, and the amortized leftovers (pool growth,
     history doubling) stay far below this once a run spans more than a
-    handful of rounds.  An environment of hand-written closures is
-    only as allocation-free as its closures.  Exported so the tests
+    handful of rounds.  An environment of hand-written hooks is only
+    as allocation-free as its hooks.  Exported so the tests
     and bench e18 assert the same number. *)
 val minor_words_budget : int
 
@@ -188,8 +196,9 @@ type t
     per executed round on the orchestrating domain (ROADMAP item 3's
     allocation-free-round-loop enforcement hook).
 
-    [env] is a time-indexed environment (see {!env}; default: every
-    node alive, nothing dropped, static latencies).
+    [env] is a time-indexed environment (see {!env}; default: none —
+    every node alive, nothing dropped, static latencies, and no
+    environment call in the round).
 
     [informed] seeds the initial informed set from a byte vector (any
     nonzero byte marks the node; the source is always added) — this is
@@ -198,7 +207,7 @@ type t
     shared.
     @raise Invalid_argument on a bad source, a wheel below [ℓ_max] or
     the kernel's contact latencies, an [informed] vector
-    of the wrong length, a [pool_capacity] below 1, a malformed rejoin
+    of the wrong length, a [pool_capacity] below 1, a malformed absence
     schedule, or a kernel contact mismatch. *)
 val create_kernel :
   ?env:env ->
@@ -261,7 +270,7 @@ type result = {
     phase barriers.  The trajectory ([history]), [metrics], final
     informed set, and RNG consumption are bit-identical to [domains =
     1] for every (kernel, seed, environment) — {e provided the
-    environment's closures are pure} (deterministic functions of their
+    environment's hooks are pure} (deterministic functions of their
     arguments; the engine may evaluate them from any domain).  With
     [domains > 1] and [?telemetry], the registry additionally gains a
     ["wheel.shards"] gauge and the
@@ -308,11 +317,11 @@ val broadcast_kernel :
     the run options and runs every engine run through {!phase}.
 
     - {b One clock.}  A phase starting at session round [c] sees the
-      environment from there: its closures read [round + c] (and
-      [since + c]), and the rejoin schedule keeps the entries at or
-      after [c], rebased to the phase's round 0.  At [c = 0], or
-      without an environment, the environment passes through
-      untouched.  [on_round] sees [c + round], so rounds run 1, 2, …,
+      environment from there: its absences are shifted by [c]
+      ({!Presence.rebase}: those over before [c] are dropped, a rejoin
+      at [c] lands on the phase's round 0), and its hooks read
+      [round + c].  At [c = 0], or without an environment, the
+      environment passes through untouched.  [on_round] sees [c + round], so rounds run 1, 2, …,
       {!session_rounds} over the chain.  In-flight exchanges end with
       their phase.
     - {b One wheel rule.}  Without [wheel_latency] a phase's wheel is

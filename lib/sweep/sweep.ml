@@ -167,9 +167,17 @@ let job_fields ?(realized = []) j =
 
 let cap_field j = ("max_rounds", Json.Int j.max_rounds)
 
-(* What resume keys a job on: its identity and cap as checkpoints
-   write them. *)
-let job_key j = Json.to_string (Json.Obj (job_fields j @ [ cap_field j ]))
+(* The specs that steer a job's run without being part of its row: the
+   latency redraw and the scenario.  Checkpoint lines carry them, and
+   resume keys on them, only when they are set, so a job without them
+   writes and keys as it always has. *)
+let spec_fields j =
+  Option.to_list (Option.map (fun l -> ("latency", latency_json l)) j.latency)
+  @ Option.to_list (Option.map (fun s -> ("scenario", Gossip_dyn.Scenario.to_json s)) j.scenario)
+
+(* What resume keys a job on: its identity, cap and specs as
+   checkpoints write them. *)
+let job_key j = Json.to_string (Json.Obj (job_fields j @ (cap_field j :: spec_fields j)))
 
 (* The one row of a finished job: sweep results, checkpoint lines,
    telemetry [job] events and gossipd [result] frames all carry it. *)
@@ -200,7 +208,7 @@ type checkpoint_entry = Ckpt_done of outcome | Ckpt_failed of failure
 (* A [ckpt_job] line is the row, so resume rebuilds a byte-identical
    report without re-running the job. *)
 let checkpoint_event = function
-  | Ckpt_done o -> ("ev", Json.String "ckpt_job") :: row o
+  | Ckpt_done o -> (("ev", Json.String "ckpt_job") :: row o) @ spec_fields o.job
   | Ckpt_failed f ->
       (("ev", Json.String "ckpt_fail") :: job_fields f.failed_job)
       @ [
@@ -209,6 +217,7 @@ let checkpoint_event = function
           ("backtrace", Json.String f.backtrace);
           ("attempts", Json.Int f.attempts);
         ]
+      @ spec_fields f.failed_job
 
 let family_of_json j =
   let int k = Json.need k (Json.int_field j k) in
@@ -224,18 +233,24 @@ let family_of_json j =
           Watts_strogatz { k = int "k"; beta = Json.need "beta" (Json.float_field j "beta") }
       | _ -> raise (Json.Missing "kind"))
 
-(* The latency redraw and scenario specs only steer execution; every
-   reported field is in the row, so they are not persisted. *)
+(* A spec field that is present must decode; an absent one is [None],
+   which is how lines written before specs were persisted read. *)
 let job_of_json j =
   let int k = Json.need k (Json.int_field j k) in
+  let spec k dec = Option.map (fun v -> Json.need k (dec v)) (Json.field j k) in
+  let scenario v =
+    match Gossip_dyn.Scenario.of_json v with
+    | s -> Some s
+    | exception Gossip_dyn.Scenario.Invalid_scenario _ -> None
+  in
   {
     family = Json.need "family" (Option.bind (Json.field j "family") family_of_json);
     n = int "n_requested";
     seed = int "seed";
     protocol =
       Json.need "protocol" (Option.bind (Json.string_field j "protocol") Runner.protocol_of_string);
-    latency = None;
-    scenario = None;
+    latency = spec "latency" latency_of_json;
+    scenario = spec "scenario" scenario;
     max_rounds = int "max_rounds";
   }
 

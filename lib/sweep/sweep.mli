@@ -129,15 +129,20 @@ val outcome_json : outcome -> Gossip_util.Json.t
 
 (** [checkpoint_event e] is the JSONL event ([ckpt_job] / [ckpt_fail])
     {!run_ft} streams for [e], exposed so other runtimes (the serve
-    daemon's job journal) persist through the same schema.  Extra
-    fields appended by a caller are ignored by {!entry_of_json}. *)
+    daemon's job journal) persist through the same schema.  A job's
+    latency redraw and scenario follow as ["latency"] and ["scenario"]
+    when they are set (and only then), since {!run_ft}'s resume keys
+    on them.  Extra fields appended by a caller are ignored by
+    {!entry_of_json}. *)
 val checkpoint_event : checkpoint_entry -> (string * Gossip_util.Json.t) list
 
 (** [entry_of_json j] parses one checkpoint event through the row's
-    codec; [None] for foreign or malformed events (never an exception:
+    codec; [None] for foreign or malformed events (a ["latency"] or
+    ["scenario"] that does not decode included — never an exception:
     checkpoints must be readable after any crash), and for a
     [ckpt_job] line whose [route] does not match its descriptor's route
-    kind, so resume re-runs an older line of a chain or rr-spanner. *)
+    kind, so resume re-runs an older line of a chain or rr-spanner.  A
+    line without the spec fields decodes to a job without specs. *)
 val entry_of_json : Gossip_util.Json.t -> checkpoint_entry option
 
 (** [seal_checkpoint path] terminates a torn final line (a process
@@ -180,7 +185,8 @@ type report = {
       finishes} (one flush per record), as [ckpt_job] / [ckpt_fail]
       events keyed by the job's identity fields as rows write them
       (the family with its parameters, [n_requested], [seed],
-      [protocol], [max_rounds]; not the latency redraw or scenario).
+      [protocol], [max_rounds]) plus its latency redraw and scenario
+      when set.
     - [resume] (default false; requires [checkpoint]): load the
       existing checkpoint, skip recorded jobs, and append new records
       instead of truncating — re-running only unfinished jobs with

@@ -11,6 +11,7 @@ module Engine = Gossip_sim.Engine
 module Csr = Gossip_scale.Csr
 module Kernel = Gossip_scale.Kernel
 module Wheel = Gossip_scale.Wheel_engine
+module Presence = Gossip_scale.Presence
 module Registry = Gossip_obs.Registry
 module Scenario = Gossip_dyn.Scenario
 
@@ -205,10 +206,11 @@ let test_static_is_trivial () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:5 in
   let c = Scenario.compile Scenario.static ~csr ~source:0 in
   let e = c.Scenario.env in
-  checki "no rejoins scheduled" 0 (Array.length e.Wheel.env_rejoins);
-  checki "identity latency" 5 (e.Wheel.env_latency ~u:0 ~v:4 ~latency:5 ~round:9);
-  checkb "everyone alive" true (e.Wheel.env_alive ~node:7 ~round:50);
-  checkb "everyone present" true (e.Wheel.env_present_since ~node:7 ~since:0 ~round:50);
+  checkb "no presence" true (e.Wheel.presence = Presence.Always);
+  checkb "no hooks" true (e.Wheel.drop = None && e.Wheel.latency = None);
+  checki "identity latency" 5 (Wheel.latency e ~u:0 ~v:4 ~latency:5 ~round:9);
+  checkb "everyone alive" true (Wheel.alive e ~node:7 ~round:50);
+  checkb "everyone present" true (Wheel.present_since e ~node:7 ~since:0 ~round:50);
   checki "wheel latency is just lmax" (Csr.max_latency csr) c.Scenario.wheel_latency
 
 let test_linear_drift_semantics () =
@@ -219,12 +221,12 @@ let test_linear_drift_semantics () =
   in
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:6 in
   let c = Scenario.compile s ~csr ~source:0 in
-  let lat round = c.Scenario.env.Wheel.env_latency ~u:0 ~v:4 ~latency:6 ~round in
+  let lat round = Wheel.latency c.Scenario.env ~u:0 ~v:4 ~latency:6 ~round in
   checki "round 0 untouched" 6 (lat 0);
   checki "round 2 doubled" 12 (lat 2);
   checki "round 100 capped at 3x" 18 (lat 100);
   (* The filter spares clique edges entirely. *)
-  checki "fast edge untouched" 1 (c.Scenario.env.Wheel.env_latency ~u:0 ~v:1 ~latency:1 ~round:100);
+  checki "fast edge untouched" 1 (Wheel.latency c.Scenario.env ~u:0 ~v:1 ~latency:1 ~round:100);
   (* The wheel bound covers the worst stretched latency. *)
   checkb "wheel bound covers cap" true (c.Scenario.wheel_latency >= 18)
 
@@ -235,7 +237,7 @@ let test_diurnal_bounds () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:8 in
   let c = Scenario.compile s ~csr ~source:0 in
   for round = 0 to 48 do
-    let l = c.Scenario.env.Wheel.env_latency ~u:0 ~v:4 ~latency:8 ~round in
+    let l = Wheel.latency c.Scenario.env ~u:0 ~v:4 ~latency:8 ~round in
     if l < 8 || l > 16 then Alcotest.failf "diurnal out of [8,16] at round %d: %d" round l
   done
 
@@ -244,21 +246,21 @@ let test_churn_intervals () =
   let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:3 in
   let c = Scenario.compile s ~csr ~source:0 in
   let e = c.Scenario.env in
-  checkb "has churn" true (Array.length e.Wheel.env_rejoins > 0);
-  checkb "alive before" true (e.Wheel.env_alive ~node:2 ~round:2);
-  checkb "absent at leave" false (e.Wheel.env_alive ~node:2 ~round:3);
-  checkb "absent just before rejoin" false (e.Wheel.env_alive ~node:2 ~round:6);
-  checkb "back at rejoin" true (e.Wheel.env_alive ~node:2 ~round:7);
-  checkb "rejoin flagged once" true (e.Wheel.env_rejoins = [| (7, 2) |]);
-  checkb "not flagged before" false (Array.mem (6, 2) e.Wheel.env_rejoins);
-  checkb "not flagged after" false (Array.mem (8, 2) e.Wheel.env_rejoins);
+  checkb "has churn" true (Array.length (Presence.rejoins e.Wheel.presence) > 0);
+  checkb "alive before" true (Wheel.alive e ~node:2 ~round:2);
+  checkb "absent at leave" false (Wheel.alive e ~node:2 ~round:3);
+  checkb "absent just before rejoin" false (Wheel.alive e ~node:2 ~round:6);
+  checkb "back at rejoin" true (Wheel.alive e ~node:2 ~round:7);
+  checkb "rejoin flagged once" true (Presence.rejoins e.Wheel.presence = [| (7, 2) |]);
+  checkb "not flagged before" false (Array.mem (6, 2) (Presence.rejoins e.Wheel.presence));
+  checkb "not flagged after" false (Array.mem (8, 2) (Presence.rejoins e.Wheel.presence));
   (* Presence over an interval: an exchange initiated before the leave
      cannot deliver to the node after it returns. *)
-  checkb "present over [0,2]" true (e.Wheel.env_present_since ~node:2 ~since:0 ~round:2);
-  checkb "absence intersects [2,8]" false (e.Wheel.env_present_since ~node:2 ~since:2 ~round:8);
-  checkb "present over [7,20]" true (e.Wheel.env_present_since ~node:2 ~since:7 ~round:20);
+  checkb "present over [0,2]" true (Wheel.present_since e ~node:2 ~since:0 ~round:2);
+  checkb "absence intersects [2,8]" false (Wheel.present_since e ~node:2 ~since:2 ~round:8);
+  checkb "present over [7,20]" true (Wheel.present_since e ~node:2 ~since:7 ~round:20);
   (* Other nodes are untouched. *)
-  checkb "others alive" true (e.Wheel.env_alive ~node:5 ~round:4)
+  checkb "others alive" true (Wheel.alive e ~node:5 ~round:4)
 
 (* The compiled rejoin schedule: one (round, node) entry per finite
    rejoin, ascending, duplicates merged, forever-leaves absent — and,
@@ -272,7 +274,8 @@ let test_rejoin_schedule () =
                    {"node": 1, "leave": 8, "rejoin": 9}, {"node": 3, "leave": 4}]}|}
   in
   let e = (Scenario.compile s ~csr ~source:0).Scenario.env in
-  checkb "sorted, merged, finite only" true (e.Wheel.env_rejoins = [| (7, 2); (9, 1) |]);
+  checkb "sorted, merged, finite only" true
+    (Presence.rejoins e.Wheel.presence = [| (7, 2); (9, 1) |]);
   let s =
     Scenario.of_string
       {|{"seed": 3, "churn": [{"kind": "random", "fraction": 0.5, "leave": 1, "down": 4, "period": 3}]}|}
@@ -281,34 +284,36 @@ let test_rejoin_schedule () =
   let comebacks = ref [] in
   for round = 40 downto 1 do
     for node = 15 downto 0 do
-      if e.Wheel.env_alive ~node ~round && not (e.Wheel.env_alive ~node ~round:(round - 1))
+      if Wheel.alive e ~node ~round && not (Wheel.alive e ~node ~round:(round - 1))
       then comebacks := (round, node) :: !comebacks
     done
   done;
   checkb "random churn rejoins" true (!comebacks <> []);
-  checkb "schedule = comebacks" true (Array.to_list e.Wheel.env_rejoins = !comebacks)
+  checkb "schedule = comebacks" true
+    (Array.to_list (Presence.rejoins e.Wheel.presence) = !comebacks)
 
-(* The engine walks the schedule with forward cursors, so a schedule
-   out of order or naming a node outside the graph is refused before
-   the run starts rather than silently skipped. *)
+(* An interval that ends before it starts, or one naming a node
+   outside the graph, is refused before the run starts rather than
+   silently skipped.  Intervals come in any order and may overlap on
+   one node, duplicates included; the schedule sorts them and merges
+   their rejoins. *)
 let test_rejoin_schedule_validated () =
   let csr = Csr.ring_of_cliques ~cliques:3 ~size:4 ~bridge_latency:3 in
-  let run rejoins =
+  let run intervals =
     Wheel.broadcast_kernel
-      ~env:{ (Wheel.env_of_faults Engine.no_faults) with Wheel.env_rejoins = rejoins }
+      ~env:{ Wheel.presence = Presence.absences intervals; drop = None; latency = None }
       (Rng.of_int 1) csr ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:100
   in
   List.iter
-    (fun (label, rejoins) ->
-      match run rejoins with
+    (fun (label, intervals) ->
+      match run intervals with
       | _ -> Alcotest.failf "%s schedule accepted" label
       | exception Invalid_argument _ -> ())
-    [
-      ("descending", [| (5, 1); (3, 1) |]);
-      ("duplicate", [| (3, 1); (3, 1) |]);
-      ("out-of-range node", [| (3, 12) |]);
-    ];
-  checkb "ascending schedule runs" true ((run [| (3, 1); (3, 2); (5, 1) |]).Wheel.rounds <> None)
+    [ ("empty interval", [| (3, 1, 3) |]); ("out-of-range node", [| (1, 12, 3) |]) ];
+  let ok = [| (2, 1, 5); (1, 1, 3); (1, 1, 3); (1, 2, 3) |] in
+  checkb "rejoins merged" true
+    (Presence.rejoins (Presence.absences ok) = [| (3, 1); (3, 2); (5, 1) |]);
+  checkb "any order runs" true ((run ok).Wheel.rounds <> None)
 
 let test_random_churn_spares_source () =
   let s =
@@ -320,13 +325,13 @@ let test_random_churn_spares_source () =
   let c = Scenario.compile s ~csr ~source in
   let e = c.Scenario.env in
   for round = 0 to 40 do
-    checkb "source never leaves" true (e.Wheel.env_alive ~node:source ~round)
+    checkb "source never leaves" true (Wheel.alive e ~node:source ~round)
   done;
   (* fraction 0.5 of 20 nodes: someone is actually absent at some point. *)
   let absences = ref 0 in
   for node = 0 to 19 do
     for round = 0 to 40 do
-      if not (e.Wheel.env_alive ~node ~round) then incr absences
+      if not (Wheel.alive e ~node ~round) then incr absences
     done
   done;
   checkb "churn actually happens" true (!absences > 0);
@@ -334,8 +339,8 @@ let test_random_churn_spares_source () =
   let c2 = Scenario.compile s ~csr ~source in
   for node = 0 to 19 do
     for round = 0 to 40 do
-      checkb "deterministic sample" (e.Wheel.env_alive ~node ~round)
-        (c2.Scenario.env.Wheel.env_alive ~node ~round)
+      checkb "deterministic sample" (Wheel.alive e ~node ~round)
+        (Wheel.alive c2.Scenario.env ~node ~round)
     done
   done
 
@@ -350,7 +355,7 @@ let test_random_churn_rounds_to_nearest () =
   let c = Scenario.compile s ~csr ~source:0 in
   let absent = ref 0 in
   for node = 0 to 9 do
-    if not (c.Scenario.env.Wheel.env_alive ~node ~round:1) then incr absent
+    if not (Wheel.alive c.Scenario.env ~node ~round:1) then incr absent
   done;
   checki "1.5 churned nodes round to 2" 2 !absent
 
@@ -460,7 +465,7 @@ let test_adversary_on_spanner () =
   for u = 0 to Csr.n csr - 1 do
     Csr.oriented_iter_out oriented u (fun v latency ->
         for round = 0 to 20 do
-          let l = e.Wheel.env_latency ~u ~v ~latency ~round in
+          let l = Wheel.latency e ~u ~v ~latency ~round in
           if l < latency || l > latency + 3 then
             Alcotest.failf "jitter out of budget on (%d,%d) at %d: %d" u v round l;
           if l > latency then saw_jitter := true
@@ -477,7 +482,7 @@ let test_adversary_on_spanner () =
           Csr.oriented_iter_out oriented v (fun w _ -> if w = u then found := true);
           !found
         in
-        if (not on_spanner) && e.Wheel.env_latency ~u ~v ~latency ~round:7 = latency then
+        if (not on_spanner) && Wheel.latency e ~u ~v ~latency ~round:7 = latency then
           incr untouched)
   done;
   checkb "off-spanner edges untouched" true (!untouched > 0)

@@ -841,6 +841,119 @@ let prop_sharded_parity_scenario =
           && Bytes.equal r.Wheel.informed base.Wheel.informed)
         parity_domains)
 
+(* ------------------------------------------------------------------ *)
+(* The presence column *)
+
+(* The engine's presence column against the reference interval scan.
+   Every shard of a [k]-way split advances its own cells with its own
+   cursor, as the round does; after each round, every node's column
+   check must agree with [Presence.present_since] for every
+   [since <= round] — on the schedule, on the schedule rebased by a
+   random clock (against the original at [since + clock]), and on a
+   static plan's liveness.  The schedules draw most intervals from a
+   few nodes, so they overlap, and include leaves for good and leaves
+   at round 0.  Then the same absences, as a churn scenario with a
+   random-churn entry on top, must run identically at one domain and
+   at every GOSSIP_PARITY_DOMAINS entry. *)
+let prop_presence_column =
+  let module Scenario = Gossip_dyn.Scenario in
+  let module Presence = Gossip_scale.Presence in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 8 40 in
+      let interval =
+        let* v = oneof [ int_range 0 3; int_range 0 (n - 1) ] in
+        let* leave = oneof [ return 0; int_range 0 25 ] in
+        let* len = int_range 1 12 in
+        let* forever = int_range 0 4 in
+        return (leave, v, if forever = 0 then Presence.never else leave + len)
+      in
+      quad (return n) (int_range 0 100_000) (int_range 1 30) (list_size (int_range 0 12) interval))
+  in
+  let print (n, seed, clock, l) =
+    Printf.sprintf "n=%d seed=%d clock=%d [%s]" n seed clock
+      (String.concat "; " (List.map (fun (a, v, b) -> Printf.sprintf "(%d,%d,%d)" a v b) l))
+  in
+  QCheck.Test.make ~name:"presence column = interval scan; churn runs agree across domains"
+    ~count:30 (QCheck.make ~print gen)
+    (fun (n, seed, clock, intervals) ->
+      let p = Presence.absences (Array.of_list intervals) in
+      let agrees q ~k reference =
+        let bounds = Shard.bounds ~n ~k in
+        let away = match Presence.column q ~n with Some a -> a | None -> I32.make n 0 in
+        let cursors = Array.make k 0 in
+        let ok = ref true in
+        for round = 0 to 45 do
+          for s = 0 to k - 1 do
+            cursors.(s) <-
+              Presence.advance q away ~cursor:cursors.(s) ~lo:bounds.(s) ~hi:bounds.(s + 1) ~round
+          done;
+          for v = 0 to n - 1 do
+            for since = 0 to round do
+              if Presence.present away v ~since <> reference ~node:v ~since ~round then ok := false
+            done
+          done
+        done;
+        !ok
+      in
+      let shifted = Presence.rebase ~clock p in
+      let plan = Presence.Alive_at (fun ~node ~round -> ((7 * node) + (3 * round)) mod 5 <> 0) in
+      let columns_agree =
+        List.for_all
+          (fun k ->
+            agrees p ~k (Presence.present_since p)
+            && agrees shifted ~k (fun ~node ~since ~round ->
+                   Presence.present_since p ~node ~since:(since + clock) ~round:(round + clock))
+            && agrees plan ~k (Presence.present_since plan))
+          (List.sort_uniq compare (1 :: parity_domains))
+      in
+      let rejoins_rebased =
+        Presence.rejoins shifted
+        = Array.of_list
+            (List.filter_map
+               (fun (r, v) -> if r >= clock then Some (r - clock, v) else None)
+               (Array.to_list (Presence.rejoins p)))
+      in
+      let grng = Rng.of_int seed in
+      let csr =
+        let p = min 1.0 ((log (float_of_int n) +. 3.0) /. float_of_int n) in
+        Csr.of_graph
+          (Gen.with_latencies grng (Gen.Uniform (1, 6)) (Gen.erdos_renyi_connected grng ~n ~p))
+      in
+      let source = seed mod n in
+      let churn =
+        List.filter_map
+          (fun (leave, node, back) ->
+            if node = source then None
+            else
+              Some
+                (Scenario.Leave
+                   { node; leave; rejoin = (if back = Presence.never then None else Some back) }))
+          intervals
+        @ [ Scenario.Random_churn { fraction = 0.2; leave = 1; down = 6; period = 4 } ]
+      in
+      let c = Scenario.compile { Scenario.static with Scenario.seed; churn } ~csr ~source in
+      let kernel () =
+        match seed mod 3 with
+        | 0 -> Kernel.push_pull csr
+        | 1 -> Kernel.flood csr
+        | _ -> (Kernel.k_rumor_push_pull ~k:4 ~budget:2 csr).Kernel.rum_kernel
+      in
+      let run d =
+        Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+          ~domains:d (Rng.of_int (seed + 1)) csr ~kernel:(kernel ()) ~source ~max_rounds:300
+      in
+      let base = run 1 in
+      columns_agree && rejoins_rebased
+      && List.for_all
+           (fun d ->
+             let r = run d in
+             r.Wheel.rounds = base.Wheel.rounds
+             && r.Wheel.history = base.Wheel.history
+             && r.Wheel.metrics = base.Wheel.metrics
+             && Bytes.equal r.Wheel.informed base.Wheel.informed)
+           parity_domains)
+
 let () =
   Alcotest.run "gossip_scale"
     [
@@ -899,4 +1012,5 @@ let () =
             test_sharded_domains_validation;
           Alcotest.test_case "telemetry parity + shard metrics" `Quick test_sharded_telemetry;
         ] );
+      ("presence", [ qtest prop_presence_column ]);
     ]

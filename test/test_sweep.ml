@@ -1014,6 +1014,55 @@ let test_sweep_resume_keys_on_identity () =
       let again = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true (jobs 6 4 @ jobs 8 9) in
       checki "both families recorded" 4 again.Sweep.skipped)
 
+(* Resume keys on the latency redraw and the scenario too.  Before it
+   did, resuming a unit-latency checkpoint with [--latency uniform:1-9]
+   reported the unit-latency rounds (mean 57.5) where a fresh run gives
+   81.5.  Jobs without the specs keep writing lines without them. *)
+let test_sweep_resume_keys_on_specs () =
+  let module Scenario = Gossip_dyn.Scenario in
+  let module Gen = Gossip_graph.Gen in
+  with_temp_file (fun path ->
+      let jobs ?latency ?scenario () =
+        Sweep.make_jobs
+          ~family:(Sweep.Ring_of_cliques { size = 6; bridge_latency = 4 })
+          ~n:96 ~protocol:Runner.Push_pull ~trials:2 ~base_seed:7 ~max_rounds:100_000 ?latency
+          ?scenario ()
+      in
+      let mean (r : Sweep.report) =
+        let rounds =
+          List.map (fun o -> Option.get o.Sweep.record.Runner.rounds) r.Sweep.completed
+        in
+        float_of_int (List.fold_left ( + ) 0 rounds) /. float_of_int (List.length rounds)
+      in
+      let plain = Sweep.run_ft ~workers:1 ~checkpoint:path (jobs ()) in
+      checkb "unit-latency mean" true (mean plain = 57.5);
+      List.iter
+        (fun line ->
+          checkb "no spec fields" true
+            (Json.field line "latency" = None && Json.field line "scenario" = None))
+        (List.filter_map Result.to_option (Json.read_lines path));
+      let latency = Gen.Uniform (1, 9) in
+      let redrawn = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true (jobs ~latency ()) in
+      checki "latency: nothing reused" 0 redrawn.Sweep.skipped;
+      checkb "latency: a fresh run's mean" true (mean redrawn = 81.5);
+      let scenario =
+        Scenario.of_string {|{"name": "blip", "churn": [{"node": 5, "leave": 2, "rejoin": 9}]}|}
+      in
+      let churned =
+        Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true (jobs ~latency ~scenario ())
+      in
+      checki "scenario: nothing reused" 0 churned.Sweep.skipped;
+      checks "scenario: a fresh run's report"
+        (stripped_report (Sweep.run_ft ~workers:1 (jobs ~latency ~scenario ())))
+        (stripped_report churned);
+      let all = jobs () @ jobs ~latency () @ jobs ~latency ~scenario () in
+      let again = Sweep.run_ft ~workers:1 ~checkpoint:path ~resume:true all in
+      checki "every spec recorded" 6 again.Sweep.skipped;
+      let completed = plain.Sweep.completed @ redrawn.Sweep.completed @ churned.Sweep.completed in
+      checks "the same report"
+        (stripped_report { plain with Sweep.completed })
+        (stripped_report again))
+
 let () =
   Alcotest.run "gossip_sweep"
     [
@@ -1075,6 +1124,8 @@ let () =
           Alcotest.test_case "older checkpoint lines" `Quick test_sweep_resume_older_lines;
           Alcotest.test_case "resume keys on the job's identity" `Quick
             test_sweep_resume_keys_on_identity;
+          Alcotest.test_case "resume keys on latency and scenario" `Quick
+            test_sweep_resume_keys_on_specs;
         ] );
       ( "record",
         [
