@@ -153,17 +153,18 @@ let e12 () =
 (* E13 — cost of the telemetry subsystem on the wheel engine's hot
    loop.  Same workload as E12's wheel run (Barabasi-Albert, attach 3,
    uniform 1-8 latencies, n = 10^5, seed 1009), telemetry detached vs
-   attached (registry + 65536-slot ring sampling 1/16).  Handles are
-   resolved at create, so the detached run must match the bare e12
-   throughput to measurement noise and the attached run must stay
-   within 15%. *)
+   attached (registry + 65536-slot ring sampling 1/16), timed in
+   interleaved off/on pairs whose order alternates, so host drift lands
+   on both sides of a pair.  The attached overhead is the median of the
+   paired ratios, against a 15% budget; it is printed, not enforced, as
+   wall-clock on a shared host cannot gate. *)
 let e13 () =
   let module Obs = Gossip_obs in
-  section "E13  telemetry overhead: instrumented vs bare wheel engine"
+  section "E13  telemetry overhead: wheel engine with telemetry detached vs attached"
     "Push-pull broadcast on a Barabasi-Albert graph (attach 3, uniform 1-8\n\
      latencies, n = 10^5), wheel engine with telemetry detached vs attached\n\
-     (registry + ring, 1/16 sampling).  Detached must sit within 3% of the\n\
-     best bare run; attached within 15%.";
+     (registry + ring, 1/16 sampling) in interleaved pairs.  The median\n\
+     paired overhead of attaching should stay within 15%.";
   let n = 100_000 in
   let seed = 1009 in
   let csr =
@@ -174,56 +175,49 @@ let e13 () =
     Wheel.broadcast_kernel ?telemetry (Rng.of_int (seed + 17)) csr
       ~kernel:(Kernel.push_pull csr) ~source:0 ~max_rounds:10_000
   in
-  (* warm up allocator and page cache before timing anything *)
-  ignore (run ());
-  let trials = 3 in
-  let best f =
-    let rounds = ref 0 in
-    let best_s = ref infinity in
-    for _ = 1 to trials do
-      let r, s = time f in
-      rounds := rounds_exn r.Wheel.rounds;
-      if s < !best_s then best_s := s
-    done;
-    (!rounds, !best_s)
-  in
-  let off_rounds, off_s = best (fun () -> run ()) in
-  let bare_rounds, bare_s = best (fun () -> run ()) in
+  (* The warm-up run (allocator, page cache) fixes the round count that
+     every timed run must reproduce. *)
+  let rounds = rounds_exn (run ()).Wheel.rounds in
   let on_registry = ref None in
-  let on_rounds, on_s =
-    best (fun () ->
-        let ring = Obs.Ring.create ~sample:16 ~capacity:65536 () in
-        let reg = Obs.Registry.create ~ring () in
-        on_registry := Some reg;
-        run ~telemetry:reg ())
+  let timed ?telemetry () =
+    let r, s = time (run ?telemetry) in
+    if rounds_exn r.Wheel.rounds <> rounds then failwith "E13: telemetry changed the trajectory";
+    s
   in
-  if off_rounds <> on_rounds || off_rounds <> bare_rounds then
-    failwith "E13: telemetry changed the trajectory";
-  let rps s = float_of_int off_rounds /. s in
+  let off () = timed () in
+  let on () =
+    let ring = Obs.Ring.create ~sample:16 ~capacity:65536 () in
+    let reg = Obs.Registry.create ~ring () in
+    on_registry := Some reg;
+    timed ~telemetry:reg ()
+  in
+  let pairs = 6 in
+  let off_s = Array.make pairs 0.0 and on_s = Array.make pairs 0.0 in
+  for i = 0 to pairs - 1 do
+    if i mod 2 = 0 then off_s.(i) <- off ();
+    on_s.(i) <- on ();
+    if i mod 2 = 1 then off_s.(i) <- off ()
+  done;
+  let on_overhead = Stats.median (Array.init pairs (fun i -> (on_s.(i) /. off_s.(i)) -. 1.0)) in
+  let off_med = Stats.median off_s and on_med = Stats.median on_s in
   let t =
     Table.create ~title:"E13: wheel-engine throughput with telemetry off/on"
       ~columns:
         [
           ("config", Table.Left);
           ("rounds", Table.Right);
-          ("best s", Table.Right);
+          ("median s", Table.Right);
           ("rounds/s", Table.Right);
-          ("vs bare", Table.Right);
         ]
   in
-  let rel s = (rps s -. rps bare_s) /. rps bare_s *. 100.0 in
   List.iter
     (fun (label, s) ->
       Table.add_row t
-        [ label; fmt_i off_rounds; fmt_f ~d:3 s; fmt_f ~d:0 (rps s); fmt_f ~d:1 (rel s) ])
-    [ ("bare", bare_s); ("telemetry off", off_s); ("telemetry on", on_s) ];
+        [ label; fmt_i rounds; fmt_f ~d:3 s; fmt_f ~d:0 (float_of_int rounds /. s) ])
+    [ ("telemetry off", off_med); ("telemetry on", on_med) ];
   Table.print t;
-  let off_overhead = 1.0 -. (rps off_s /. rps bare_s) in
-  let on_overhead = 1.0 -. (rps on_s /. rps bare_s) in
-  Printf.printf "telemetry-off overhead: %.1f%% (within 3%%: %b)\n" (off_overhead *. 100.0)
-    (off_overhead <= 0.03);
-  Printf.printf "telemetry-on overhead: %.1f%% (within 15%%: %b)\n" (on_overhead *. 100.0)
-    (on_overhead <= 0.15);
+  Printf.printf "telemetry-on overhead, median of %d paired ratios: %.1f%% (within 15%%: %b)\n"
+    pairs (on_overhead *. 100.0) (on_overhead <= 0.15);
   (match !on_registry with
   | Some reg ->
       let h = Obs.Registry.histogram reg "wheel.round.deliveries" in
@@ -242,11 +236,10 @@ let e13 () =
     [
       [
         ("n", Json.Int n);
-        ("rounds", Json.Int off_rounds);
-        ("bare_s", Json.Float bare_s);
-        ("off_s", Json.Float off_s);
-        ("on_s", Json.Float on_s);
-        ("off_overhead", Json.Float off_overhead);
+        ("rounds", Json.Int rounds);
+        ("pairs", Json.Int pairs);
+        ("off_s", Json.Float off_med);
+        ("on_s", Json.Float on_med);
         ("on_overhead", Json.Float on_overhead);
       ];
     ]

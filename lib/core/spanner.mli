@@ -24,7 +24,24 @@ type t = {
 
 (** [build rng g ~k ?n_hat ()] runs the construction.  [n_hat]
     defaults to [n].  Requires [k >= 1]; [k = 1] yields the graph
-    itself. *)
+    itself.
+
+    {b Row order.}  [out_edges.(v)] lists [v]'s edges latest chosen
+    first, and [v] chooses in the order an unrandomized per-node
+    [Stdlib.Hashtbl] iterates its alive neighbors and the clusters
+    they lead to: ascending [Hashtbl.hash id land (b - 1)], where [b]
+    is the bucket count such a table reaches (16, doubled while the
+    entries exceed [2b]), then newest entry first.  The build keeps no
+    table; it reproduces that order from flat arrays.  RR Broadcast
+    walks each row in this order, so every recorded rr-spanner
+    trajectory (bench E15–E17, perfbench's ledger) rests on it, and a
+    canonical order would re-record them.  The edge set does not
+    depend on it: edge weights are distinct and the sampling draws
+    follow node order.  The build does not vary under
+    [OCAMLRUNPARAM=R], which randomized the hash tables of its earlier
+    implementation.
+
+    Cost: [O(k (n + m))] time over flat per-node slot rows. *)
 val build :
   Gossip_util.Rng.t -> Gossip_graph.Graph.t -> k:int -> ?n_hat:int -> unit -> t
 

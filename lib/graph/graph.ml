@@ -10,31 +10,52 @@ type t = {
 
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let buckets = Array.make n [] in
-  let count = ref 0 in
-  let seen = Hashtbl.create (List.length edge_list) in
+  let deg = Array.make n 0 in
+  let m = ref 0 in
   List.iter
     (fun (u, v, latency) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
       if latency < 1 then invalid_arg "Graph.of_edges: latency must be >= 1";
-      let key = if u < v then (u, v) else (v, u) in
-      if Hashtbl.mem seen key then invalid_arg "Graph.of_edges: parallel edge";
-      Hashtbl.add seen key ();
-      buckets.(u) <- (v, latency) :: buckets.(u);
-      buckets.(v) <- (u, latency) :: buckets.(v);
-      incr count)
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1;
+      incr m)
     edge_list;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort (fun (x, _) (y, _) -> compare x y) a;
-        a)
-      buckets
+  (* Node u's entries, in list order, fill cells [start.(u), start.(u + 1))
+     of the flat [nbr]/[lat] store; [deg] is reused as the fill cursor. *)
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u) + deg.(u)
+  done;
+  let nbr = Array.make (2 * !m) 0 and lat = Array.make (2 * !m) 0 in
+  Array.fill deg 0 n 0;
+  let put u v latency =
+    let s = start.(u) + deg.(u) in
+    nbr.(s) <- v;
+    lat.(s) <- latency;
+    deg.(u) <- deg.(u) + 1
   in
-  { n; adj; m = !count }
+  List.iter
+    (fun (u, v, latency) ->
+      put u v latency;
+      put v u latency)
+    edge_list;
+  (* Dealing x's entries out as x for x = 0, 1, ... fills every row in
+     ascending neighbor order (a counting sort, O(n + m)), and a
+     parallel edge arrives as x twice in a row. *)
+  let adj = Array.map (fun d -> Array.make d (0, 0)) deg in
+  Array.fill deg 0 n 0;
+  for x = 0 to n - 1 do
+    for s = start.(x) to start.(x + 1) - 1 do
+      let y = nbr.(s) in
+      let row = adj.(y) and c = deg.(y) in
+      if c > 0 && fst row.(c - 1) = x then invalid_arg "Graph.of_edges: parallel edge";
+      row.(c) <- (x, lat.(s));
+      deg.(y) <- c + 1
+    done
+  done;
+  { n; adj; m = !m }
 
 let n g = g.n
 

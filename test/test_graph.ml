@@ -42,7 +42,45 @@ let test_graph_validation () =
   raises "Graph.of_edges: latency must be >= 1" (fun () ->
       ignore (Graph.of_edges ~n:2 [ (0, 1, 0) ]));
   raises "Graph.of_edges: endpoint out of range" (fun () ->
-      ignore (Graph.of_edges ~n:2 [ (0, 2, 1) ]))
+      ignore (Graph.of_edges ~n:2 [ (0, 2, 1) ]));
+  (* Per-edge checks run over the whole list before parallel edges are
+     looked for, so the later self-loop is the fault reported. *)
+  raises "Graph.of_edges: self-loop" (fun () ->
+      ignore (Graph.of_edges ~n:2 [ (0, 1, 1); (1, 0, 1); (1, 1, 1) ]))
+
+(* Graph.of_edges against the Hashtbl build it replaced
+   (test/setup_ref.ml): random simple edge lists in random order and
+   orientation, rows of up to 89 neighbors, some with one edge repeated
+   reversed at a random place. *)
+let prop_of_edges_matches_reference =
+  QCheck.Test.make ~name:"of_edges = Hashtbl twin on random edge lists" ~count:200
+    QCheck.(quad (int_range 1 90) (int_range 0 100) bool small_nat)
+    (fun (n, density, dup, seed) ->
+      let rng = Rng.of_int seed in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Rng.int rng 100 < density then begin
+            let lat = 1 + Rng.int rng 9 in
+            edges := (if Rng.bool rng then (u, v, lat) else (v, u, lat)) :: !edges
+          end
+        done
+      done;
+      let a = Array.of_list !edges in
+      Rng.shuffle rng a;
+      let l = Array.to_list a in
+      let l =
+        if dup && a <> [||] then begin
+          let u, v, lat = Rng.pick rng a and at = Rng.int rng (Array.length a + 1) in
+          List.filteri (fun i _ -> i < at) l @ ((v, u, lat) :: List.filteri (fun i _ -> i >= at) l)
+        end
+        else l
+      in
+      let outcome f = match f () with x -> Ok x | exception Invalid_argument msg -> Error msg in
+      outcome (fun () ->
+          let g = Graph.of_edges ~n l in
+          (Array.init n (Graph.neighbors g), Graph.m g))
+      = outcome (fun () -> Setup_ref.of_edges ~n l))
 
 let test_graph_edges_listing () =
   let g = triangle () in
@@ -297,6 +335,7 @@ let () =
           Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
           Alcotest.test_case "latency lookup" `Quick test_graph_latency;
           Alcotest.test_case "validation" `Quick test_graph_validation;
+          qtest prop_of_edges_matches_reference;
           Alcotest.test_case "edge listing" `Quick test_graph_edges_listing;
           Alcotest.test_case "latency queries" `Quick test_graph_latency_queries;
           Alcotest.test_case "subgraph_le" `Quick test_graph_subgraph_le;

@@ -956,6 +956,29 @@ let test_unknown_eid_scale () =
         (Bytes.equal r.Eid.u_informed rd.Eid.u_informed))
     parity_domains
 
+(* Minor words per round over a whole unknown-latency chain, set-up
+   included, on a 300-node Watts-Strogatz graph: each attempt builds a
+   spanner of the discovered graph, so a set-up layer that allocates per
+   node and per call (a hash table per node, say) shows here as a
+   per-round figure over the engine's budget. *)
+let test_unknown_eid_minor_words () =
+  List.iter
+    (fun seed ->
+      let csr =
+        Csr.with_latencies (Rng.of_int (seed + 7)) (Gen.Uniform (1, 8))
+          (Csr.watts_strogatz (Rng.of_int seed) ~n:300 ~k:4 ~beta:0.1)
+      in
+      let before = Gc.minor_words () in
+      let r = Eid.run_unknown_scale (Rng.of_int (seed + 17)) csr ~source:0 () in
+      let per_round =
+        Wheel.gauge_of_minor_words ~total:(Gc.minor_words () -. before) ~rounds:r.Eid.u_rounds
+      in
+      checkb (Printf.sprintf "seed %d completes" seed) true r.Eid.u_success;
+      if per_round > Wheel.minor_words_budget then
+        Alcotest.failf "seed %d: %d minor words per round over budget %d" seed per_round
+          Wheel.minor_words_budget)
+    [ 1021; 1022; 7 ]
+
 let test_unified_scale () =
   let module Dissemination = Gossip_core.Dissemination in
   let csr = Csr.ring_of_cliques ~cliques:3 ~size:6 ~bridge_latency:2 in
@@ -1036,6 +1059,8 @@ let () =
       ( "eid-scale",
         [
           Alcotest.test_case "unknown-latency chain" `Quick test_unknown_eid_scale;
+          Alcotest.test_case "unknown-latency chain allocation" `Quick
+            test_unknown_eid_minor_words;
           Alcotest.test_case "unified race" `Quick test_unified_scale;
         ] );
     ]

@@ -131,6 +131,66 @@ let prop_spanner_spans =
       let s = Spanner.build rng g ~k:3 () in
       Graph.is_connected s.Spanner.spanner && Spanner.edge_count s >= n - 1)
 
+(* The flat build against its Hashtbl reference twin (test/setup_ref.ml):
+   the same out-edge rows in the same order — RR Broadcast walks them in
+   that order, so recorded trajectories rest on it — the same spanner,
+   and the same number of draws. *)
+let same_as_reference ?n_hat g ~k ~seed =
+  let r_flat = Rng.of_int seed and r_ref = Rng.of_int seed in
+  let flat = Spanner.build r_flat g ~k ?n_hat () in
+  let twin = Setup_ref.spanner_build r_ref g ~k ?n_hat () in
+  flat.Spanner.out_edges = twin.Spanner.out_edges
+  && Graph.edges flat.Spanner.spanner = Graph.edges twin.Spanner.spanner
+  && Rng.bits64 r_flat = Rng.bits64 r_ref
+
+(* Families whose rows and cluster tables pass 32 entries (cliques of 34
+   and more, BA hubs), so the emulated table resizes, plus disconnected
+   bases (sparse G(n,p), two disjoint cliques). *)
+let twin_graph family size seed =
+  let rng = Rng.of_int seed in
+  let lat g = Gen.with_latencies rng (Gen.Uniform (1, 8)) g in
+  match family with
+  | 0 -> lat (Gen.barabasi_albert rng ~n:(40 + (20 * size)) ~attach:(1 + (size mod 4)))
+  | 1 -> lat (Gen.watts_strogatz rng ~n:(30 + (10 * size)) ~k:(2 + (size mod 3)) ~beta:0.1)
+  | 2 -> lat (Gen.erdos_renyi_connected rng ~n:(10 + (3 * size)) ~p:0.3)
+  | 3 -> Gen.ring_of_cliques ~cliques:(3 + (size mod 5)) ~size:(2 + size) ~bridge_latency:4
+  | 4 ->
+      Gossip_scale.Csr.to_graph
+        (Gossip_scale.Csr.braided_ring ~cliques:(3 + size) ~size:(4 + (size mod 9))
+           ~bridges:(1 + (size mod 4)) ~bridge_latency:5)
+  | 5 -> lat (Gen.clique (34 + (2 * size)))
+  | 6 -> lat (Gen.erdos_renyi rng ~n:(20 + (4 * size)) ~p:0.06)
+  | _ ->
+      let c = 34 + size in
+      let half = Graph.edges (Gen.clique c) in
+      lat
+        (Graph.of_edges ~n:(2 * c)
+           (List.concat_map
+              (fun { Graph.u; v; latency } -> [ (u, v, latency); (u + c, v + c, latency) ])
+              half))
+
+let prop_flat_matches_reference =
+  QCheck.Test.make ~name:"flat build = Hashtbl twin" ~count:200
+    QCheck.(quad (int_range 0 7) (int_range 0 20) (int_range 1 12) (pair (int_range 0 3) small_nat))
+    (fun (family, size, k, (over, seed)) ->
+      let g = twin_graph family size seed in
+      let n = Graph.n g in
+      let n_hat = match over with 0 -> None | 1 -> Some n | 2 -> Some (4 * n) | _ -> Some (n * n) in
+      same_as_reference ?n_hat g ~k ~seed)
+
+(* The benchmark's spanner (a 10,000-node braided ring at k = 14) and a
+   BA graph whose hubs hold hundreds of neighbors. *)
+let test_flat_matches_reference_large () =
+  let braid =
+    Gossip_scale.Csr.to_graph
+      (Gossip_scale.Csr.braided_ring ~cliques:625 ~size:16 ~bridges:4 ~bridge_latency:8)
+  in
+  checkb "braided ring, k = 14" true (same_as_reference braid ~k:14 ~seed:1042);
+  let rng = Rng.of_int 3 in
+  let ba = Gen.with_latencies rng (Gen.Uniform (1, 8)) (Gen.barabasi_albert rng ~n:5000 ~attach:3) in
+  checkb "BA hubs, k = 13" true (same_as_reference ba ~k:13 ~seed:7);
+  checkb "BA hubs, k = 2, n_hat = n^2" true (same_as_reference ba ~k:2 ~n_hat:(5000 * 5000) ~seed:8)
+
 let () =
   Alcotest.run "gossip_spanner"
     [
@@ -150,5 +210,7 @@ let () =
           qtest prop_stretch_respects_2k_minus_1;
           qtest prop_spanner_subgraph;
           qtest prop_spanner_spans;
+          qtest prop_flat_matches_reference;
+          Alcotest.test_case "twin on large graphs" `Quick test_flat_matches_reference_large;
         ] );
     ]
