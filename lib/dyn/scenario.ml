@@ -366,7 +366,7 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Compilation: resolve the declarative plan against a concrete graph
    into an environment — churn as absence intervals, drift and
-   adversary as a pure latency hook.  Everything the hook captures is
+   adversary as a pure latency map.  Everything the map captures is
    immutable after this point (float arrays, a frozen hash table),
    which is what makes it safe to evaluate from any domain under
    [?domains]. *)
@@ -496,32 +496,53 @@ let compile ?oriented s ~csr ~source =
             Some (edges, budget))
   in
   let budget = match s.adversary with None -> 0 | Some { budget } -> budget in
-  let latency ~u ~v ~latency ~round =
+  let stretch ~u ~v ~latency ~round =
     let f = ref 1.0 in
     for i = 0 to Array.length rules - 1 do
       f := !f *. rule_factor ~seed i rules.(i) ~u ~v ~latency ~round
     done;
-    let stretched =
-      if !f = 1.0 then latency
-      else
-        let l = int_of_float (Float.round (float_of_int latency *. !f)) in
-        if l < 1 then 1 else l
-    in
-    match adv with
-    | Some (edges, budget)
-      when budget > 0 && Hashtbl.mem edges ((min u v * n) + max u v) ->
-        stretched + (hash4 seed (min u v) (max u v) round mod (budget + 1))
-    | _ -> stretched
+    if !f = 1.0 then latency
+    else
+      let l = int_of_float (Float.round (float_of_int latency *. !f)) in
+      if l < 1 then 1 else l
   in
   (* Only the hooks the plan uses: scenarios never drop, and without
-     rules or a jittering adversary every latency is the static one. *)
+     rules or a jittering adversary every latency is the static one.
+     A map reads the endpoints only through an [Endpoint_mod] filter, a
+     [Trace] schedule's per-edge offset, or the adversary's jitter;
+     without them it is one factor per (base latency, round), which
+     the engine asks once per class instead of once per exchange. *)
+  let by_edge =
+    budget > 0
+    || Array.exists
+         (fun { schedule; filter } ->
+           (match filter with Endpoint_mod _ -> true | All | Lat_ge _ | Lat_le _ -> false)
+           || match schedule with Trace _ -> true | Linear _ | Diurnal _ | Step _ -> false)
+         rules
+  in
+  let latency : Gossip_scale.Wheel_engine.latency option =
+    if rules = [||] && budget = 0 then None
+    else if not by_edge then
+      (* no rule reads [u] or [v] here *)
+      Some (By_class (fun ~latency ~round -> stretch ~u:0 ~v:0 ~latency ~round))
+    else
+      Some
+        (By_edge
+           (fun ~u ~v ~latency ~round ->
+             let stretched = stretch ~u ~v ~latency ~round in
+             match adv with
+             | Some (edges, budget)
+               when budget > 0 && Hashtbl.mem edges ((min u v * n) + max u v) ->
+                 stretched + (hash4 seed (min u v) (max u v) round mod (budget + 1))
+             | _ -> stretched))
+  in
   let env : Gossip_scale.Wheel_engine.env =
     {
       presence =
         (if absences = [||] then Gossip_scale.Presence.Always
          else Gossip_scale.Presence.absences absences);
       drop = None;
-      latency = (if rules = [||] && budget = 0 then None else Some latency);
+      latency;
     }
   in
   let lmax = Gossip_scale.Csr.max_latency csr in

@@ -130,7 +130,7 @@ val load : string -> t
 
 type compiled = {
   scenario : t;
-  env : Gossip_scale.Wheel_engine.env;  (** data plus a pure hook — safe under [?domains] *)
+  env : Gossip_scale.Wheel_engine.env;  (** data plus a pure latency map — safe under [?domains] *)
   wheel_latency : int;
       (** upper bound on every effective latency the plan can produce
           ([ℓ_max · ∏ max-factors + budget]) — pass as the engine's
@@ -144,7 +144,11 @@ type compiled = {
     without churn), whose rejoin schedule is derived from the same
     intervals.  The environment has only the hooks the plan uses:
     [drop] is always [None], and [latency] is [None] unless the plan
-    has a schedule rule or an adversary with a positive budget.
+    has a schedule rule or an adversary with a positive budget.  The
+    map is [By_edge] (asked per exchange) exactly when the plan reads
+    an edge's endpoints — an [Endpoint_mod] filter, a [Trace]
+    schedule, or an adversary with a positive budget — and
+    [By_class] (asked once per base latency and round) otherwise.
     [oriented] is the spanner orientation the adversary targets —
     required when [s.adversary] is set.
     @raise Invalid_scenario when the plan churns [source] (the engine

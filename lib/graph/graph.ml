@@ -57,6 +57,37 @@ let of_edges ~n edge_list =
   done;
   { n; adj; m = !m }
 
+(* Rows arrive sorted; symmetry is checked in one pass: visiting u in
+   ascending order, the entries below v of row v are met exactly in
+   ascending order, so [matched.(v)] walks row v's prefix. *)
+let of_rows (adj : (node * int) array array) =
+  let n = Array.length adj in
+  let matched = Array.make n 0 in
+  let m = ref 0 in
+  for u = 0 to n - 1 do
+    let row = adj.(u) in
+    let below = ref 0 in
+    Array.iteri
+      (fun i (v, latency) ->
+        if v < 0 || v >= n then invalid_arg "Graph.of_rows: endpoint out of range";
+        if v = u then invalid_arg "Graph.of_rows: self-loop";
+        if latency < 1 then invalid_arg "Graph.of_rows: latency must be >= 1";
+        if i > 0 && fst row.(i - 1) >= v then
+          invalid_arg "Graph.of_rows: row not strictly ascending";
+        if v < u then incr below
+        else begin
+          let j = matched.(v) and back = adj.(v) in
+          if j >= Array.length back then invalid_arg "Graph.of_rows: rows not symmetric";
+          let w, l = back.(j) in
+          if w <> u || l <> latency then invalid_arg "Graph.of_rows: rows not symmetric";
+          matched.(v) <- j + 1;
+          incr m
+        end)
+      row;
+    if matched.(u) <> !below then invalid_arg "Graph.of_rows: rows not symmetric"
+  done;
+  { n; adj; m = !m }
+
 let n g = g.n
 
 let m g = g.m

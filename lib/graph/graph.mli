@@ -28,6 +28,17 @@ type t
     result: rows are sorted by neighbor with a counting sort. *)
 val of_edges : n:int -> (node * node * int) list -> t
 
+(** [of_rows rows] is the graph whose node [u] has neighbors [rows.(u)]:
+    [(v, latency)] pairs in strictly ascending neighbor order, every
+    edge listed in both endpoints' rows with one latency.  The graph
+    takes ownership of [rows] (and of each row).
+    @raise Invalid_argument on an endpoint out of range, a self-loop, a
+    latency [< 1], an unsorted row or a duplicate neighbor, or an edge
+    missing from one of its rows or listed with two latencies.
+
+    Cost: [O(n + m)] time and [n] words of scratch. *)
+val of_rows : (node * int) array array -> t
+
 (** [map_latencies f g] is [g] with every edge latency replaced by
     [f u v latency]; the result must still be [>= 1]. *)
 val map_latencies : (node -> node -> int -> int) -> t -> t

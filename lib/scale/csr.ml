@@ -121,15 +121,14 @@ let of_graph g =
   done;
   { n; row_ptr; col; lat }
 
+(* CSR rows are already sorted and symmetric: copy them row for row. *)
 let to_graph t =
-  let acc = ref [] in
-  for u = t.n - 1 downto 0 do
-    for i = I32.get t.row_ptr (u + 1) - 1 downto I32.get t.row_ptr u do
-      let v = I32.get t.col i in
-      if u < v then acc := (u, v, I32.get t.lat i) :: !acc
-    done
-  done;
-  Graph.of_edges ~n:t.n !acc
+  Graph.of_rows
+    (Array.init t.n (fun u ->
+         let lo = I32.get t.row_ptr u in
+         Array.init
+           (I32.get t.row_ptr (u + 1) - lo)
+           (fun i -> (I32.get t.col (lo + i), I32.get t.lat (lo + i)))))
 
 (* Insertion sort of one CSR row segment [lo, hi) by neighbor id.  The
    generators below emit rows that are sorted except for a couple of

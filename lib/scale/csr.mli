@@ -88,9 +88,11 @@ val boxed_memory_words : t -> int
     @raise I32.Overflow on an out-of-int32-range node count or latency. *)
 val of_graph : Gossip_graph.Graph.t -> t
 
-(** [to_graph t] unpacks into the boxed representation (validating via
-    [Graph.of_edges]); intended for tests and for reusing the analysis
-    code (conductance, diameters) on CSR-built graphs. *)
+(** [to_graph t] unpacks into the boxed representation, row for row
+    ([Graph.of_rows]: the CSR rows are already sorted and symmetric, so
+    no edge list is built); intended for tests and for reusing the
+    analysis code (conductance, diameters, spanners) on CSR-built
+    graphs. *)
 val to_graph : t -> Gossip_graph.Graph.t
 
 (** [of_undirected_arrays ~n eu ev el ~count] packs the first [count]

@@ -1,6 +1,6 @@
 (** Flat int32 storage for the scale runtime's hot state.
 
-    {!Csr.t}, the wheel engine's exchange pool, and the sharded
+    {!Csr.t}, the wheel engine's exchange blocks, and the sharded
     mailboxes all store node ids, latencies, and row offsets in int32
     {!Bigarray.Array1} cells: 4 bytes per element instead of a full
     machine word, off the OCaml heap so the GC never scans it.  The

@@ -3,6 +3,15 @@ module Rng = Gossip_util.Rng
 (* ------------------------------------------------------------------ *)
 (* The kernel interface *)
 
+type exchange =
+  | Rumor of { request_always : bool }
+  | Words of {
+      req_pay : u:int -> informed:bool -> buf:I32.t -> off:int -> unit;
+      on_deliver : v:int -> informed:bool -> buf:I32.t -> off:int -> unit;
+      on_push : v:int -> buf:I32.t -> off:int -> bool;
+      on_response : u:int -> slot:int -> rtt:int -> buf:I32.t -> off:int -> bool;
+    }
+
 type t = {
   name : string;
   contact : Csr.oriented;
@@ -10,10 +19,7 @@ type t = {
   msg_words : int;
   store : Rumor_store.t;
   on_initiate : rngs:Rng.t array -> round:int -> u:int -> deg:int -> informed:bool -> int;
-  req_pay : u:int -> informed:bool -> buf:I32.t -> off:int -> unit;
-  on_deliver : v:int -> informed:bool -> buf:I32.t -> off:int -> unit;
-  on_push : v:int -> buf:I32.t -> off:int -> bool;
-  on_response : u:int -> slot:int -> rtt:int -> buf:I32.t -> off:int -> bool;
+  exchange : exchange;
 }
 
 let name t = t.name
@@ -25,22 +31,6 @@ let store t = t.store
 let completed t v = Rumor_store.completed t.store v
 
 let completed_count t = Rumor_store.count t.store
-
-(* The engine-generic halves of the classic exchange: responses carry
-   the responder's round-start informed bit, a payload word of 1 marks
-   the receiver (request side in phase 1b, response side in phase 1c).
-   Payload words arrive zeroed, so emitters only write the 1 case.
-   Kept as shared closures so kernels that want the default pay exactly
-   the same indirect call. *)
-let req_informed ~u:_ ~informed ~buf ~off = if informed then I32.set buf off 1
-
-let req_always ~u:_ ~informed:_ ~buf ~off = I32.set buf off 1
-
-let deliver_informed ~v:_ ~informed ~buf ~off = if informed then I32.set buf off 1
-
-let push_if_pay ~v:_ ~buf ~off = I32.get buf off = 1
-
-let mark_if_pay ~u:_ ~slot:_ ~rtt:_ ~buf ~off = I32.get buf off = 1
 
 (* The round-robin step over a contact row: [cursor.(u)] wraps at
    [deg], which is fixed per row, so an initiation costs a compare
@@ -59,10 +49,7 @@ let push_pull csr =
     store = Rumor_store.create (Csr.n csr);
     on_initiate =
       (fun ~rngs ~round:_ ~u ~deg ~informed:_ -> if deg = 0 then -1 else Rng.int rngs.(u) deg);
-    req_pay = req_informed;
-    on_deliver = deliver_informed;
-    on_push = push_if_pay;
-    on_response = mark_if_pay;
+    exchange = Rumor { request_always = false };
   }
 
 let flood csr =
@@ -77,10 +64,7 @@ let flood csr =
       (fun ~rngs:_ ~round:_ ~u ~deg ~informed ->
         if deg = 0 || not informed then -1
         else round_robin cursor u deg);
-    req_pay = req_always;
-    on_deliver = deliver_informed;
-    on_push = push_if_pay;
-    on_response = mark_if_pay;
+    exchange = Rumor { request_always = true };
   }
 
 let random_contact csr =
@@ -93,10 +77,7 @@ let random_contact csr =
     on_initiate =
       (fun ~rngs ~round:_ ~u ~deg ~informed ->
         if deg = 0 || not informed then -1 else Rng.int rngs.(u) deg);
-    req_pay = req_always;
-    on_deliver = deliver_informed;
-    on_push = push_if_pay;
-    on_response = mark_if_pay;
+    exchange = Rumor { request_always = true };
   }
 
 let rr_broadcast ?iterations ~k oriented =
@@ -120,10 +101,7 @@ let rr_broadcast ?iterations ~k oriented =
       (fun ~rngs:_ ~round ~u ~deg ~informed:_ ->
         if round >= iterations || deg = 0 then -1
         else round_robin cursor u deg);
-    req_pay = req_informed;
-    on_deliver = deliver_informed;
-    on_push = push_if_pay;
-    on_response = mark_if_pay;
+    exchange = Rumor { request_always = false };
   }
 
 let dtg_local ~ell csr =
@@ -140,10 +118,7 @@ let dtg_local ~ell csr =
       (fun ~rngs:_ ~round:_ ~u ~deg ~informed ->
         if deg = 0 || not informed then -1
         else round_robin cursor u deg);
-    req_pay = req_always;
-    on_deliver = deliver_informed;
-    on_push = push_if_pay;
-    on_response = mark_if_pay;
+    exchange = Rumor { request_always = true };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -246,10 +221,14 @@ let k_rumor_push_pull ~k ~budget csr =
           let i = if deg = 0 then -1 else Rng.int rngs.(u) deg in
           sel.(u) <- Rng.int rngs.(u) k;
           i);
-      req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
-      on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
-      on_push = (fun ~v ~buf ~off -> absorb v buf off);
-      on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+      exchange =
+        Words
+          {
+            req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
+            on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
+            on_push = (fun ~v ~buf ~off -> absorb v buf off);
+            on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+          };
     }
   in
   {
@@ -295,10 +274,14 @@ let rumor_rotation ~k ~budget csr =
         (fun ~rngs ~round:_ ~u ~deg ~informed:_ ->
           pos.(u) <- (pos.(u) + budget) mod k;
           if deg = 0 then -1 else Rng.int rngs.(u) deg);
-      req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
-      on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
-      on_push = (fun ~v ~buf ~off -> absorb v buf off);
-      on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+      exchange =
+        Words
+          {
+            req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
+            on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
+            on_push = (fun ~v ~buf ~off -> absorb v buf off);
+            on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+          };
     }
   in
   {
@@ -440,10 +423,14 @@ let algebraic ~k ~budget csr =
             coins.((u * cw) + w) <- Rng.int rngs.(u) (1 lsl coeff_bits)
           done;
           i);
-      req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
-      on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
-      on_push = (fun ~v ~buf ~off -> absorb v buf off);
-      on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+      exchange =
+        Words
+          {
+            req_pay = (fun ~u ~informed:_ ~buf ~off -> emit u buf off);
+            on_deliver = (fun ~v ~informed:_ ~buf ~off -> emit v buf off);
+            on_push = (fun ~v ~buf ~off -> absorb v buf off);
+            on_response = (fun ~u ~slot:_ ~rtt:_ ~buf ~off -> absorb u buf off);
+          };
     }
   in
   {
@@ -494,13 +481,17 @@ let discovery ~d_bound csr =
             cursor.(u) <- i + 1;
             i
           end);
-      req_pay = (fun ~u:_ ~informed:_ ~buf:_ ~off:_ -> ());
-      on_deliver = (fun ~v:_ ~informed:_ ~buf:_ ~off:_ -> ());
-      on_push = (fun ~v:_ ~buf:_ ~off:_ -> false);
-      on_response =
-        (fun ~u ~slot ~rtt ~buf:_ ~off:_ ->
-          if rtt <= d_bound then disc_lat.(I32.get row_ptr u + slot) <- rtt;
-          false);
+      exchange =
+        Words
+          {
+            req_pay = (fun ~u:_ ~informed:_ ~buf:_ ~off:_ -> ());
+            on_deliver = (fun ~v:_ ~informed:_ ~buf:_ ~off:_ -> ());
+            on_push = (fun ~v:_ ~buf:_ ~off:_ -> false);
+            on_response =
+              (fun ~u ~slot ~rtt ~buf:_ ~off:_ ->
+                if rtt <= d_bound then disc_lat.(I32.get row_ptr u + slot) <- rtt;
+                false);
+          };
     }
   in
   { disc_kernel; disc_lat; disc_d_bound = d_bound }
@@ -532,9 +523,9 @@ let check_absorb frozen flag mismatch w pay =
 (* Round-robin initiation over the whole contact row while the
    iteration window is open — the RR Broadcast schedule with a state
    payload instead of the rumor bit. *)
-let rr_cursor ~iterations n =
+let rr_cursor ~(iterations : int) n =
   let cursor = Array.make n 0 in
-  fun ~rngs:_ ~round ~u ~deg ~informed:_ ->
+  fun ~rngs:_ ~(round : int) ~u ~deg ~informed:_ ->
     if round >= iterations || deg = 0 then -1
     else round_robin cursor u deg
 
@@ -559,17 +550,22 @@ let termination_check ~iterations ~informed oriented =
       msg_words = 1;
       store = Rumor_store.create n;
       on_initiate = rr_cursor ~iterations n;
-      req_pay = (fun ~u ~informed:_ ~buf ~off -> I32.set buf off (check_emit frozen flag mismatch u));
-      on_deliver =
-        (fun ~v ~informed:_ ~buf ~off -> I32.set buf off (check_emit frozen flag mismatch v));
-      on_push =
-        (fun ~v ~buf ~off ->
-          check_absorb frozen flag mismatch v (I32.get buf off);
-          false);
-      on_response =
-        (fun ~u ~slot:_ ~rtt:_ ~buf ~off ->
-          check_absorb frozen flag mismatch u (I32.get buf off);
-          false);
+      exchange =
+        Words
+          {
+            req_pay =
+              (fun ~u ~informed:_ ~buf ~off -> I32.set buf off (check_emit frozen flag mismatch u));
+            on_deliver =
+              (fun ~v ~informed:_ ~buf ~off -> I32.set buf off (check_emit frozen flag mismatch v));
+            on_push =
+              (fun ~v ~buf ~off ->
+                check_absorb frozen flag mismatch v (I32.get buf off);
+                false);
+            on_response =
+              (fun ~u ~slot:_ ~rtt:_ ~buf ~off ->
+                check_absorb frozen flag mismatch u (I32.get buf off);
+                false);
+          };
     }
   in
   { check_kernel; check_flag = flag; check_mismatch = mismatch }
@@ -587,15 +583,20 @@ let verdict_flood ~iterations ~failed oriented =
     msg_words = 1;
     store = Rumor_store.create n;
     on_initiate = rr_cursor ~iterations n;
-    req_pay = (fun ~u ~informed:_ ~buf ~off -> if Bytes.get failed u <> '\000' then I32.set buf off 1);
-    on_deliver =
-      (fun ~v ~informed:_ ~buf ~off -> if Bytes.get failed v <> '\000' then I32.set buf off 1);
-    on_push =
-      (fun ~v ~buf ~off ->
-        absorb v (I32.get buf off);
-        false);
-    on_response =
-      (fun ~u ~slot:_ ~rtt:_ ~buf ~off ->
-        absorb u (I32.get buf off);
-        false);
+    exchange =
+      Words
+        {
+          req_pay =
+            (fun ~u ~informed:_ ~buf ~off -> if Bytes.get failed u <> '\000' then I32.set buf off 1);
+          on_deliver =
+            (fun ~v ~informed:_ ~buf ~off -> if Bytes.get failed v <> '\000' then I32.set buf off 1);
+          on_push =
+            (fun ~v ~buf ~off ->
+              absorb v (I32.get buf off);
+              false);
+          on_response =
+            (fun ~u ~slot:_ ~rtt:_ ~buf ~off ->
+              absorb u (I32.get buf off);
+              false);
+        };
   }

@@ -5,8 +5,9 @@
     the fault plan, the deadline, per-node RNG streams, the telemetry
     handles, and (when sharded) the cross-domain mailboxes.  A
     {e kernel} supplies the protocol: a directed contact structure, a
-    per-message payload budget, a completion store, and five hooks the
-    engine calls at fixed points of its round.
+    per-message payload budget, a completion store, the per-node
+    [on_initiate] hook, and an [exchange] that says how payloads are
+    written and read.
 
     {2 Rumor-state layer}
 
@@ -22,10 +23,30 @@
     Payloads are bounded word vectors, not single ints: a kernel
     declares [msg_words] (its per-message budget B, in int32 words — 32
     [msg_words] bits on the wire per message) and the engine hands
-    every payload hook a word buffer [buf] plus the message's base
-    offset [off]; the hook owns words [off .. off + msg_words - 1],
-    which arrive zeroed on the emitting side.  Classic kernels are the
-    [msg_words = 1] special case and write at most word [off].
+    every [Words] payload hook a word buffer [buf] plus the message's
+    base offset [off]; the hook owns words [off .. off + msg_words - 1],
+    which arrive zeroed on the emitting side.  [Rumor] kernels are the
+    [msg_words = 1] special case, written and read by the engine.
+
+    {2 The exchange: one bit as data, or word hooks}
+
+    How a kernel fills and reads payloads is its [exchange]:
+
+    - [Rumor { request_always }] is the classic one-bit exchange, and
+      the engine runs it inline, with no call per exchange.  The
+      request carries [1] when [request_always] holds or the initiator
+      is informed (completed) as of phase 2; the response carries the
+      responder's {e round-start} informed bit; a [1] marks its
+      receiver (the responder in phase 1b, the initiator in phase 1c).
+      A [Rumor] kernel declares [msg_words = 1] (checked at engine
+      creation).  push-pull, rr-spanner ([request_always = false]),
+      flood, random-contact and dtg ([true]) are [Rumor] kernels.
+    - [Words { req_pay; on_deliver; on_push; on_response }] hands
+      every payload to the kernel's hooks, one call per exchange and
+      phase.  The k-rumor family, the algebraic kernel, discovery and
+      the termination check and verdict are [Words] kernels.  A
+      [Rumor] kernel and its [Words] twin (hooks that do what the bit
+      rules above say) run bit-identically.
 
     {2 Hook contract}
 
@@ -33,7 +54,8 @@
     {!Wheel_engine}); the kernel is consulted at all of them:
 
     - [on_initiate ~rngs ~round ~u ~deg ~informed] — phase 2, called
-      once per alive node in ascending node order.  Returns a slot
+      once per alive node in ascending node order, for every kernel.
+      Returns a slot
       index into [u]'s contact row ([0 <= slot < deg]) or [-1] for no
       initiation this round.  This is the only hook that may consume
       randomness ([rngs.(u)]) or advance per-node kernel state whose
@@ -42,8 +64,11 @@
       are split in node order at engine creation, and trajectory parity
       across shard counts, with the reference engine, and between
       engine generations holds only because every kernel draws from
-      [rngs.(u)] under exactly the same conditions in all of them.  The
-      request payload is written by [req_pay ~u ~informed ~buf ~off],
+      [rngs.(u)] under exactly the same conditions in all of them.
+
+    The [Words] hooks:
+
+    - [req_pay ~u ~informed ~buf ~off] writes the request payload,
       evaluated with [u]'s informed (completed) bit as of phase 2
       (after this round's deliveries); it must be a pure emission —
       read kernel state, write payload words, mutate nothing.
@@ -52,9 +77,9 @@
       before any of this round's push merges.  Also emission-pure.
     - [on_push ~v ~buf ~off] — phase 1b, absorbs the request payload
       into the responder [v]'s state and returns whether [v] is now
-      completed (the engine then marks the store; the classic kernels
-      return [pay = 1], state-carrying kernels merge and return their
-      completion predicate).  The payload words are the kernel's to
+      completed (the engine then marks the store; state-carrying
+      kernels merge and return their completion predicate).  The
+      payload words are the kernel's to
       consume — they may be mutated in place (the engine retires them
       after the hook), which is how the algebraic kernel reduces
       incoming vectors without scratch allocation.
@@ -84,7 +109,8 @@
 
     Kernels keep per-node state (round-robin cursors, rumor bitsets,
     GF(2) bases, discovered latencies, vote bits) in flat arrays
-    captured by the hook closures.  A kernel instance is mutable and
+    captured by the hook closures; a [Rumor] kernel's only payload
+    state is the store's completed byte.  A kernel instance is mutable and
     single-run: build a fresh kernel per broadcast.  Under domain
     sharding the one instance is shared by all shards, which is safe
     because the engine only calls each hook for nodes the calling
@@ -100,6 +126,16 @@
 
 (** {1 Kernels} *)
 
+(** The payload side of a kernel (see "The exchange" above). *)
+type exchange =
+  | Rumor of { request_always : bool }  (** the one-bit exchange, run inline *)
+  | Words of {
+      req_pay : u:int -> informed:bool -> buf:I32.t -> off:int -> unit;
+      on_deliver : v:int -> informed:bool -> buf:I32.t -> off:int -> unit;
+      on_push : v:int -> buf:I32.t -> off:int -> bool;
+      on_response : u:int -> slot:int -> rtt:int -> buf:I32.t -> off:int -> bool;
+    }  (** payload hooks, one call per exchange and phase *)
+
 type t = {
   name : string;  (** tag for telemetry counters and display *)
   contact : Csr.oriented;  (** directed contact rows [on_initiate] indexes *)
@@ -107,10 +143,7 @@ type t = {
   msg_words : int;  (** per-message payload budget B, in int32 words *)
   store : Rumor_store.t;  (** kernel-owned completion state *)
   on_initiate : rngs:Gossip_util.Rng.t array -> round:int -> u:int -> deg:int -> informed:bool -> int;
-  req_pay : u:int -> informed:bool -> buf:I32.t -> off:int -> unit;
-  on_deliver : v:int -> informed:bool -> buf:I32.t -> off:int -> unit;
-  on_push : v:int -> buf:I32.t -> off:int -> bool;
-  on_response : u:int -> slot:int -> rtt:int -> buf:I32.t -> off:int -> bool;
+  exchange : exchange;
 }
 
 val name : t -> string

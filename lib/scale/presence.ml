@@ -102,4 +102,4 @@ let advance p away ~cursor ~lo ~hi ~round =
       done;
       !i
 
-let present away v ~since = I32.get away v <= since
+let[@inline] present away v ~since = I32.get away v <= since

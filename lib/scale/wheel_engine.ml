@@ -6,38 +6,48 @@ type metrics = Engine.metrics
 (* The dynamic-network environment: a time-indexed generalization of
    [Engine.faults] that the round reads as data.  Presence (churn,
    crashes) is a {!Presence.t} the round folds into one per-node
-   column; the latency map, which also sees the edge's endpoints, and
-   the drop rule are optional hooks — a [None] hook costs the round
-   one branch. *)
+   column; the drop rule and the latency map are optional hooks — a
+   [None] hook costs the round one branch.  A latency map that ignores
+   the edge's endpoints says so ([By_class]), and phase 2 then asks it
+   once per base latency and round instead of once per exchange. *)
+type latency =
+  | By_class of (latency:int -> round:int -> int)
+  | By_edge of (u:int -> v:int -> latency:int -> round:int -> int)
+
 type env = {
   presence : Presence.t;
   drop : (initiator:int -> responder:int -> round:int -> bool) option;
-  latency : (u:int -> v:int -> latency:int -> round:int -> int) option;
+  latency : latency option;
 }
 
 (* A static fault plan is the trivial environment: presence over an
-   interval collapses to liveness at the evaluation round, the latency
-   map ignores the endpoints, nobody rejoins.  Every check below then
-   computes exactly what the pre-environment engine computed, which is
-   what keeps static runs bit-identical. *)
+   interval collapses to liveness at the evaluation round, nobody
+   rejoins.  Every check below then computes exactly what the
+   pre-environment engine computed, which is what keeps static runs
+   bit-identical.  The jitter ignores the endpoints, yet stays a
+   per-exchange map: plans such as [Robustness.jitter_up_to] draw from
+   a shared stream on every call, and asking them once per class would
+   change their runs. *)
 let env_of_faults (f : Engine.faults) =
   {
     presence = Presence.Alive_at f.Engine.alive;
     drop = Some f.Engine.drop;
-    latency = Some (fun ~u:_ ~v:_ ~latency ~round -> f.Engine.jitter ~latency ~round);
+    latency = Some (By_edge (fun ~u:_ ~v:_ ~latency ~round -> f.Engine.jitter ~latency ~round));
   }
 
-(* The effective latency of an exchange: the hook's, clamped to >= 1
-   with an int compare (polymorphic [max] is a C call). *)
-let[@inline] effective_latency hook ~u ~v ~latency ~round =
-  let l = match hook with None -> latency | Some f -> f ~u ~v ~latency ~round in
-  if l < 1 then 1 else l
+(* The effective latency: the map's value clamped to >= 1 with an int
+   compare (polymorphic [max] is a C call). *)
+let[@inline] clamp_latency l = if l < 1 then 1 else l
 
 let alive e ~node ~round = Presence.alive e.presence ~node ~round
 
 let present_since e ~node ~since ~round = Presence.present_since e.presence ~node ~since ~round
 
-let latency e ~u ~v ~latency ~round = effective_latency e.latency ~u ~v ~latency ~round
+let latency e ~u ~v ~latency ~round =
+  match e.latency with
+  | None -> latency
+  | Some (By_class f) -> clamp_latency (f ~latency ~round)
+  | Some (By_edge f) -> clamp_latency (f ~u ~v ~latency ~round)
 
 exception Jitter_overflow of { latency : int; bound : int; round : int }
 
@@ -109,14 +119,13 @@ let wheel_bound ?wheel_latency csr =
         invalid_arg "Wheel_engine.create: wheel_latency below the graph's ℓ_max";
       b
 
-(* Pool indices live in int32 cells ([s_next], the free list), so the
-   growth ceiling is clamped to the int32 range — the pool raises the
-   typed [Pool_exhausted] there instead of wrapping an index. *)
+(* [?pool_capacity] bounds the live exchanges of a shard; without it
+   only memory does. *)
 let pool_limit_of = function
-  | None -> min Sys.max_array_length I32.max_value
+  | None -> max_int
   | Some c ->
       if c < 1 then invalid_arg "Wheel_engine.create: pool_capacity must be >= 1";
-      min c I32.max_value
+      c
 
 (* Per-node RNG streams are split in node order — the one and only
    split sequence, shared by every kernel and every shard count, so a
@@ -178,6 +187,10 @@ let check_kernel_shape ~n kernel =
   if mw < 1 then invalid_arg "Wheel_engine.create: kernel msg_words must be >= 1";
   if mw > Shard.Buf.max_capacity then
     raise (Shard.Buf_overflow { need = mw; limit = Shard.Buf.max_capacity });
+  (match kernel.Kernel.exchange with
+  | Kernel.Rumor _ when mw <> 1 ->
+      invalid_arg "Wheel_engine.create: a Rumor kernel must declare msg_words = 1"
+  | _ -> ());
   mw
 
 (* Seed the kernel's store: an optional initial informed set (EID
@@ -237,7 +250,7 @@ let hist_to_list h = List.init h.h_len (fun i -> (h.h_round.(i), h.h_count.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* The round, on [k] contiguous shards (Shard.bounds).  Each shard    *)
-(* owns its exchange pool, arrival/response wheels, informed-byte     *)
+(* owns its exchange blocks, arrival/response chains, informed-byte   *)
 (* slice, and RNG streams; a round is two stages and two barriers:    *)
 (*                                                                    *)
 (*   stage 1 (responder side): churn rejoins, the initiation mail     *)
@@ -254,30 +267,47 @@ let hist_to_list h = List.init h.h_len (fun i -> (h.h_round.(i), h.h_count.(i)))
 (* Every within-phase effect is order-independent (idempotent marks,  *)
 (* commutative counters, responses fixed in 1a from round-start       *)
 (* state) and touches only the owner's nodes and RNG streams, so for  *)
-(* a pure fault plan every [k] gives the same trajectory.             *)
+(* a pure fault plan every [k] gives the same trajectory — and the    *)
+(* order in which a slot's exchanges are walked does not matter.      *)
 (*                                                                    *)
-(* In-flight exchanges are pooled in parallel int32 columns, threaded *)
-(* into singly-linked lists by [s_next]: one arrival and one response *)
-(* list per wheel slot, plus a free list; [-1] ends a list.           *)
+(* In-flight exchanges live in parallel int32 columns cut into blocks *)
+(* of [block] entries.  Each wheel slot owns two chains of blocks, an *)
+(* arrival chain (chain [slot]) and a response chain (chain           *)
+(* [wheel + slot]); a chain is appended at its tail and walked from   *)
+(* its head, so a slot's exchanges run first-in first-out over       *)
+(* contiguous memory.  A walked chain returns its blocks to the       *)
+(* shard's free-block list; the columns grow by doubling only when    *)
+(* that list is empty.                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* Entries per exchange block.  Measured on push-pull over a 10^5-node
+   Barabási–Albert graph and on rr-braid-churn (64, 256 and 1024
+   tried): smaller blocks cost more chain hops, larger ones more
+   partially filled tails (two per slot). *)
+let block = 256
+
+let block_size = block
 
 type shard = {
   s_id : int;
   s_lo : int;
   s_hi : int;  (* owns nodes [s_lo, s_hi) *)
-  s_arrival : int array;
-  s_response : int array;
+  s_head : int array;  (* first block of each chain, [-1] when empty *)
+  s_tail : int array;  (* last block of each chain *)
+  mutable s_blk_next : int array;  (* per block: next block of its chain, or of the free list *)
+  mutable s_blk_len : int array;  (* per block: entries in use *)
+  mutable s_blocks : int;  (* blocks carved from the columns so far *)
+  mutable s_free : int;  (* free-block list, [-1] when empty *)
   mutable s_initiator : I32.t;
   mutable s_responder : I32.t;
-  mutable s_req_pay : I32.t;  (* mw words per exchange, at ex * mw *)
-  mutable s_resp_pay : I32.t;  (* mw words per exchange, at ex * mw *)
+  mutable s_req_pay : I32.t;  (* mw words per entry, at e * mw *)
+  mutable s_resp_pay : I32.t;  (* mw words per entry, at e * mw *)
   s_scratch : I32.t;  (* mw words: req_pay staging for remote initiations *)
   mutable s_due : I32.t;
   mutable s_init : I32.t;
   mutable s_slot : I32.t;
-  mutable s_next : I32.t;
-  mutable s_free : int;
-  mutable s_pool_used : int;
+  s_lat_memo : int array;  (* a [By_class] map's values, by base latency ... *)
+  s_lat_stamp : int array;  (* ... valid for the round stamped here *)
   mutable s_in_flight : int;
   mutable s_count : int;  (* informed nodes owned by this shard *)
   mutable s_absent : int;  (* cursor into the absence schedule *)
@@ -326,17 +356,25 @@ type shared = {
 
 let make_shard ctx id lo hi =
   let n_own = hi - lo in
-  let cap = min (max 1024 n_own) ctx.sh_pool_limit in
+  (* The columns start at about one entry per owned node (at least
+     1024), in whole blocks. *)
+  let blocks = (min (max 1024 n_own) ctx.sh_pool_limit + block - 1) / block in
+  let cap = blocks * block in
   let count = ref 0 in
   for v = lo to hi - 1 do
     if Bytes.get ctx.sh_informed v <> '\000' then incr count
   done;
+  let memo = Csr.oriented_max_latency ctx.sh_kernel.Kernel.contact + 1 in
   {
     s_id = id;
     s_lo = lo;
     s_hi = hi;
-    s_arrival = Array.make ctx.sh_wheel (-1);
-    s_response = Array.make ctx.sh_wheel (-1);
+    s_head = Array.make (2 * ctx.sh_wheel) (-1);
+    s_tail = Array.make (2 * ctx.sh_wheel) (-1);
+    s_blk_next = Array.make blocks (-1);
+    s_blk_len = Array.make blocks 0;
+    s_blocks = 0;
+    s_free = -1;
     s_initiator = I32.make cap 0;
     s_responder = I32.make cap 0;
     s_req_pay = I32.make (cap * ctx.sh_mw) 0;
@@ -345,9 +383,8 @@ let make_shard ctx id lo hi =
     s_due = I32.make cap 0;
     s_init = I32.make cap 0;
     s_slot = I32.make cap 0;
-    s_next = I32.make cap (-1);
-    s_free = -1;
-    s_pool_used = 0;
+    s_lat_memo = Array.make memo 0;
+    s_lat_stamp = Array.make memo (-1);
     s_in_flight = 0;
     s_count = !count;
     s_absent = 0;
@@ -362,16 +399,14 @@ let make_shard ctx id lo hi =
     s_remote_resps = 0;
   }
 
-let s_grow ctx sh round =
-  let old = I32.length sh.s_next in
-  let cap = min (2 * old) ctx.sh_pool_limit in
-  (* Hitting the ceiling is a failed run, not a harness crash: the
-     typed exception (with a registered printer) lets [Sweep.run_ft]
-     checkpoint the job as [Failed] with a useful message. *)
-  if cap = old then raise (Pool_exhausted { used = sh.s_pool_used; round });
+(* Double the block store: every column and the per-block arrays.
+   Entries keep their indices, so chains stay valid. *)
+let s_grow ctx sh =
+  let old = Array.length sh.s_blk_next in
+  let blocks = 2 * old in
   let extend w a =
-    let b = I32.make (cap * w) 0 in
-    I32.blit ~src:a ~dst:b (old * w);
+    let b = I32.make (blocks * block * w) 0 in
+    I32.blit ~src:a ~dst:b (old * block * w);
     b
   in
   sh.s_initiator <- extend 1 sh.s_initiator;
@@ -381,31 +416,68 @@ let s_grow ctx sh round =
   sh.s_due <- extend 1 sh.s_due;
   sh.s_init <- extend 1 sh.s_init;
   sh.s_slot <- extend 1 sh.s_slot;
-  sh.s_next <- extend 1 sh.s_next
+  let grow a =
+    let b = Array.make blocks 0 in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  sh.s_blk_next <- grow sh.s_blk_next;
+  sh.s_blk_len <- grow sh.s_blk_len
 
-let s_alloc ctx sh round =
-  sh.s_in_flight <- sh.s_in_flight + 1;
+let s_new_block ctx sh =
   if sh.s_free >= 0 then begin
-    let e = sh.s_free in
-    sh.s_free <- I32.get sh.s_next e;
-    e
+    let b = sh.s_free in
+    sh.s_free <- sh.s_blk_next.(b);
+    b
   end
   else begin
-    if sh.s_pool_used >= I32.length sh.s_next then s_grow ctx sh round;
-    let e = sh.s_pool_used in
-    sh.s_pool_used <- sh.s_pool_used + 1;
-    e
+    if sh.s_blocks = Array.length sh.s_blk_next then s_grow ctx sh;
+    let b = sh.s_blocks in
+    sh.s_blocks <- b + 1;
+    b
   end
 
-let s_free_ex sh e =
-  sh.s_in_flight <- sh.s_in_flight - 1;
-  I32.set sh.s_next e sh.s_free;
-  sh.s_free <- e
+(* A fresh entry at the tail of chain [c]; its index is valid until
+   the chain is released. *)
+let[@inline] s_append ctx sh c =
+  let t = sh.s_tail.(c) in
+  if t >= 0 && sh.s_blk_len.(t) < block then begin
+    let l = sh.s_blk_len.(t) in
+    sh.s_blk_len.(t) <- l + 1;
+    (t * block) + l
+  end
+  else begin
+    let b = s_new_block ctx sh in
+    sh.s_blk_next.(b) <- -1;
+    sh.s_blk_len.(b) <- 1;
+    if t >= 0 then sh.s_blk_next.(t) <- b else sh.s_head.(c) <- b;
+    sh.s_tail.(c) <- b;
+    b * block
+  end
+
+(* Hand a walked chain's blocks to the free list in one splice. *)
+let s_release sh c =
+  let h = sh.s_head.(c) in
+  if h >= 0 then begin
+    sh.s_blk_next.(sh.s_tail.(c)) <- sh.s_free;
+    sh.s_free <- h;
+    sh.s_head.(c) <- -1;
+    sh.s_tail.(c) <- -1
+  end
+
+(* A new live exchange.  Hitting the ceiling is a failed run, not a
+   harness crash: the typed exception (with a registered printer) lets
+   [Sweep.run_ft] checkpoint the job as [Failed] with a useful
+   message. *)
+let[@inline] s_admit ctx sh round =
+  if sh.s_in_flight >= ctx.sh_pool_limit then
+    raise (Pool_exhausted { used = sh.s_in_flight; round });
+  sh.s_in_flight <- sh.s_in_flight + 1
 
 (* "Informed" in the engine's vocabulary means "completed the kernel's
    dissemination goal": the store's byte, which for classic kernels
    is the informed bit. *)
-let s_mark ctx sh v =
+let[@inline] s_mark ctx sh v =
   if Bytes.get ctx.sh_informed v = '\000' then begin
     Bytes.set ctx.sh_informed v '\001';
     sh.s_count <- sh.s_count + 1
@@ -425,13 +497,17 @@ let[@inline] present away v ~since =
 (* Stage 1: presence, rejoins, mailbox drain + phases 1a/1b on the
    responder's shard.  The round loop is allocation-free: kernel hooks
    are called directly, presence is a column read, loop cursors are
-   non-escaping refs (unboxed by the compiler), and every pool access
+   non-escaping refs (unboxed by the compiler), and every entry access
    goes through the int32 columns, whose reads compile without boxing.
-   [minor_words_budget] is the enforced witness. *)
+   [minor_words_budget] is the enforced witness.  Entry indices come
+   only from [s_append], below the columns' capacity, so the stages
+   read and write entries without bounds checks. *)
 let stage1 ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
   let wheel = ctx.sh_wheel in
+  let mw = ctx.sh_mw in
+  let exchange = ctx.sh_kernel.Kernel.exchange in
   let slot = round mod wheel in
   (* Phase 0 (presence): this round's view of who is here, for the
      shard's own nodes — the only nodes whose presence it reads. *)
@@ -473,23 +549,19 @@ let stage1 ctx sh round =
     and c_arr_slot = m.(4)
     and c_init_round = m.(5)
     and c_slot = m.(6) in
-    let mw = ctx.sh_mw in
     let len = Shard.Buf.length c_initiator in
     for i = 0 to len - 1 do
-      let ex = s_alloc ctx sh round in
-      I32.set sh.s_initiator ex (Shard.Buf.unsafe_get c_initiator i);
-      I32.set sh.s_responder ex (Shard.Buf.unsafe_get c_responder i);
+      s_admit ctx sh round;
+      let ex = s_append ctx sh (Shard.Buf.unsafe_get c_arr_slot i) in
+      I32.unsafe_set sh.s_initiator ex (Shard.Buf.unsafe_get c_initiator i);
+      I32.unsafe_set sh.s_responder ex (Shard.Buf.unsafe_get c_responder i);
       let pb = ex * mw and mb = i * mw in
       for w = 0 to mw - 1 do
-        I32.set sh.s_req_pay (pb + w) (Shard.Buf.unsafe_get c_req_pay (mb + w));
-        I32.set sh.s_resp_pay (pb + w) 0
+        I32.unsafe_set sh.s_req_pay (pb + w) (Shard.Buf.unsafe_get c_req_pay (mb + w))
       done;
-      I32.set sh.s_due ex (Shard.Buf.unsafe_get c_due i);
-      let arr_slot = Shard.Buf.unsafe_get c_arr_slot i in
-      I32.set sh.s_init ex (Shard.Buf.unsafe_get c_init_round i);
-      I32.set sh.s_slot ex (Shard.Buf.unsafe_get c_slot i);
-      I32.set sh.s_next ex sh.s_arrival.(arr_slot);
-      sh.s_arrival.(arr_slot) <- ex
+      I32.unsafe_set sh.s_due ex (Shard.Buf.unsafe_get c_due i);
+      I32.unsafe_set sh.s_init ex (Shard.Buf.unsafe_get c_init_round i);
+      I32.unsafe_set sh.s_slot ex (Shard.Buf.unsafe_get c_slot i)
     done;
     for c = 0 to init_cols - 1 do
       Shard.Buf.clear m.(c)
@@ -501,60 +573,93 @@ let stage1 ctx sh round =
      An exchange is delivered only while both endpoints remain in the
      incarnation that initiated it; for a static environment that is
      plain liveness at [round], so requests whose responder is crashed
-     are lost here, answer and all. *)
-  let e = ref sh.s_arrival.(slot) in
-  while !e >= 0 do
-    let ex = !e in
-    let responder = I32.get sh.s_responder ex in
-    if present away responder ~since:(I32.get sh.s_init ex) then
-      ctx.sh_kernel.Kernel.on_deliver ~v:responder
-        ~informed:(Bytes.get ctx.sh_informed responder <> '\000')
-        ~buf:sh.s_resp_pay ~off:(ex * ctx.sh_mw);
-    e := I32.get sh.s_next ex
+     are lost here, answer and all.  Nothing is appended during 1a, so
+     the columns can be held in locals. *)
+  let responder_col = sh.s_responder
+  and init_col = sh.s_init
+  and resp_pay = sh.s_resp_pay in
+  let b = ref sh.s_head.(slot) in
+  while !b >= 0 do
+    let blk = !b in
+    let base = blk * block in
+    for ex = base to base + sh.s_blk_len.(blk) - 1 do
+      let responder = I32.unsafe_get responder_col ex in
+      if present away responder ~since:(I32.unsafe_get init_col ex) then begin
+        let informed = Bytes.get ctx.sh_informed responder <> '\000' in
+        match exchange with
+        | Kernel.Rumor _ -> I32.unsafe_set resp_pay ex (if informed then 1 else 0)
+        | Kernel.Words w ->
+            let pb = ex * mw in
+            for i = 0 to mw - 1 do
+              I32.unsafe_set resp_pay (pb + i) 0
+            done;
+            w.on_deliver ~v:responder ~informed ~buf:resp_pay ~off:pb
+      end
+    done;
+    b := sh.s_blk_next.(blk)
   done;
-  (* 1b: merge pushed bits; park the response at its due slot (for
-     latency-1 edges that is this very slot, delivered in 1c), or ship
-     it to the initiator's shard.  The owner division runs only on the
-     remote branch: a shard's own range decides locality. *)
-  let e = ref sh.s_arrival.(slot) in
-  sh.s_arrival.(slot) <- -1;
-  while !e >= 0 do
-    let ex = !e in
-    let next = I32.get sh.s_next ex in
-    let responder = I32.get sh.s_responder ex in
-    if present away responder ~since:(I32.get sh.s_init ex) then begin
-      let mw = ctx.sh_mw in
-      sh.s_deliveries <- sh.s_deliveries + 1;
-      sh.s_payload <- sh.s_payload + mw;
-      if ctx.sh_kernel.Kernel.on_push ~v:responder ~buf:sh.s_req_pay ~off:(ex * mw) then
-        s_mark ctx sh responder;
-      let initiator = I32.get sh.s_initiator ex in
-      if initiator >= sh.s_lo && initiator < sh.s_hi then begin
-        let due_slot = wrap ~wheel slot (I32.get sh.s_due ex - round) in
-        I32.set sh.s_next ex sh.s_response.(due_slot);
-        sh.s_response.(due_slot) <- ex
+  (* 1b: merge pushed bits; copy the response into its due slot's
+     response chain (for latency-1 edges that is this very slot,
+     delivered in 1c), or ship it to the initiator's shard.  The owner
+     division runs only on the remote branch: a shard's own range
+     decides locality.  Appends may grow the columns, so every column
+     is read through [sh]. *)
+  let b = ref sh.s_head.(slot) in
+  while !b >= 0 do
+    let blk = !b in
+    let base = blk * block in
+    for ex = base to base + sh.s_blk_len.(blk) - 1 do
+      let responder = I32.unsafe_get sh.s_responder ex in
+      if present away responder ~since:(I32.unsafe_get sh.s_init ex) then begin
+        sh.s_deliveries <- sh.s_deliveries + 1;
+        sh.s_payload <- sh.s_payload + mw;
+        if
+          match exchange with
+          | Kernel.Rumor _ -> I32.unsafe_get sh.s_req_pay ex = 1
+          | Kernel.Words w -> w.on_push ~v:responder ~buf:sh.s_req_pay ~off:(ex * mw)
+        then s_mark ctx sh responder;
+        let initiator = I32.unsafe_get sh.s_initiator ex in
+        let due = I32.unsafe_get sh.s_due ex in
+        if initiator >= sh.s_lo && initiator < sh.s_hi then begin
+          let r = s_append ctx sh (wheel + wrap ~wheel slot (due - round)) in
+          I32.unsafe_set sh.s_initiator r initiator;
+          let pb = ex * mw and rb = r * mw in
+          for w = 0 to mw - 1 do
+            I32.unsafe_set sh.s_resp_pay (rb + w) (I32.unsafe_get sh.s_resp_pay (pb + w))
+          done;
+          I32.unsafe_set sh.s_due r due;
+          I32.unsafe_set sh.s_init r (I32.unsafe_get sh.s_init ex);
+          I32.unsafe_set sh.s_slot r (I32.unsafe_get sh.s_slot ex)
+        end
+        else begin
+          let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k initiator in
+          let m = ctx.sh_resp_mail.((sh.s_id * k) + dst) in
+          Shard.Buf.push m.(0) initiator;
+          let bm = Shard.Buf.reserve m.(1) mw in
+          for w = 0 to mw - 1 do
+            Shard.Buf.set m.(1) (bm + w) (I32.unsafe_get sh.s_resp_pay ((ex * mw) + w))
+          done;
+          Shard.Buf.push m.(2) due;
+          Shard.Buf.push m.(3) (I32.unsafe_get sh.s_init ex);
+          Shard.Buf.push m.(4) (I32.unsafe_get sh.s_slot ex);
+          sh.s_in_flight <- sh.s_in_flight - 1;
+          sh.s_remote_resps <- sh.s_remote_resps + 1
+        end
       end
       else begin
-        let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k initiator in
-        let m = ctx.sh_resp_mail.((sh.s_id * k) + dst) in
-        Shard.Buf.push m.(0) initiator;
-        let b = Shard.Buf.reserve m.(1) mw in
-        for w = 0 to mw - 1 do
-          Shard.Buf.set m.(1) (b + w) (I32.get sh.s_resp_pay ((ex * mw) + w))
-        done;
-        Shard.Buf.push m.(2) (I32.get sh.s_due ex);
-        Shard.Buf.push m.(3) (I32.get sh.s_init ex);
-        Shard.Buf.push m.(4) (I32.get sh.s_slot ex);
-        s_free_ex sh ex;
-        sh.s_remote_resps <- sh.s_remote_resps + 1
+        sh.s_dropped <- sh.s_dropped + 1;
+        sh.s_in_flight <- sh.s_in_flight - 1
       end
-    end
-    else begin
-      sh.s_dropped <- sh.s_dropped + 1;
-      s_free_ex sh ex
-    end;
-    e := next
-  done
+    done;
+    (* A walked block is free at once, so the responses copied out of
+       the rest of the chain can reuse it. *)
+    let next = sh.s_blk_next.(blk) in
+    sh.s_blk_next.(blk) <- sh.s_free;
+    sh.s_free <- blk;
+    b := next
+  done;
+  sh.s_head.(slot) <- -1;
+  sh.s_tail.(slot) <- -1
 
 (* Stage 2, first half: response-mailbox drain + phase 1c on the
    initiator's shard; an absent initiator cannot receive. *)
@@ -562,6 +667,7 @@ let stage2_deliver ctx sh round =
   sh.s_at <- sh.s_lo;
   let k = ctx.sh_k in
   let wheel = ctx.sh_wheel in
+  let mw = ctx.sh_mw in
   let slot = round mod wheel in
   for src = 0 to k - 1 do
     let m = ctx.sh_resp_mail.((src * k) + sh.s_id) in
@@ -570,46 +676,71 @@ let stage2_deliver ctx sh round =
     and c_due = m.(2)
     and c_init_round = m.(3)
     and c_slot = m.(4) in
-    let mw = ctx.sh_mw in
     let len = Shard.Buf.length c_initiator in
     for i = 0 to len - 1 do
-      let ex = s_alloc ctx sh round in
-      I32.set sh.s_initiator ex (Shard.Buf.unsafe_get c_initiator i);
+      s_admit ctx sh round;
+      let due = Shard.Buf.unsafe_get c_due i in
+      let ex = s_append ctx sh (wheel + wrap ~wheel slot (due - round)) in
+      I32.unsafe_set sh.s_initiator ex (Shard.Buf.unsafe_get c_initiator i);
       let pb = ex * mw and mb = i * mw in
       for w = 0 to mw - 1 do
-        I32.set sh.s_resp_pay (pb + w) (Shard.Buf.unsafe_get c_resp_pay (mb + w))
+        I32.unsafe_set sh.s_resp_pay (pb + w) (Shard.Buf.unsafe_get c_resp_pay (mb + w))
       done;
-      let due = Shard.Buf.unsafe_get c_due i in
-      I32.set sh.s_due ex due;
-      I32.set sh.s_init ex (Shard.Buf.unsafe_get c_init_round i);
-      I32.set sh.s_slot ex (Shard.Buf.unsafe_get c_slot i);
-      let due_slot = wrap ~wheel slot (due - round) in
-      I32.set sh.s_next ex sh.s_response.(due_slot);
-      sh.s_response.(due_slot) <- ex
+      I32.unsafe_set sh.s_due ex due;
+      I32.unsafe_set sh.s_init ex (Shard.Buf.unsafe_get c_init_round i);
+      I32.unsafe_set sh.s_slot ex (Shard.Buf.unsafe_get c_slot i)
     done;
     for c = 0 to resp_cols - 1 do
       Shard.Buf.clear m.(c)
     done
   done;
-  let e = ref sh.s_response.(slot) in
-  sh.s_response.(slot) <- -1;
-  while !e >= 0 do
-    let ex = !e in
-    let next = I32.get sh.s_next ex in
-    let initiator = I32.get sh.s_initiator ex in
-    if present ctx.sh_away initiator ~since:(I32.get sh.s_init ex) then begin
-      sh.s_deliveries <- sh.s_deliveries + 1;
-      sh.s_payload <- sh.s_payload + ctx.sh_mw;
-      if
-        ctx.sh_kernel.Kernel.on_response ~u:initiator ~slot:(I32.get sh.s_slot ex)
-          ~rtt:(I32.get sh.s_due ex - I32.get sh.s_init ex)
-          ~buf:sh.s_resp_pay ~off:(ex * ctx.sh_mw)
-      then s_mark ctx sh initiator
-    end
-    else sh.s_dropped <- sh.s_dropped + 1;
-    s_free_ex sh ex;
-    e := next
-  done
+  let away = ctx.sh_away in
+  let exchange = ctx.sh_kernel.Kernel.exchange in
+  let initiator_col = sh.s_initiator
+  and init_col = sh.s_init
+  and resp_pay = sh.s_resp_pay in
+  let c = wheel + slot in
+  let b = ref sh.s_head.(c) in
+  while !b >= 0 do
+    let blk = !b in
+    let base = blk * block in
+    for ex = base to base + sh.s_blk_len.(blk) - 1 do
+      let initiator = I32.unsafe_get initiator_col ex in
+      let init = I32.unsafe_get init_col ex in
+      if present away initiator ~since:init then begin
+        sh.s_deliveries <- sh.s_deliveries + 1;
+        sh.s_payload <- sh.s_payload + mw;
+        if
+          match exchange with
+          | Kernel.Rumor _ -> I32.unsafe_get resp_pay ex = 1
+          | Kernel.Words w ->
+              w.on_response ~u:initiator ~slot:(I32.unsafe_get sh.s_slot ex)
+                ~rtt:(I32.unsafe_get sh.s_due ex - init)
+                ~buf:resp_pay ~off:(ex * mw)
+        then s_mark ctx sh initiator
+      end
+      else sh.s_dropped <- sh.s_dropped + 1;
+      sh.s_in_flight <- sh.s_in_flight - 1
+    done;
+    b := sh.s_blk_next.(blk)
+  done;
+  s_release sh c
+
+(* The effective latency of [u]'s exchange over a contact edge of base
+   latency [l].  A [By_class] map is asked once per base latency per
+   round and shard: the memo is stamped with the round it holds. *)
+let[@inline] phase2_latency ctx sh ~u ~v ~latency:l ~round =
+  match ctx.sh_env.latency with
+  | None -> l
+  | Some (By_class f) ->
+      if sh.s_lat_stamp.(l) = round then sh.s_lat_memo.(l)
+      else begin
+        let e = clamp_latency (f ~latency:l ~round) in
+        sh.s_lat_memo.(l) <- e;
+        sh.s_lat_stamp.(l) <- round;
+        e
+      end
+  | Some (By_edge f) -> clamp_latency (f ~u ~v ~latency:l ~round)
 
 (* Stage 2, second half: phase 2 initiations over the shard's own
    nodes, in ascending node order, over the kernel's directed contact
@@ -622,13 +753,15 @@ let stage2_deliver ctx sh round =
 let stage2_initiate ctx sh round =
   let k = ctx.sh_k in
   let wheel = ctx.sh_wheel in
+  let mw = ctx.sh_mw in
   (* Due dates [round + latency <= round + wheel - 1] must fit the
-     pool's int32 cells; reject the run that could wrap rather than
+     entries' int32 cells; reject the run that could wrap rather than
      store a wrapped due round.  One compare per round. *)
   if round > I32.max_value - wheel then
     raise (I32.Overflow { what = "exchange due round"; value = round + wheel });
   let slot = round mod wheel in
   let away = ctx.sh_away in
+  let exchange = ctx.sh_kernel.Kernel.exchange in
   let contact = ctx.sh_kernel.Kernel.contact in
   let row_ptr = contact.Csr.o_row_ptr
   and col = contact.Csr.o_col
@@ -653,52 +786,57 @@ let stage2_initiate ctx sh round =
         then sh.s_dropped <- sh.s_dropped + 1
         else begin
           let latency =
-            effective_latency ctx.sh_env.latency ~u ~v:peer ~latency:(I32.get lat (base + idx))
-              ~round
+            phase2_latency ctx sh ~u ~v:peer ~latency:(I32.get lat (base + idx)) ~round
           in
           if latency >= wheel then
             (* An undeclared jitter overrunning the wheel is a failed
                run, not a harness crash: the typed exception lets a
                sweep record this job as [Failed] and keep going. *)
             raise (Jitter_overflow { latency; bound = wheel - 1; round });
-          let mw = ctx.sh_mw in
           let due = round + latency in
           let arr_slot = wrap ~wheel slot ((latency + 1) / 2) in
           if peer >= sh.s_lo && peer < sh.s_hi then begin
-            let ex = s_alloc ctx sh round in
-            I32.set sh.s_initiator ex u;
-            I32.set sh.s_responder ex peer;
-            (* Payload words are zeroed before the emission hook runs —
-               the hook-contract's "words arrive zeroed" — covering pool
-               reuse after a free. *)
-            let pb = ex * mw in
-            for w = 0 to mw - 1 do
-              I32.set sh.s_req_pay (pb + w) 0;
-              I32.set sh.s_resp_pay (pb + w) 0
-            done;
-            ctx.sh_kernel.Kernel.req_pay ~u ~informed:informed_u ~buf:sh.s_req_pay ~off:pb;
-            I32.set sh.s_due ex due;
-            I32.set sh.s_init ex round;
-            I32.set sh.s_slot ex idx;
-            I32.set sh.s_next ex sh.s_arrival.(arr_slot);
-            sh.s_arrival.(arr_slot) <- ex
+            s_admit ctx sh round;
+            let ex = s_append ctx sh arr_slot in
+            I32.unsafe_set sh.s_initiator ex u;
+            I32.unsafe_set sh.s_responder ex peer;
+            (match exchange with
+            | Kernel.Rumor { request_always } ->
+                I32.unsafe_set sh.s_req_pay ex (if request_always || informed_u then 1 else 0)
+            | Kernel.Words w ->
+                (* Payload words are zeroed before the emission hook
+                   runs — the hook contract's "words arrive zeroed" —
+                   covering block reuse. *)
+                let pb = ex * mw in
+                for i = 0 to mw - 1 do
+                  I32.unsafe_set sh.s_req_pay (pb + i) 0
+                done;
+                w.req_pay ~u ~informed:informed_u ~buf:sh.s_req_pay ~off:pb);
+            I32.unsafe_set sh.s_due ex due;
+            I32.unsafe_set sh.s_init ex round;
+            I32.unsafe_set sh.s_slot ex idx
           end
           else begin
-            (* The emission hook writes into the shard's scratch run,
-               then the words are copied into the mailbox column — the
-               hook never sees a Buf, only flat I32 words. *)
-            for w = 0 to mw - 1 do
-              I32.set sh.s_scratch w 0
-            done;
-            ctx.sh_kernel.Kernel.req_pay ~u ~informed:informed_u ~buf:sh.s_scratch ~off:0;
             let dst = Shard.owner ~n:(Csr.n ctx.sh_csr) ~k peer in
             let m = ctx.sh_init_mail.((sh.s_id * k) + dst) in
             Shard.Buf.push m.(0) u;
             Shard.Buf.push m.(1) peer;
-            let b = Shard.Buf.reserve m.(2) mw in
-            for w = 0 to mw - 1 do
-              Shard.Buf.set m.(2) (b + w) (I32.get sh.s_scratch w)
-            done;
+            (match exchange with
+            | Kernel.Rumor { request_always } ->
+                Shard.Buf.push m.(2) (if request_always || informed_u then 1 else 0)
+            | Kernel.Words w ->
+                (* The emission hook writes into the shard's scratch
+                   run, then the words are copied into the mailbox
+                   column — the hook never sees a Buf, only flat I32
+                   words. *)
+                for i = 0 to mw - 1 do
+                  I32.set sh.s_scratch i 0
+                done;
+                w.req_pay ~u ~informed:informed_u ~buf:sh.s_scratch ~off:0;
+                let b = Shard.Buf.reserve m.(2) mw in
+                for i = 0 to mw - 1 do
+                  Shard.Buf.set m.(2) (b + i) (I32.get sh.s_scratch i)
+                done);
             Shard.Buf.push m.(3) due;
             Shard.Buf.push m.(4) arr_slot;
             Shard.Buf.push m.(5) round;
@@ -1048,7 +1186,9 @@ let env_from ~clock e =
           e.drop;
       latency =
         Option.map
-          (fun f ~u ~v ~latency ~round -> f ~u ~v ~latency ~round:(round + clock))
+          (function
+            | By_class f -> By_class (fun ~latency ~round -> f ~latency ~round:(round + clock))
+            | By_edge f -> By_edge (fun ~u ~v ~latency ~round -> f ~u ~v ~latency ~round:(round + clock)))
           e.latency;
     }
 

@@ -8,12 +8,18 @@
     flat:
 
     - the informed set is a byte array;
-    - in-flight exchanges live in a pooled structure of parallel
-      {b int32} columns ({!I32.t} Bigarrays — 4 bytes per field, off
-      the OCaml heap), threaded into singly-linked lists; node ids and
-      latencies fit by the {!Csr} range contract, and due rounds are
-      guarded per round (a run raises {!I32.Overflow} rather than
-      wrapping a due date);
+    - in-flight exchanges live in parallel {b int32} columns ({!I32.t}
+      Bigarrays — 4 bytes per field, off the OCaml heap) cut into
+      fixed-size blocks.  Each wheel slot owns an arrival chain and a
+      response chain of blocks: phase 2 appends to arrival chains,
+      phase 1b copies each delivered request's response into its due
+      slot's response chain, and a walked chain returns its blocks to
+      a free-block list, so a round walks contiguous memory.  Within a
+      slot exchanges run first-in first-out; nothing observable
+      depends on that order (see below).  Node ids and latencies fit
+      by the {!Csr} range contract, and due rounds are guarded per
+      round (a run raises {!I32.Overflow} rather than wrapping a due
+      date);
     - the round loop is {e allocation-free}: no per-round closures,
       boxed ints, or escaping refs — enforced by asserting the
       ["wheel.minor_words_per_round"] gauge against
@@ -37,17 +43,18 @@
 
     There is one implementation of that round.  Nodes are split into
     [k] contiguous shards ({!Shard.bounds}), each with its own exchange
-    pool and wheels; cross-shard traffic moves through mailboxes
+    exchange blocks and wheels; cross-shard traffic moves through mailboxes
     drained at two barriers per round, the second of which runs a
     serial merge.  A run on one domain is the one-shard case: every
     exchange is local, the mailboxes stay empty, and the merge runs
     inline.
 
-    The protocol itself is a {!Kernel.t}: a directed contact structure
-    plus the [on_initiate] / [on_deliver] / [on_response] hooks the
-    round phases call (see {!Kernel} for the hook contract and why the
-    RNG-stream discipline is part of it).  The engine owns everything
-    else — pool, wheels, environment, deadline, RNG streams, telemetry,
+    The protocol itself is a {!Kernel.t}: a directed contact structure,
+    the per-node [on_initiate] hook, and an exchange the round either
+    runs inline (the one-bit [Rumor] exchange, no call per exchange)
+    or hands to the kernel's payload hooks ([Words]); see {!Kernel}
+    for the contract and why the RNG-stream discipline is part of it.  The engine owns everything
+    else — exchange blocks, wheels, environment, deadline, RNG streams, telemetry,
     shard mailboxes.  A kernel chain runs its phases in one
     {!session}.  The engine takes kernels only: it knows no protocol
     names or descriptors, which [Gossip_sweep.Runner] owns together
@@ -75,26 +82,40 @@
       outside the graph is refused with [Invalid_argument] before the
       run starts.
     - [drop ~initiator ~responder ~round] suppresses an initiation.
-    - [latency ~u ~v ~latency ~round] is the effective latency of edge
-      [(u, v)] (static latency [latency]) for an exchange initiated at
-      [round].  Clamped to [>= 1] by the engine; it must stay within
-      the wheel bound or {!Jitter_overflow} is raised.
+    - [latency] maps an edge's static latency to the effective latency
+      of an exchange initiated at [round].  It is clamped to [>= 1] by
+      the engine and must stay within the wheel bound, or
+      {!Jitter_overflow} is raised.  A map that reads only the static
+      latency and the round is a [By_class] map: phase 2 asks it once
+      per base latency, round and shard, and reuses the answer for
+      every exchange over an edge of that latency.  A map that reads
+      the edge's endpoints [(u, v)] is a [By_edge] map, asked once per
+      exchange.
 
     A [None] hook costs the round one branch, and a run without
     [?env] makes no environment call at all.  Hooks and an [Alive_at]
     plan must be pure (deterministic functions of their arguments):
     under [?domains > 1] the engine may evaluate them from any domain,
-    and bit-identical parity across shard counts relies on it. *)
+    and bit-identical parity across shard counts relies on it — as
+    does the [By_class] memo, which calls a map fewer times than there
+    are exchanges. *)
+type latency =
+  | By_class of (latency:int -> round:int -> int)
+  | By_edge of (u:int -> v:int -> latency:int -> round:int -> int)
+
 type env = {
   presence : Presence.t;
   drop : (initiator:int -> responder:int -> round:int -> bool) option;
-  latency : (u:int -> v:int -> latency:int -> round:int -> int) option;
+  latency : latency option;
 }
 
 (** The environment is the wheel's one fault channel.  [env_of_faults
     f] embeds a static fault plan as the trivial environment: presence
-    is [Alive_at f.alive], asked once per node per round, and both
-    hooks are set.  Experiment plans ({!Gossip_core.Robustness}-style
+    is [Alive_at f.alive], asked once per node per round, [drop] is
+    [f.drop], and the latency map is [f.jitter] as a [By_edge] map,
+    asked once per exchange: a plan's jitter may draw from a shared
+    stream on every call ({!Gossip_core.Robustness.jitter_up_to}), and
+    a [By_class] map would be asked fewer times.  Experiment plans ({!Gossip_core.Robustness}-style
     crash/drop/jitter closures) thus run on either engine; a plan that
     jitters latencies by up to [j] needs [~wheel_latency:(ℓ_max + j)]. *)
 val env_of_faults : Gossip_sim.Engine.faults -> env
@@ -102,8 +123,8 @@ val env_of_faults : Gossip_sim.Engine.faults -> env
 (** The queries behind the round's checks, with the reference
     semantics ({!Presence.alive}, {!Presence.present_since}) — for
     tests and for scenario probes.  [latency] is the engine's
-    effective latency: the hook's value clamped to [>= 1], or the
-    static latency without a hook. *)
+    effective latency: the map's value clamped to [>= 1], or the
+    static latency without a map. *)
 val alive : env -> node:int -> round:int -> bool
 
 val present_since : env -> node:int -> since:int -> round:int -> bool
@@ -124,9 +145,9 @@ exception Jitter_overflow of { latency : int; bound : int; round : int }
     [deadline] has passed. *)
 exception Deadline_exceeded of { round : int; elapsed_s : float }
 
-(** Raised when the exchange pool cannot grow past [?pool_capacity]
-    (or [Sys.max_array_length]).  [used] is the number of live pool
-    slots at the failure; [round] the round being executed.  Typed
+(** Raised when a shard would hold more than [?pool_capacity] live
+    exchanges.  [used] is the number of live exchanges at the failure;
+    [round] the round being executed.  Typed
     (with a registered printer) so {!Sweep.run_ft} checkpoints the job
     as a structured failure instead of an opaque [Failure _]. *)
 exception Pool_exhausted of { used : int; round : int }
@@ -135,12 +156,17 @@ exception Pool_exhausted of { used : int; round : int }
     gauge, on runs without an environment and on runs under one
     compiled by [Gossip_dyn.Scenario.compile] (schedules, churn,
     adversary): neither the round loop nor the scenario's latency
-    hook allocates per round, and the amortized leftovers (pool growth,
+    hook allocates per round, and the amortized leftovers (block growth,
     history doubling) stay far below this once a run spans more than a
     handful of rounds.  An environment of hand-written hooks is only
     as allocation-free as its hooks.  Exported so the tests
     and bench e18 assert the same number. *)
 val minor_words_budget : int
+
+(** Entries per exchange block: the unit in which a shard's exchange
+    storage is carved into slot chains, reused and grown.  A constant,
+    exported so tests can size runs whose slots span several blocks. *)
+val block_size : int
 
 (** [gauge_of_minor_words ~total ~rounds] is the per-round
     minor-allocation gauge: [total /. rounds] rounded to {e nearest}
@@ -165,15 +191,10 @@ type t
     on every latency [env] stretches to, or the run raises
     {!Jitter_overflow} when one overruns it.
 
-    [pool_capacity] bounds the exchange pool: it is both the initial
-    size hint and a hard growth ceiling, so a run that would hold more
-    concurrent exchanges fails fast with {!Pool_exhausted} instead of
-    doubling toward the hard ceiling
-    [min Sys.max_array_length I32.max_value] (pool indices live in
-    int32 cells, so the ceiling is clamped to the int32 range; an
-    explicit capacity above it is clamped too).  Default: unbounded up
-    to that ceiling.  Under [?domains > 1] the capacity applies to
-    {e each} shard's pool.
+    [pool_capacity] bounds the live exchanges: a run that would hold
+    more concurrent exchanges fails fast with {!Pool_exhausted}.
+    Default: no bound but memory — the exchange blocks grow on demand.
+    Under [?domains > 1] the capacity applies to {e each} shard.
 
     [telemetry] attaches an observability registry: per round the
     engine observes delivery/initiation counts and the in-flight
@@ -229,7 +250,7 @@ val informed : t -> int -> bool
     after every node is informed.
     @raise Jitter_overflow when a jittered latency exceeds the wheel
     bound.
-    @raise Pool_exhausted when the pool hits [pool_capacity]. *)
+    @raise Pool_exhausted when a shard exceeds [pool_capacity] live exchanges. *)
 val step : t -> unit
 
 (** Result of a full broadcast run, shaped like
@@ -264,7 +285,7 @@ type result = {
 
     [domains] (default 1) shards the run across that many OCaml
     domains: nodes are partitioned into contiguous shards
-    ({!Shard.bounds}), each with its own exchange pool, wheels,
+    ({!Shard.bounds}), each with its own exchange blocks, wheels,
     informed-byte slice and RNG streams; cross-shard traffic moves
     through per-[(src, dst)] mailboxes drained in fixed shard order at
     phase barriers.  The trajectory ([history]), [metrics], final
@@ -291,7 +312,7 @@ type result = {
     @raise Deadline_exceeded once [deadline] has passed.
     @raise Jitter_overflow when a stretched latency overruns the
     wheel mid-run.
-    @raise Pool_exhausted when the pool hits [pool_capacity]. *)
+    @raise Pool_exhausted when a shard exceeds [pool_capacity] live exchanges. *)
 val broadcast_kernel :
   ?env:env ->
   ?wheel_latency:int ->

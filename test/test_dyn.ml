@@ -213,6 +213,54 @@ let test_static_is_trivial () =
   checkb "everyone present" true (Wheel.present_since e ~node:7 ~since:0 ~round:50);
   checki "wheel latency is just lmax" (Csr.max_latency csr) c.Scenario.wheel_latency
 
+(* [compile] hands the engine a per-exchange map only when some part of
+   the plan reads the edge's endpoints: an [Endpoint_mod] filter, a
+   [Trace] schedule's per-edge offset, or a jittering adversary. *)
+let test_latency_class () =
+  let csr = Csr.ring_of_cliques ~cliques:4 ~size:4 ~bridge_latency:5 in
+  let o = Csr.oriented_of_csr csr in
+  let kind s =
+    match (Scenario.compile ~oriented:o (Scenario.of_string s) ~csr ~source:0).Scenario.env.Wheel.latency with
+    | None -> "none"
+    | Some (Wheel.By_class _) -> "class"
+    | Some (Wheel.By_edge _) -> "edge"
+  in
+  let rule sched filter =
+    Printf.sprintf {|{"schedules": [{%s, "filter": %s}]}|} sched filter
+  in
+  let linear = {|"kind": "linear", "rate": 0.5, "cap": 3|}
+  and diurnal = {|"kind": "diurnal", "amplitude": 1, "period": 8|}
+  and step = {|"kind": "step", "at": 3, "factor": 2|}
+  and trace = {|"kind": "trace", "multipliers": [1, 2]|} in
+  let all = {|{"kind": "all"}|}
+  and ge = {|{"kind": "lat-ge", "latency": 3}|}
+  and le = {|{"kind": "lat-le", "latency": 3}|}
+  and endpoint = {|{"kind": "endpoint-mod", "modulus": 3, "residue": 1}|} in
+  Alcotest.(check string) "no rule, no adversary" "none" (kind "{}");
+  Alcotest.(check string) "budget-0 adversary" "none" (kind {|{"adversary": {"budget": 0}}|});
+  Alcotest.(check string) "jittering adversary" "edge" (kind {|{"adversary": {"budget": 2}}|});
+  List.iter
+    (fun (sname, sched) ->
+      List.iter
+        (fun (fname, filter) ->
+          let want = if sname = "trace" || fname = "endpoint-mod" then "edge" else "class" in
+          Alcotest.(check string) (sname ^ " / " ^ fname) want (kind (rule sched filter)))
+        [ ("all", all); ("lat-ge", ge); ("lat-le", le); ("endpoint-mod", endpoint) ])
+    [ ("linear", linear); ("diurnal", diurnal); ("step", step); ("trace", trace) ];
+  Alcotest.(check string)
+    "class rule plus a jittering adversary" "edge"
+    (kind
+       (Printf.sprintf {|{"schedules": [{%s}], "adversary": {"budget": 1}}|} linear));
+  Alcotest.(check string)
+    "class rule plus an endpoint rule" "edge"
+    (kind
+       (Printf.sprintf {|{"schedules": [{%s}, {%s, "filter": %s}]}|} linear step endpoint));
+  (* A static fault plan's jitter may draw per call: it stays per edge. *)
+  checkb "env_of_faults is per edge" true
+    (match (Wheel.env_of_faults Engine.no_faults).Wheel.latency with
+    | Some (Wheel.By_edge _) -> true
+    | _ -> false)
+
 let test_linear_drift_semantics () =
   let s =
     Scenario.of_string
@@ -560,6 +608,7 @@ let () =
         [
           Alcotest.test_case "static is trivial" `Quick test_static_is_trivial;
           Alcotest.test_case "linear drift" `Quick test_linear_drift_semantics;
+          Alcotest.test_case "latency class" `Quick test_latency_class;
           Alcotest.test_case "diurnal bounds" `Quick test_diurnal_bounds;
           Alcotest.test_case "churn intervals" `Quick test_churn_intervals;
           Alcotest.test_case "rejoin schedule" `Quick test_rejoin_schedule;

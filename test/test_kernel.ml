@@ -15,6 +15,7 @@ module Csr = Gossip_scale.Csr
 module Kernel = Gossip_scale.Kernel
 module Wheel = Gossip_scale.Wheel_engine
 module Registry = Gossip_obs.Registry
+module Presence = Gossip_scale.Presence
 module Spanner = Gossip_core.Spanner
 module Rr = Gossip_core.Rr_broadcast
 module Eid = Gossip_core.Eid
@@ -338,6 +339,11 @@ let prop_rotation_twin =
       let csr = Csr.of_graph (gen_graph n seed 4) in
       let rum = Kernel.rumor_rotation ~k ~budget csr in
       let kern = rum.Kernel.rum_kernel in
+      let req_pay, on_push =
+        match kern.Kernel.exchange with
+        | Kernel.Words { req_pay; on_push; _ } -> (req_pay, on_push)
+        | Kernel.Rumor _ -> Alcotest.fail "a multi-word kernel must be a Words kernel"
+      in
       let twin = Rumor.Kset.create ~n ~k in
       let pos = Array.make n 0 in
       (* Mirrored streams: the kernel's random neighbor draw replayed
@@ -358,10 +364,10 @@ let prop_rotation_twin =
             Rumor.Kset.reset twin ~v:u
         | _ ->
             let buf = I32.make budget 0 in
-            kern.Kernel.req_pay ~u ~informed:true ~buf ~off:0;
+            req_pay ~u ~informed:true ~buf ~off:0;
             let expect = Rumor.Kset.emit_window twin ~v:u ~pos:pos.(u) ~budget in
             if ids_of_buf buf budget <> expect then ok := false;
-            let dk = kern.Kernel.on_push ~v ~buf ~off:0 in
+            let dk = on_push ~v ~buf ~off:0 in
             let dt = Rumor.Kset.absorb twin ~v expect in
             if dk <> dt then ok := false
       done;
@@ -381,6 +387,11 @@ let prop_k_rumor_twin =
       let csr = Csr.of_graph (gen_graph n seed 4) in
       let rum = Kernel.k_rumor_push_pull ~k ~budget csr in
       let kern = rum.Kernel.rum_kernel in
+      let req_pay, on_push =
+        match kern.Kernel.exchange with
+        | Kernel.Words { req_pay; on_push; _ } -> (req_pay, on_push)
+        | Kernel.Rumor _ -> Alcotest.fail "a multi-word kernel must be a Words kernel"
+      in
       let twin = Rumor.Kset.create ~n ~k in
       (* Two identical stream arrays: the kernel consumes one, the twin
          replays the draws from the other. *)
@@ -401,10 +412,10 @@ let prop_k_rumor_twin =
             Rumor.Kset.reset twin ~v:u
         | _ ->
             let buf = I32.make budget 0 in
-            kern.Kernel.req_pay ~u ~informed:true ~buf ~off:0;
+            req_pay ~u ~informed:true ~buf ~off:0;
             let expect = Rumor.Kset.emit_scan twin ~v:u ~start:sel.(u) ~budget in
             if ids_of_buf buf budget <> expect then ok := false;
-            let dk = kern.Kernel.on_push ~v ~buf ~off:0 in
+            let dk = on_push ~v ~buf ~off:0 in
             let dt = Rumor.Kset.absorb twin ~v expect in
             if dk <> dt then ok := false
       done;
@@ -427,6 +438,11 @@ let prop_algebraic_twin =
       let csr = Csr.of_graph (gen_graph n seed 4) in
       let alg = Kernel.algebraic ~k ~budget:cw csr in
       let kern = alg.Kernel.alg_kernel in
+      let req_pay, on_push =
+        match kern.Kernel.exchange with
+        | Kernel.Words { req_pay; on_push; _ } -> (req_pay, on_push)
+        | Kernel.Rumor _ -> Alcotest.fail "a multi-word kernel must be a Words kernel"
+      in
       let twin = Rumor.Gf2.create ~n ~k in
       let rngs_k = Array.init n (fun i -> Rng.of_int (seed + (31 * i))) in
       let rngs_t = Array.init n (fun i -> Rng.of_int (seed + (31 * i))) in
@@ -461,10 +477,10 @@ let prop_algebraic_twin =
             Rumor.Gf2.reset twin ~v:u
         | _ ->
             let buf = I32.make cw 0 in
-            kern.Kernel.req_pay ~u ~informed:true ~buf ~off:0;
+            req_pay ~u ~informed:true ~buf ~off:0;
             let vec = Rumor.Gf2.emit twin ~v:u ~coins:coins.(u) in
             if not (packed_eq buf vec) then ok := false;
-            let dk = kern.Kernel.on_push ~v ~buf ~off:0 in
+            let dk = on_push ~v ~buf ~off:0 in
             let dt = Rumor.Gf2.absorb twin ~v vec in
             if dk <> dt then ok := false;
             if alg.Kernel.alg_rank ~v <> Rumor.Gf2.rank twin ~v then ok := false
@@ -717,6 +733,155 @@ let prop_rumor_sharded_parity_churn =
           && r.Wheel.metrics = base.Wheel.metrics
           && Bytes.equal r.Wheel.informed base.Wheel.informed)
         parity_domains)
+
+(* ------------------------------------------------------------------ *)
+(* The inline one-bit exchange and the By_class latency memo against
+   their reference forms *)
+
+module Scenario = Gossip_dyn.Scenario
+
+let same_result (a : Wheel.result) (b : Wheel.result) =
+  a.Wheel.rounds = b.Wheel.rounds
+  && a.Wheel.history = b.Wheel.history
+  && a.Wheel.metrics = b.Wheel.metrics
+  && Bytes.equal a.Wheel.informed b.Wheel.informed
+
+(* One of four graph families with uniform 1..lmax latencies. *)
+let family_graph family n seed =
+  let rng = Rng.of_int seed in
+  let lat c = Csr.with_latencies (Rng.of_int (seed + 7)) (Gen.Uniform (1, 6)) c in
+  match family with
+  | 0 -> lat (Csr.barabasi_albert rng ~n ~attach:3)
+  | 1 -> lat (Csr.watts_strogatz rng ~n ~k:4 ~beta:0.1)
+  | 2 -> Csr.of_graph (gen_graph n seed 6)
+  | _ -> Csr.braided_ring ~cliques:(max 3 (n / 8)) ~size:8 ~bridges:3 ~bridge_latency:6
+
+(* Drift on the slow edges plus random churn; [edge] adds an
+   endpoint-filtered step, which makes the compiled map per-edge. *)
+let drift_churn ~seed ~edge =
+  {
+    Scenario.static with
+    Scenario.seed;
+    rules =
+      ({ Scenario.schedule = Scenario.Linear { rate = 0.2; cap = 2.5 }; filter = Scenario.Lat_ge 4 }
+      ::
+      (if edge then
+         [
+           {
+             Scenario.schedule = Scenario.Step { at = 4; factor = 1.5 };
+             filter = Scenario.Endpoint_mod { modulus = 3; residue = 1 };
+           };
+         ]
+       else []));
+    churn = [ Scenario.Random_churn { fraction = 0.1; leave = 3; down = 6; period = 5 } ];
+  }
+
+(* The five classic kernels, by name, over [csr]. *)
+let classic_kernels csr seed =
+  let oriented =
+    lazy
+      (Csr.of_oriented_spanner
+         (Spanner.build (Rng.of_int (seed + 3)) (Csr.to_graph csr) ~k:2 ()).Spanner.out_edges)
+  in
+  [
+    ("push-pull", fun () -> Kernel.push_pull csr);
+    ("flood", fun () -> Kernel.flood csr);
+    ("random-contact", fun () -> Kernel.random_contact csr);
+    ( "rr-spanner",
+      fun () ->
+        let o = Lazy.force oriented in
+        Kernel.rr_broadcast ~k:(Csr.oriented_max_latency o) o );
+    ("dtg", fun () -> Kernel.dtg_local ~ell:3 csr);
+  ]
+
+let prop_rumor_words_twin =
+  QCheck.Test.make
+    ~name:"inline one-bit exchange = Words twin (classic kernels x families x drift+churn)"
+    ~count:20
+    QCheck.(quad (int_range 0 3) (int_range 24 120) (int_range 0 100_000) bool)
+    (fun (family, n, seed, edge) ->
+      let csr = family_graph family n seed in
+      let source = seed mod Csr.n csr in
+      let c = Scenario.compile (drift_churn ~seed ~edge) ~csr ~source in
+      List.for_all
+        (fun (name, mk) ->
+          let run d kernel =
+            Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+              ~domains:d (Rng.of_int (seed + 1)) csr ~kernel ~source ~max_rounds:300
+          in
+          let base = run 1 (mk ()) in
+          List.for_all
+            (fun d ->
+              let ok = same_result base (run d (Kernel_ref.words_twin (mk ()))) in
+              if not ok then QCheck.Test.fail_reportf "%s diverges from its twin at domains=%d" name d;
+              ok)
+            (1 :: parity_domains))
+        (classic_kernels csr seed))
+
+(* A By_class map is asked once per base latency, round and shard; as
+   a per-exchange By_edge map the same function must give the same run. *)
+let prop_by_class_by_edge =
+  QCheck.Test.make ~name:"By_class f runs as By_edge of f (memoized class = per exchange)"
+    ~count:20
+    QCheck.(quad (int_range 0 3) (int_range 24 120) (int_range 0 100_000) (int_range 0 2))
+    (fun (family, n, seed, which) ->
+      let csr = family_graph family n seed in
+      let source = seed mod Csr.n csr in
+      let f ~latency ~round =
+        match which with
+        | 0 -> latency + ((latency + round) mod 3)
+        | 1 -> if round mod 7 < 3 then 2 * latency else latency - 1
+        | _ -> latency * (1 + (round / 5 mod 2))
+      in
+      let wheel_latency = (2 * Csr.max_latency csr) + 2 in
+      let churn = Presence.absences [| (2, (source + 1) mod Csr.n csr, 9) |] in
+      let run latency d kernel =
+        Wheel.broadcast_kernel
+          ~env:{ Wheel.presence = churn; drop = None; latency = Some latency }
+          ~wheel_latency ~domains:d (Rng.of_int (seed + 1)) csr ~kernel ~source ~max_rounds:300
+      in
+      List.for_all
+        (fun (_, mk) ->
+          let base = run (Wheel.By_class f) 1 (mk ()) in
+          List.for_all
+            (fun d ->
+              same_result base
+                (run (Wheel.By_edge (fun ~u:_ ~v:_ ~latency ~round -> f ~latency ~round)) d (mk ())))
+            (1 :: parity_domains))
+        (classic_kernels csr seed))
+
+(* Parity where each slot's chains span several exchange blocks and the
+   block store grows mid-run: push-pull and rr-spanner on a 3,000-node
+   Barabási–Albert graph under drift and churn. *)
+let test_multi_block_parity () =
+  let n = 3_000 in
+  let csr = family_graph 0 n 41 in
+  let c = Scenario.compile (drift_churn ~seed:41 ~edge:false) ~csr ~source:0 in
+  let slots = c.Scenario.wheel_latency + 1 in
+  List.iter
+    (fun (name, mk) ->
+      if name = "push-pull" || name = "rr-spanner" then begin
+        let run d =
+          let reg = Registry.create () in
+          let r =
+            Wheel.broadcast_kernel ~env:c.Scenario.env ~wheel_latency:c.Scenario.wheel_latency
+              ~telemetry:reg ~domains:d (Rng.of_int 42) csr ~kernel:(mk ()) ~source:0
+              ~max_rounds:2_000
+          in
+          (r, Registry.gauge_value (Registry.gauge reg "wheel.inflight.max"))
+        in
+        let base, inflight = run 1 in
+        checkb (name ^ " completes") true (base.Wheel.rounds <> None);
+        (* More live exchanges than the first columns hold, and more per
+           slot than one block: chains of several blocks, grown mid-run. *)
+        if inflight <= n + Wheel.block_size || inflight <= 2 * slots * Wheel.block_size then
+          Alcotest.failf "%s: %d live exchanges at most, too few to span blocks" name inflight;
+        List.iter
+          (fun d ->
+            check_same_run (Printf.sprintf "%s domains=%d" name d) base (fst (run d)))
+          parity_domains
+      end)
+    (classic_kernels csr 41)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-tagged telemetry *)
@@ -1048,6 +1213,9 @@ let () =
           qtest prop_check_sharded_parity;
           qtest prop_discovery_sharded_parity;
           Alcotest.test_case "chains under a scenario" `Quick test_chains_under_scenario;
+          qtest prop_rumor_words_twin;
+          qtest prop_by_class_by_edge;
+          Alcotest.test_case "multi-block parity" `Quick test_multi_block_parity;
         ] );
       ( "check-parity",
         [

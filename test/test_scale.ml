@@ -60,6 +60,53 @@ let test_of_graph_roundtrip () =
         Alcotest.failf "edge (%d,%d) lost in roundtrip" e.Graph.u e.Graph.v)
     g
 
+(* [to_graph] copies the sorted CSR rows straight into the graph; the
+   result is [Graph.of_edges] of the CSR's edge list. *)
+let prop_to_graph_rows =
+  QCheck.Test.make ~name:"to_graph (row copy) = Graph.of_edges of the CSR's edges" ~count:50
+    QCheck.(triple (int_range 2 120) (int_range 0 100_000) (int_range 0 2))
+    (fun (n, seed, family) ->
+      let rng = Rng.of_int seed in
+      let c =
+        match family with
+        | 0 ->
+            Csr.of_graph
+              (Gen.with_latencies rng (Gen.Uniform (1, 9))
+                 (Gen.erdos_renyi_connected rng ~n ~p:(min 1.0 (4.0 /. float_of_int n))))
+        | 1 -> Csr.with_latencies rng (Gen.Uniform (1, 9)) (Csr.barabasi_albert rng ~n:(n + 4) ~attach:3)
+        | _ -> Csr.with_latencies rng (Gen.Uniform (1, 9)) (Csr.watts_strogatz rng ~n:(n + 6) ~k:4 ~beta:0.2)
+      in
+      let edges = ref [] in
+      for u = Csr.n c - 1 downto 0 do
+        for i = I32.get c.Csr.row_ptr (u + 1) - 1 downto I32.get c.Csr.row_ptr u do
+          let v = I32.get c.Csr.col i in
+          if u < v then edges := (u, v, I32.get c.Csr.lat i) :: !edges
+        done
+      done;
+      let g = Csr.to_graph c and ref_g = Graph.of_edges ~n:(Csr.n c) !edges in
+      Graph.n g = Graph.n ref_g
+      && Graph.m g = Graph.m ref_g
+      && List.for_all
+           (fun u -> Graph.neighbors g u = Graph.neighbors ref_g u)
+           (List.init (Graph.n g) Fun.id))
+
+let test_of_rows_validation () =
+  let bad name rows =
+    match Graph.of_rows rows with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  bad "one-sided edge" [| [| (1, 2) |]; [||] |];
+  bad "two latencies" [| [| (1, 2) |]; [| (0, 3) |] |];
+  bad "unsorted row" [| [| (2, 1); (1, 1) |]; [| (0, 1) |]; [| (0, 1) |] |];
+  bad "duplicate neighbor" [| [| (1, 1); (1, 1) |]; [| (0, 1); (0, 1) |] |];
+  bad "self-loop" [| [| (0, 1) |] |];
+  bad "zero latency" [| [| (1, 0) |]; [| (0, 0) |] |];
+  bad "out of range" [| [| (2, 1) |]; [||] |];
+  let g = Graph.of_rows [| [| (1, 4); (2, 1) |]; [| (0, 4) |]; [| (0, 1) |] |] in
+  checki "m" 2 (Graph.m g);
+  checkb "latency" true (Graph.latency g 1 0 = Some 4)
+
 let test_ring_of_cliques_matches_gen () =
   List.iter
     (fun (cliques, size, bridge) ->
@@ -967,6 +1014,8 @@ let () =
           Alcotest.test_case "with_latencies" `Quick test_with_latencies;
           Alcotest.test_case "is_connected" `Quick test_is_connected;
           qtest prop_csr_roundtrip;
+          qtest prop_to_graph_rows;
+          Alcotest.test_case "of_rows validation" `Quick test_of_rows_validation;
         ] );
       ( "int32-contract",
         [
